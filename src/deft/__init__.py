@@ -39,9 +39,7 @@ from deft.matcore import (
     frobenius_norm,
     gaussian,
     make_rng,
-    matmul,
     numerical_rank,
-    transpose,
 )
 from deft.store import (
     FormatError,
@@ -85,10 +83,10 @@ __all__ = [
     "forward", "frobenius_norm", "full_svd_oracle", "gaussian", "grad",
     "init_adapter", "load_adapter", "load_matrix", "loss_mse",
     "lrmf_decompose", "make_rng", "make_teacher_noise_task",
-    "make_teacher_shift_task", "matmul", "matrix_hash", "merge",
+    "make_teacher_shift_task", "matrix_hash", "merge",
     "nmf_decompose", "numerical_rank", "param_count", "parse_config",
     "projection_factor", "qr_decompose", "read_config", "reconstruct",
     "refresh", "relax", "run_finetune", "save_adapter", "save_matrix",
-    "sgd_step", "singular_values", "state_hash", "trainables", "transpose",
+    "sgd_step", "singular_values", "state_hash", "trainables",
     "truncated_svd", "verify_decomposition_identity",
 ]

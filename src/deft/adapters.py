@@ -14,10 +14,19 @@ For para and deft, the projection factor (Q or P) is produced from a
 trainable latent matrix by a decomposition backend; the factorization is
 cached and recomputed whenever the latent changes (every optimizer step
 marks the state stale). lora ignores the backend entirely.
+
+Which matrices train is stated once, in ``_TRAINABLES``: per method, its
+trainables in storage order with their shapes. The first is the p-side
+factor (lora's a, para's q_latent, deft's p_latent): gaussian at init and
+trained at lr_p. The second, if any, is the r-side factor (lora's b_lo,
+deft's r): zero at init and trained at lr_r. para is deft without R.
+Initialization, parameter counts, the SGD step and the checkpoint layout
+all derive from this table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +34,15 @@ import numpy as np
 from deft.decompose import Backend, DecompositionResult, decompose
 from deft.matcore import ShapeError, as_matrix, freeze, gaussian, make_rng
 
-METHODS = ("lora", "para", "deft")
+# method -> (name, rows, cols) per trainable in storage order, over an m x n
+# base weight. First the p-side factor, then the r-side one if any.
+_TRAINABLES = {
+    "lora": (("a", "rank", "n"), ("b_lo", "m", "rank")),
+    "para": (("q_latent", "m", "rank"),),
+    "deft": (("p_latent", "m", "rank"), ("r", "rank", "n")),
+}
+# The order is the ADPT1 method tag (see deft.store): append, never reorder.
+METHODS = tuple(_TRAINABLES)
 
 
 class ConfigError(ValueError):
@@ -58,6 +75,9 @@ class AdapterConfig:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", float(self.rank))
+        for name in ("alpha", "lr_p", "lr_r", "init_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.method == "lora":
@@ -83,10 +103,9 @@ class AdapterConfig:
 class AdapterState:
     """Trainable state for one adapted layer.
 
-    Unused trainables are None (a/b_lo for lora, q_latent for para,
-    p_latent/r for deft). w0 is a read-only array; writes raise. cache
-    holds the latent's factorization and is refreshed lazily whenever
-    stale is set.
+    Only the method's own trainables (see _TRAINABLES) are set; the rest
+    stay None. w0 is a read-only array; writes raise. cache holds the
+    latent's factorization and is refreshed lazily whenever stale is set.
     """
 
     cfg: AdapterConfig
@@ -104,12 +123,18 @@ class AdapterState:
         return self.w0.shape
 
 
+def trainable_shapes(cfg, m, n):
+    """Name -> (rows, cols) of cfg's trainables over an m x n layer, in storage order."""
+    dims = {"m": m, "n": n, "rank": cfg.rank}
+    return {name: (dims[rows], dims[cols]) for name, rows, cols in _TRAINABLES[cfg.method]}
+
+
 def init_adapter(w0, cfg):
     """Fresh adapter state over frozen `w0`.
 
-    Gaussian-initialized trainables (lora's a, the para/deft latents) use
-    cfg.init_stddev and cfg.seed; zero-initialized ones (b_lo, r) make the
-    adapter start as the identity update.
+    The p-side trainable is gaussian-initialized from cfg.init_stddev and
+    cfg.seed; the r-side one, if any, starts at zero, making the adapter
+    start as the identity update.
     """
     w0 = freeze(as_matrix(w0, "w0"))
     m, n = w0.shape
@@ -117,32 +142,24 @@ def init_adapter(w0, cfg):
         raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)} for shape {w0.shape}")
     rng = make_rng(cfg.seed)
     state = AdapterState(cfg=cfg, w0=w0)
-    if cfg.method == "lora":
-        state.a = gaussian(rng, cfg.rank, n, cfg.init_stddev)
-        state.b_lo = np.zeros((m, cfg.rank))
-    elif cfg.method == "para":
-        state.q_latent = gaussian(rng, m, cfg.rank, cfg.init_stddev)
-    else:
-        state.p_latent = gaussian(rng, m, cfg.rank, cfg.init_stddev)
-        state.r = np.zeros((cfg.rank, n))
+    (p_name, p_shape), *r_side = trainable_shapes(cfg, m, n).items()
+    setattr(state, p_name, gaussian(rng, *p_shape, cfg.init_stddev))
+    for name, shape in r_side:
+        setattr(state, name, np.zeros(shape))
     return state
 
 
 def trainables(state):
-    """Name -> array map of the trainable matrices, in a fixed order."""
-    if state.cfg.method == "lora":
-        return {"a": state.a, "b_lo": state.b_lo}
-    if state.cfg.method == "para":
-        return {"q_latent": state.q_latent}
-    return {"p_latent": state.p_latent, "r": state.r}
+    """Name -> array map of the trainable matrices, in storage order."""
+    return {name: getattr(state, name) for name, _, _ in _TRAINABLES[state.cfg.method]}
 
 
 def refresh(state):
     """Recompute the latent factorization if the cache is stale."""
-    if state.cfg.method == "lora":
+    if state.cfg.backend is None:  # lora: nothing to factorize
         return state
     if state.cache is None or state.stale:
-        latent = state.q_latent if state.cfg.method == "para" else state.p_latent
+        latent = getattr(state, _TRAINABLES[state.cfg.method][0][0])  # the p-side factor
         state.cache = decompose(latent, state.cfg.backend, seed=state.cfg.seed)
         state.stale = False
     return state
@@ -150,27 +167,35 @@ def refresh(state):
 
 def projection_factor(state):
     """Current P (deft) or Q (para) from the cached factorization."""
-    if state.cfg.method == "lora":
+    if state.cfg.backend is None:
         raise ConfigError("lora has no projection factor")
     refresh(state)
     return state.cache.p_factor
 
 
+def _adapted(state, base, x=None):
+    """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
+
+    para/deft: base - P P^T base, plus P R x when R is present (deft).
+    """
+    cfg = state.cfg
+    if cfg.method == "lora":
+        scale = cfg.alpha / cfg.rank
+        return base + scale * (state.b_lo @ (state.a if x is None else state.a @ x))
+    p = projection_factor(state)
+    out = base - p @ (p.T @ base)
+    if state.r is not None:
+        out = out + p @ (state.r if x is None else state.r @ x)
+    return out
+
+
 def forward(state, x):
     """Apply the adapted layer to a batch x (n x k, one column per input)."""
     x = as_matrix(x, "x")
-    m, n = state.w0.shape
+    n = state.w0.shape[1]
     if x.shape[0] != n:
         raise ShapeError(f"input rows {x.shape[0]} do not match layer width {n}")
-    y = state.w0 @ x
-    if state.cfg.method == "lora":
-        scale = state.cfg.alpha / state.cfg.rank
-        return y + scale * (state.b_lo @ (state.a @ x))
-    p = projection_factor(state)
-    out = y - p @ (p.T @ y)
-    if state.cfg.method == "deft":
-        out = out + p @ (state.r @ x)
-    return out
+    return _adapted(state, state.w0 @ x, x)
 
 
 def merge(state):
@@ -179,15 +204,7 @@ def merge(state):
     forward(state, x) equals merge(state) @ x up to float rounding; the
     merged matrix is what would be shipped after adaptation.
     """
-    w0 = state.w0
-    if state.cfg.method == "lora":
-        scale = state.cfg.alpha / state.cfg.rank
-        return w0 + scale * (state.b_lo @ state.a)
-    p = projection_factor(state)
-    out = w0 - p @ (p.T @ w0)
-    if state.cfg.method == "deft":
-        out = out + p @ state.r
-    return out
+    return _adapted(state, state.w0)
 
 
 def param_count(cfg, m, n):
@@ -198,6 +215,4 @@ def param_count(cfg, m, n):
     """
     if m < 1 or n < 1:
         raise ShapeError(f"matrix dims must be positive, got {m}x{n}")
-    if cfg.method in ("lora", "deft"):
-        return cfg.rank * (m + n)
-    return cfg.rank * m
+    return sum(rows * cols for rows, cols in trainable_shapes(cfg, m, n).values())

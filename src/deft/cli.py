@@ -21,14 +21,13 @@ import warnings
 import numpy as np
 
 from deft import adapters, store, subspace, train
-from deft.adapters import AdapterConfig, ConfigError
-from deft.decompose import Backend, decompose as run_decompose, reconstruct
+from deft.adapters import METHODS, AdapterConfig, ConfigError
+from deft.decompose import INTRINSIC_RANK, KINDS, Backend, decompose as run_decompose, reconstruct
 from deft.matcore import ShapeError, gaussian, make_rng, numerical_rank, rel_error
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
-_BACKEND_CHOICES = ("qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax-nmf")
-_DEFAULT_BENCH = ("qr", "tsvd", "lrmf", "nmf", "relax", "relax-nmf")
+_BACKEND_CHOICES = tuple(k.replace("_", "-") for k in KINDS)
 
 
 class UsageError(ValueError):
@@ -87,7 +86,7 @@ def cmd_decompose(args):
     b = store.load_matrix(args.infile)
     kind = _norm_kind(args.method)
     m, n = b.shape
-    if kind in ("qr", "relax", "relax_nmf"):
+    if kind in INTRINSIC_RANK:
         rank = n if args.rank is None else args.rank
         if rank != n:
             raise UsageError(f"{args.method} rank is the column count {n}, got --rank {rank}")
@@ -357,7 +356,7 @@ def _build_parser():
 
     p = sub.add_parser("adapt-init", help="initialize an adapter checkpoint")
     p.add_argument("--w0", required=True)
-    p.add_argument("--method", required=True, choices=("lora", "para", "deft"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--backend", choices=_BACKEND_CHOICES, default=None)
@@ -407,15 +406,14 @@ def _build_parser():
     p.add_argument("--dim", type=_positive_int, default=3072)
     p.add_argument("--rank", type=_positive_int, default=8)
     p.add_argument("--iters", type=_positive_int, default=20)
-    p.add_argument("--backends", default=",".join(_DEFAULT_BENCH),
-                   help="comma-separated backend list (eig is opt-in: its cost is "
-                        "dominated by a dim x dim eigendecomposition)")
+    p.add_argument("--backends", default=",".join(_BACKEND_CHOICES),
+                   help="comma-separated backend list")
     p.add_argument("--out", default="bench.csv")
     add_seed(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("param-count", help="trainable-parameter count for a config")
-    p.add_argument("--method", required=True, choices=("lora", "para", "deft"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rank", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)

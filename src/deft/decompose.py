@@ -12,7 +12,7 @@ qr            orthonormal Q with b = Q @ r_tri         r_tri (upper tri)
 tsvd          top-r left singular vectors              s (1-D), v
 lrmf          scaled basis U_r * sqrt(s_r)             s (1-D), v
 nmf           non-negative W with b ~ W @ H            h, err_trace (1-D)
-eig           top-r eigenvectors of b @ b.T            lambda (1-D)
+eig           top-r eigenvectors of b @ b.T via SVD    lambda = s**2 (1-D)
 relax         b itself, no factorization               (none)
 relax_nmf     max(b, 0) elementwise                    (none)
 ============  =======================================  ==================
@@ -26,6 +26,7 @@ routine in ``deft._jacobi``, chosen for accuracy over speed at this scale.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,7 +35,10 @@ import numpy as np
 from deft._jacobi import _fix_signs, jacobi_svd
 from deft.matcore import ShapeError, as_matrix, make_rng
 
+# The order is the ADPT1 backend tag (see deft.store): append, never reorder.
 KINDS = ("qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax_nmf")
+# Kinds whose rank is the latent's column count rather than a truncation.
+INTRINSIC_RANK = ("qr", "relax", "relax_nmf")
 
 # Default multiplicative-update budget when a backend refactorizes a latent
 # on every training step. Deliberately small: the per-step cost must sit in
@@ -64,8 +68,8 @@ class Backend:
             raise ValueError(f"backend rank must be >= 1, got {self.rank}")
         if self.nmf_iters < 1:
             raise ValueError(f"nmf_iters must be >= 1, got {self.nmf_iters}")
-        if self.nmf_tol < 0:
-            raise ValueError(f"nmf_tol must be >= 0, got {self.nmf_tol}")
+        if not 0 <= self.nmf_tol < math.inf:
+            raise ValueError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,6 @@ def qr_decompose(b):
     if m < r:
         raise ShapeError(f"qr latent must be tall or square, got {b.shape}")
     q, r_tri = np.linalg.qr(b)
-    flip = np.zeros(r, dtype=bool)
     idx = np.argmax(np.abs(q), axis=0)
     flip = q[idx, np.arange(r)] < 0.0
     q[:, flip] *= -1.0
@@ -219,18 +222,17 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
 def eig_project(b, r):
     """Top-r eigenvectors of b @ b.T as the projection factor.
 
-    aux carries ``lambda``, the matching eigenvalues (non-negative, sorted
-    non-increasing; they equal squared singular values of b).
+    They are b's top-r left singular vectors, taken from its thin LAPACK SVD
+    without forming b @ b.T. aux carries ``lambda``, the matching
+    eigenvalues: the squared singular values, sorted non-increasing.
     """
     b = as_matrix(b, "b")
-    m = b.shape[0]
-    if not 1 <= r <= m:
-        raise ShapeError(f"rank {r} out of range for {m} rows")
-    lam, vec = np.linalg.eigh(b @ b.T)
-    lam = np.maximum(lam[::-1], 0.0)[:r]
-    p = np.ascontiguousarray(vec[:, ::-1][:, :r])
+    if not 1 <= r <= min(b.shape):
+        raise ShapeError(f"rank {r} out of range for shape {b.shape}")
+    u, s, _ = np.linalg.svd(b, full_matrices=False)
+    p = np.ascontiguousarray(u[:, :r])
     _fix_signs(p, None)
-    return DecompositionResult("eig", r, p, {"lambda": lam.copy()})
+    return DecompositionResult("eig", r, p, {"lambda": s[:r] ** 2})
 
 
 def relax(b, nonneg=False):
@@ -247,13 +249,12 @@ def relax(b, nonneg=False):
 def decompose(b, backend, seed=0):
     """Apply `backend` to latent `b`. Deterministic in (b, backend, seed).
 
-    qr, relax and relax_nmf have intrinsic rank equal to the latent's
-    column count and reject a mismatched backend.rank; the others truncate
-    to backend.rank.
+    The INTRINSIC_RANK kinds reject a backend.rank other than the latent's
+    column count; the others truncate to backend.rank.
     """
     b = as_matrix(b, "b")
     k = backend.kind
-    if k in ("qr", "relax", "relax_nmf") and backend.rank != b.shape[1]:
+    if k in INTRINSIC_RANK and backend.rank != b.shape[1]:
         raise ShapeError(
             f"{k} backend rank {backend.rank} must equal latent column count {b.shape[1]}"
         )

@@ -54,26 +54,6 @@ def require_finite(a, name="matrix"):
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def matmul(a, b):
-    """Matrix product a @ b with an explicit shape check.
-
-    Raises
-    ------
-    ShapeError
-        If ``a.shape[1] != b.shape[0]``; the message names both shapes.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a):
-    """Return a contiguous transpose of `a`."""
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64).T)
-
-
 def frobenius_norm(a):
     """Frobenius norm, sqrt of the sum of squared entries."""
     a = np.asarray(a, dtype=np.float64)

@@ -8,15 +8,18 @@ Matrix file (MAT1), little-endian throughout::
     12      8     cols, u64
     20      8rc   entries, f64, row-major
 
-Total length is exactly 20 + 8 * rows * cols bytes.
+Total length is exactly 20 + 8 * rows * cols bytes, and every entry is
+finite.
 
 Adapter checkpoint (ADPT1)::
 
     offset  size  field
     0       5     magic b"ADPT1"
-    5       1     method tag, u8 (0 lora, 1 para, 2 deft)
-    6       1     backend tag, u8 (0 qr, 1 tsvd, 2 lrmf, 3 nmf, 4 eig,
-                  5 relax, 6 relax_nmf; 0 and ignored for lora)
+    5       1     method tag, u8: index into adapters.METHODS
+                  (0 lora, 1 para, 2 deft)
+    6       1     backend tag, u8: index into decompose.KINDS (0 qr,
+                  1 tsvd, 2 lrmf, 3 nmf, 4 eig, 5 relax, 6 relax_nmf;
+                  0 and ignored for lora)
     7       8     rank, u64
     15      8     alpha, f64
     23      8     lr_p, f64
@@ -28,6 +31,10 @@ Adapter checkpoint (ADPT1)::
     71      32    sha-256 of the base weight (see below)
     103     8     section count, u64
     111     ...   sections: name length u64, name utf-8, embedded MAT1
+
+The tags are tuple positions, so METHODS and KINDS may only grow at the
+end. The sections are the method's trainables in the order and shapes of
+adapters.trainable_shapes.
 
 The header carries the full adapter configuration, not just the method
 tags, because reloading must reproduce the original forward pass bit for
@@ -52,17 +59,12 @@ import struct
 
 import numpy as np
 
-from deft.adapters import AdapterConfig, AdapterState, trainables
-from deft.decompose import Backend
+from deft.adapters import METHODS, AdapterConfig, AdapterState, trainable_shapes, trainables
+from deft.decompose import KINDS, Backend
 from deft.matcore import as_matrix, freeze
 
 MAT_MAGIC = b"MAT1"
 ADPT_MAGIC = b"ADPT1"
-
-METHOD_TAGS = {"lora": 0, "para": 1, "deft": 2}
-METHOD_NAMES = {v: k for k, v in METHOD_TAGS.items()}
-BACKEND_TAGS = {"qr": 0, "tsvd": 1, "lrmf": 2, "nmf": 3, "eig": 4, "relax": 5, "relax_nmf": 6}
-BACKEND_NAMES = {v: k for k, v in BACKEND_TAGS.items()}
 
 CONFIG_KEYS = ("method", "rank", "alpha", "backend", "lr_p", "lr_r",
                "init_stddev", "seed", "nmf_iters", "nmf_tol")
@@ -126,6 +128,8 @@ def _parse_matrix(buf, offset, label):
             f"{label}: data truncated, need {end} bytes, file has {len(buf)}"
         )
     data = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=offset + 20)
+    if not np.isfinite(data).all():
+        raise FormatError(f"{label}: contains non-finite entries")
     return data.reshape(rows, cols).copy(), end
 
 
@@ -145,11 +149,11 @@ def save_adapter(state, path):
     if cfg.backend is None:
         backend_tag, nmf_iters, nmf_tol = 0, 0, 0.0
     else:
-        backend_tag = BACKEND_TAGS[cfg.backend.kind]
+        backend_tag = KINDS.index(cfg.backend.kind)
         nmf_iters, nmf_tol = cfg.backend.nmf_iters, cfg.backend.nmf_tol
     parts = [
         ADPT_MAGIC,
-        struct.pack("<BB", METHOD_TAGS[cfg.method], backend_tag),
+        struct.pack("<BB", METHODS.index(cfg.method), backend_tag),
         struct.pack("<Qd", cfg.rank, cfg.alpha),
         struct.pack("<dd", cfg.lr_p, cfg.lr_r),
         struct.pack("<dQ", cfg.init_stddev, cfg.seed),
@@ -167,13 +171,6 @@ def save_adapter(state, path):
         f.write(b"".join(parts))
 
 
-_EXPECTED_SECTIONS = {
-    "lora": ("a", "b_lo"),
-    "para": ("q_latent",),
-    "deft": ("p_latent", "r"),
-}
-
-
 def load_adapter(path, w0):
     """Load an ADPT1 checkpoint and rebind it to `w0`.
 
@@ -189,9 +186,9 @@ def load_adapter(path, w0):
     if buf[:5] != ADPT_MAGIC:
         raise FormatError(f"{label}: bad magic {buf[:5]!r}, expected {ADPT_MAGIC!r}")
     method_tag, backend_tag = struct.unpack_from("<BB", buf, 5)
-    if method_tag not in METHOD_NAMES:
+    if method_tag >= len(METHODS):
         raise FormatError(f"{label}: unsupported method tag {method_tag}")
-    if backend_tag not in BACKEND_NAMES:
+    if backend_tag >= len(KINDS):
         raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
     rank, alpha = struct.unpack_from("<Qd", buf, 7)
     lr_p, lr_r = struct.unpack_from("<dd", buf, 23)
@@ -200,13 +197,10 @@ def load_adapter(path, w0):
     stored_hash = buf[71:103]
     (count,) = struct.unpack_from("<Q", buf, 103)
 
-    method = METHOD_NAMES[method_tag]
+    method = METHODS[method_tag]
     try:
-        if method == "lora":
-            backend = None
-        else:
-            backend = Backend(BACKEND_NAMES[backend_tag], rank,
-                              nmf_iters=nmf_iters, nmf_tol=nmf_tol)
+        backend = None if method == "lora" else Backend(  # lora stores zero backend fields
+            KINDS[backend_tag], rank, nmf_iters=nmf_iters, nmf_tol=nmf_tol)
         cfg = AdapterConfig(method=method, rank=rank, alpha=alpha, backend=backend,
                             lr_p=lr_p, lr_r=lr_r, init_stddev=init_stddev, seed=seed)
     except ValueError as exc:
@@ -228,23 +222,21 @@ def load_adapter(path, w0):
         offset += 8
         if len(buf) < offset + name_len:
             raise FormatError(f"{label}: section {i} name truncated")
-        name = buf[offset:offset + name_len].decode()
+        try:
+            name = buf[offset:offset + name_len].decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{label}: section {i} name is not valid UTF-8") from None
         offset += name_len
         mat, offset = _parse_matrix(buf, offset, f"{label}: section {name!r}")
         sections[name] = mat
     if len(buf) != offset:
         raise FormatError(f"{label}: trailing bytes, expected {offset}, file has {len(buf)}")
 
-    expected = _EXPECTED_SECTIONS[method]
-    if tuple(sections) != expected:
+    shapes = trainable_shapes(cfg, *w0.shape)
+    if tuple(sections) != tuple(shapes):
         raise FormatError(
-            f"{label}: sections {tuple(sections)} do not match expected {expected}"
+            f"{label}: sections {tuple(sections)} do not match expected {tuple(shapes)}"
         )
-    m, n = w0.shape
-    shapes = {
-        "a": (rank, n), "b_lo": (m, rank),
-        "q_latent": (m, rank), "p_latent": (m, rank), "r": (rank, n),
-    }
     for name, mat in sections.items():
         if mat.shape != shapes[name]:
             raise FormatError(

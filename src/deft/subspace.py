@@ -135,7 +135,7 @@ def displacement_field(state, lo=-1.0, hi=1.0, n=21):
         p = adapters.projection_factor(state)
         p_nn = np.maximum(p, 0.0)
         delta_nonneg = -p_nn @ (p_nn.T @ state.w0)
-        if state.cfg.method == "deft":
+        if state.r is not None:  # deft
             delta_nonneg = delta_nonneg + p_nn @ state.r
 
     x = np.zeros((width, grid.shape[0]))
@@ -175,23 +175,5 @@ def field_to_csv(field):
     buf.write(",".join(cols) + "\r\n")
     for g, df, dn in zip(field.grid_points, field.displacements_full, field.displacements_nonneg):
         row = [repr(float(v)) for v in (*g, *df, *dn)]
-        buf.write(",".join(row) + "\r\n")
-    return buf.getvalue()
-
-
-def reports_to_csv(reports):
-    """One CSV row per SubspaceReport, residual keys expanded to columns."""
-    if not reports:
-        return "trial\r\n"
-    res_keys = sorted(reports[0].residuals)
-    cols = ["trial", "rank_w0", "rank_reduce", "rank_total", "rank_union",
-            "containment_holds", "extension_holds"] + res_keys
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\r\n")
-    for i, rep in enumerate(reports):
-        row = [str(i), str(rep.rank_w0), str(rep.rank_reduce), str(rep.rank_total),
-               str(rep.rank_union), str(rep.containment_holds).lower(),
-               str(rep.extension_holds).lower()]
-        row += [repr(float(rep.residuals[k])) for k in res_keys]
         buf.write(",".join(row) + "\r\n")
     return buf.getvalue()

@@ -8,8 +8,9 @@ factor and applied to the latent. Differentiating through the
 factorizations is out of scope; the relax path is the one with exact
 gradients and the one the finite-difference suite certifies.
 
-The replacement matrix R (and lora's b_lo) trains at lr_r, the projection
-latent (and lora's a) at the smaller lr_p.
+Each adapter's p-side trainable (the projection latent, or lora's a)
+trains at lr_p, its r-side one (the replacement R, or lora's b_lo) at the
+larger lr_r; see :mod:`deft.adapters` for which is which.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from deft import store
-from deft.adapters import forward, init_adapter, projection_factor, refresh
+from deft.adapters import forward, init_adapter, projection_factor, refresh, trainables
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -128,20 +129,19 @@ def _loss_and_grads(state, task):
         db = scale * (gxt @ state.a.T)
         return loss, {"a": da, "b_lo": db}
 
+    (p_name, latent), *_ = trainables(state).items()
     p = projection_factor(state)
     y = state.w0 @ x
     dp = -(g @ y.T) @ p - (y @ g.T) @ p
-    if cfg.method == "deft":
+    dr = {}
+    if state.r is not None:  # deft
         gxt = g @ x.T
         dp = dp + gxt @ state.r.T
-        dr = p.T @ gxt
+        dr = {"r": p.T @ gxt}
     if cfg.backend.kind == "relax_nmf":
         # subgradient of max(latent, 0): zero at and below the kink
-        latent = state.q_latent if cfg.method == "para" else state.p_latent
         dp = dp * (latent > 0.0)
-    if cfg.method == "para":
-        return loss, {"q_latent": dp}
-    return loss, {"p_latent": dp, "r": dr}
+    return loss, {p_name: dp, **dr}
 
 
 def grad(state, task):
@@ -156,14 +156,8 @@ def grad(state, task):
 
 def sgd_step(state, grads, cfg):
     """One in-place SGD update; marks the factorization cache stale."""
-    if cfg.method == "lora":
-        state.a -= cfg.lr_p * grads["a"]
-        state.b_lo -= cfg.lr_r * grads["b_lo"]
-    elif cfg.method == "para":
-        state.q_latent -= cfg.lr_p * grads["q_latent"]
-    else:
-        state.p_latent -= cfg.lr_p * grads["p_latent"]
-        state.r -= cfg.lr_r * grads["r"]
+    for (name, mat), lr in zip(trainables(state).items(), (cfg.lr_p, cfg.lr_r)):
+        mat -= lr * grads[name]
     state.stale = True
     return state
 
@@ -188,14 +182,9 @@ def run_finetune(w0, cfg, task, steps):
             raise DivergenceError(i, last_finite)
         last_finite = loss
         report.losses.append(loss)
-        if cfg.method == "lora":
-            gp, gr = grads["a"], grads["b_lo"]
-        elif cfg.method == "para":
-            gp, gr = grads["q_latent"], None
-        else:
-            gp, gr = grads["p_latent"], grads["r"]
+        gp, *gr = grads.values()
         report.grad_norm_p.append(frobenius_norm(gp))
-        report.grad_norm_r.append(frobenius_norm(gr) if gr is not None else 0.0)
+        report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
 
     refresh(state)

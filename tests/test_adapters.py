@@ -14,6 +14,7 @@ from deft.adapters import (
 )
 from deft.decompose import Backend
 from deft.matcore import ShapeError, make_rng, rel_error
+from deft.train import sgd_step
 
 
 def random_w0(seed, m=10, n=7):
@@ -57,6 +58,23 @@ class TestConfig:
             AdapterConfig("deft", 0)
         with pytest.raises(ConfigError):
             init_adapter(random_w0(0, 5, 4), AdapterConfig("deft", 5))
+
+
+NONFINITE = pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                                    ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteConfig:
+    @NONFINITE
+    @pytest.mark.parametrize("field", ["alpha", "lr_p", "lr_r", "init_stddev"])
+    def test_adapter_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            AdapterConfig("deft", 2, **{field: value})
+
+    @NONFINITE
+    def test_backend_nmf_tol_rejected(self, value):
+        with pytest.raises(ValueError, match="nmf_tol must be finite"):
+            Backend("nmf", 2, nmf_tol=value)
 
 
 class TestInit:
@@ -202,3 +220,59 @@ class TestParamCount:
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
             param_count(AdapterConfig("deft", 1), 0, 4)
+
+
+class TestUpdateRulesExact:
+    """forward, merge and sgd_step bit for bit against the rules written out.
+
+    The relax backend makes the projection factor the latent itself, so P
+    and Q below are the trainables as stored.
+    """
+
+    def setup_method(self):
+        rng = make_rng(40)
+        self.w0 = rng.normal(size=(10, 7))
+        self.x = rng.normal(size=(7, 5))
+        self.rng = rng
+
+    def cfg(self, method):
+        backend = None if method == "lora" else Backend("relax", 3)
+        return AdapterConfig(method, 3, alpha=6.0, backend=backend, lr_p=0.1, lr_r=0.4,
+                             init_stddev=0.3, seed=41)
+
+    def test_lora(self):
+        w0, x, cfg = self.w0, self.x, self.cfg("lora")
+        state = init_adapter(w0, cfg)
+        state.b_lo = self.rng.normal(size=(10, 3))
+        a, b = state.a.copy(), state.b_lo.copy()
+        assert np.array_equal(forward(state, x), w0 @ x + 2.0 * (b @ (a @ x)))
+        assert np.array_equal(merge(state), w0 + 2.0 * (b @ a))
+        g = {"a": self.rng.normal(size=(3, 7)), "b_lo": self.rng.normal(size=(10, 3))}
+        sgd_step(state, g, cfg)
+        assert np.array_equal(state.a, a - 0.1 * g["a"])
+        assert np.array_equal(state.b_lo, b - 0.4 * g["b_lo"])
+
+    def test_para(self):
+        w0, x, cfg = self.w0, self.x, self.cfg("para")
+        state = init_adapter(w0, cfg)
+        q = state.q_latent.copy()
+        y = w0 @ x
+        assert np.array_equal(forward(state, x), y - q @ (q.T @ y))
+        assert np.array_equal(merge(state), w0 - q @ (q.T @ w0))
+        g = {"q_latent": self.rng.normal(size=(10, 3))}
+        sgd_step(state, g, cfg)
+        assert np.array_equal(state.q_latent, q - 0.1 * g["q_latent"])
+        assert state.stale
+
+    def test_deft(self):
+        w0, x, cfg = self.w0, self.x, self.cfg("deft")
+        state = init_adapter(w0, cfg)
+        state.r = self.rng.normal(size=(3, 7))
+        p, r = state.p_latent.copy(), state.r.copy()
+        y = w0 @ x
+        assert np.array_equal(forward(state, x), y - p @ (p.T @ y) + p @ (r @ x))
+        assert np.array_equal(merge(state), w0 - p @ (p.T @ w0) + p @ r)
+        g = {"p_latent": self.rng.normal(size=(10, 3)), "r": self.rng.normal(size=(3, 7))}
+        sgd_step(state, g, cfg)
+        assert np.array_equal(state.p_latent, p - 0.1 * g["p_latent"])
+        assert np.array_equal(state.r, r - 0.4 * g["r"])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,13 @@ class TestTrain:
                      "--steps", "5", "--out", "x"]) == 3
         assert "unknown key" in capsys.readouterr().err
 
+    def test_nan_alpha_in_config_is_io_error(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=16)
+        write_config("nan.cfg", ["method = deft", "rank = 2", "alpha = nan"])
+        assert main(["train", "--w0", "w0.mat", "--config", "nan.cfg",
+                     "--steps", "5", "--out", "x"]) == 3
+        assert "alpha must be finite" in capsys.readouterr().err
+
     def test_noise_task_runs(self, in_tmp):
         write_mat("w0.mat", seed=17, m=6, n=6)
         write_config("n.cfg", [
@@ -216,6 +225,41 @@ class TestDisplacement:
             assert len(f.read().decode().split("\r\n")) == 11  # header + 9 points + trailing
 
 
+class TestMalformedFiles:
+    """Bad file contents exit 3 with a message naming the place, never a traceback."""
+
+    def test_nonfinite_matrix_entry(self, in_tmp, capsys):
+        entries = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        with open("bad.mat", "wb") as f:
+            f.write(b"MAT1" + struct.pack("<QQ", 2, 2) + entries.astype("<f8").tobytes())
+        assert main(["decompose", "--in", "bad.mat", "--method", "qr", "--out", "f"]) == 3
+        assert "bad.mat: contains non-finite entries" in capsys.readouterr().err
+
+    def _checkpoint(self):
+        write_mat("w0.mat", seed=22, m=4, n=4)
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--out", "a.adpt"]) == 0
+        with open("a.adpt", "rb") as f:
+            return bytearray(f.read())
+
+    def _displacement(self, buf):
+        with open("a.adpt", "wb") as f:
+            f.write(bytes(buf))
+        return main(["displacement", "--state", "a.adpt", "--w0", "w0.mat", "--out", "d.csv"])
+
+    def test_nonfinite_section_entry(self, in_tmp, capsys):
+        buf = self._checkpoint()
+        buf[-8:] = struct.pack("<d", np.nan)  # last entry of the last section, r
+        assert self._displacement(buf) == 3
+        assert "section 'r': contains non-finite entries" in capsys.readouterr().err
+
+    def test_non_utf8_section_name(self, in_tmp, capsys):
+        buf = self._checkpoint()
+        buf[119] = 0xFF  # first byte of the first section name
+        assert self._displacement(buf) == 3
+        assert "section 0 name is not valid UTF-8" in capsys.readouterr().err
+
+
 class TestBench:
     def test_small_run(self, in_tmp, capsys):
         assert main(["bench", "--dim", "32", "--rank", "4", "--iters", "3",
@@ -226,6 +270,14 @@ class TestBench:
             lines = f.read().decode().split("\r\n")
         assert lines[0] == "backend,median_ms,min_ms,max_ms"
         assert lines[1].startswith("qr,") and lines[2].startswith("relax,")
+
+    def test_default_times_every_backend(self, in_tmp):
+        assert main(["bench", "--dim", "16", "--rank", "2", "--iters", "1",
+                     "--out", "all.csv"]) == 0
+        with open("all.csv", "rb") as f:
+            rows = f.read().decode().split("\r\n")[1:-1]
+        assert [r.split(",")[0] for r in rows] == [
+            "qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax-nmf"]
 
     def test_unknown_backend(self, in_tmp, capsys):
         assert main(["bench", "--backends", "qr,cholesky"]) == 2

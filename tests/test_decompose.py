@@ -228,6 +228,19 @@ class TestEig:
         res = eig_project(make_rng(21).normal(size=(9, 4)), 3)
         assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(3)) < 1e-10
 
+    def test_matches_eigh_of_gram(self):
+        for seed in range(20):
+            b = make_rng(seed).normal(size=(12, 4))
+            res = eig_project(b, 4)
+            lam, vec = np.linalg.eigh(b @ b.T)
+            p = vec[:, ::-1][:, :4]
+            assert np.abs(res.p_factor @ res.p_factor.T - p @ p.T).max() < 1e-12
+            assert np.abs(res.aux["lambda"] / lam[::-1][:4] - 1.0).max() < 1e-12
+
+    def test_rank_bounded_by_columns(self):
+        with pytest.raises(ShapeError):
+            eig_project(make_rng(22).normal(size=(9, 4)), 5)
+
 
 class TestRelax:
     def test_identity_on_nonneg(self):

@@ -7,26 +7,8 @@ from deft.matcore import (
     frobenius_norm,
     gaussian,
     make_rng,
-    matmul,
     numerical_rank,
-    rel_error,
-    transpose,
 )
-
-
-def matmul_triple_loop(a, b):
-    """Reference product, no vectorization anywhere."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def elimination_rank(a, tol=1e-9):
@@ -49,56 +31,6 @@ def elimination_rank(a, tol=1e-9):
         if row == m:
             break
     return rank
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = make_rng(0).normal(size=(3, 5))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_against_triple_loop(self):
-        rng = make_rng(1)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(matmul(a, b) - matmul_triple_loop(a, b)).max() < 1e-13
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(2)
-        for _ in range(10):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert rel_error(left, right) < 1e-10
-
-    def test_submultiplicative(self):
-        rng = make_rng(3)
-        for _ in range(10):
-            a = rng.normal(size=(5, 4))
-            b = rng.normal(size=(4, 6))
-            assert frobenius_norm(matmul(a, b)) <= frobenius_norm(a) * frobenius_norm(b) + 1e-12
-
-
-class TestTranspose:
-    def test_involution(self):
-        m = make_rng(4).normal(size=(6, 3))
-        assert np.array_equal(transpose(transpose(m)), m)
-
-    def test_vector(self):
-        assert transpose(np.ones((1, 7))).shape == (7, 1)
-
-    def test_hand_case(self):
-        out = transpose(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
 
 class TestFrobeniusNorm:

@@ -200,6 +200,53 @@ class TestAdapterCheckpoints:
         assert back.stale and back.cache is None
 
 
+def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0):
+    """ADPT1 bytes written field by field, independent of save_adapter."""
+    iters, tol = (0, 0.0) if method_tag == 0 else (15, 1e-6)
+    buf = b"ADPT1" + struct.pack("<BBQddddQQd", method_tag, backend_tag, 2, alpha,
+                                 1e-3, 1e-2, 0.01, 0, iters, tol)
+    buf += matrix_hash(w0) + struct.pack("<Q", len(sections))
+    for name, mat in sections:
+        buf += struct.pack("<Q", len(name)) + name.encode() + matrix_bytes(mat)
+    return buf
+
+
+class TestLiteralTags:
+    """The on-disk tags are fixed numbers: reordering METHODS or KINDS breaks these."""
+
+    w0 = make_rng(30).normal(size=(5, 4))
+
+    @pytest.mark.parametrize("tag, method, sections", [
+        (0, "lora", [("a", (2, 4)), ("b_lo", (5, 2))]),
+        (1, "para", [("q_latent", (5, 2))]),
+        (2, "deft", [("p_latent", (5, 2)), ("r", (2, 4))]),
+    ])
+    def test_method_tag(self, tmp_path, tag, method, sections):
+        mats = [(name, make_rng(31).normal(size=shape)) for name, shape in sections]
+        path = tmp_path / "m.adpt"
+        path.write_bytes(hand_built_adpt1(self.w0, tag, 0, mats))
+        state = load_adapter(path, self.w0)
+        assert state.cfg.method == method
+        for name, mat in mats:
+            assert np.array_equal(getattr(state, name), mat)
+
+    @pytest.mark.parametrize("tag, kind", list(enumerate(
+        ["qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax_nmf"])))
+    def test_backend_tag(self, tmp_path, tag, kind):
+        rng = make_rng(32)
+        mats = [("p_latent", rng.normal(size=(5, 2))), ("r", rng.normal(size=(2, 4)))]
+        path = tmp_path / "b.adpt"
+        path.write_bytes(hand_built_adpt1(self.w0, 2, tag, mats))
+        assert load_adapter(path, self.w0).cfg.backend == Backend(kind, 2)
+
+    def test_nan_alpha_rejected(self, tmp_path):
+        mats = [("q_latent", make_rng(33).normal(size=(5, 2)))]
+        path = tmp_path / "nan.adpt"
+        path.write_bytes(hand_built_adpt1(self.w0, 1, 0, mats, alpha=float("nan")))
+        with pytest.raises(FormatError, match="alpha must be finite"):
+            load_adapter(path, self.w0)
+
+
 class TestConfigText:
     def test_minimal(self):
         cfg = parse_config("method = deft\nrank = 4\n")

@@ -10,7 +10,6 @@ from deft.subspace import (
     field_summary,
     field_to_csv,
     make_grid,
-    reports_to_csv,
     verify_decomposition_identity,
 )
 
@@ -186,17 +185,3 @@ class TestCsv:
         # values survive a parse round trip exactly
         first = [float(v) for v in lines[1].split(",")]
         assert first[:2] == [-1.0, -1.0]
-
-    def test_reports_csv(self):
-        w0 = make_rng(21).normal(size=(6, 4))
-        q = orthonormal(22, 6, 2)
-        rep = check_containment(w0, q, w0 - q @ (q.T @ w0))
-        text = reports_to_csv([rep, rep])
-        lines = text.split("\r\n")
-        assert lines[0].startswith("trial,rank_w0,")
-        assert len(lines) == 4 and lines[-1] == ""
-        assert lines[1].startswith("0,") and lines[2].startswith("1,")
-        assert "true" in lines[1]
-
-    def test_empty_reports(self):
-        assert reports_to_csv([]) == "trial\r\n"
