@@ -19,6 +19,7 @@ from deft.adapters import (
     refresh,
     trainables,
 )
+from deft._jacobi import ConvergenceError
 from deft.decompose import (
     Backend,
     DecompositionResult,
@@ -75,7 +76,7 @@ from deft.train import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdapterConfig", "AdapterState", "Backend", "ConfigError",
+    "AdapterConfig", "AdapterState", "Backend", "ConfigError", "ConvergenceError",
     "DecompositionResult", "DisplacementField", "DivergenceError",
     "FormatError", "KINDS", "METHODS", "PairingError", "ShapeError",
     "SubspaceReport", "ToyTask", "TrainReport",

@@ -17,6 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 
+class ConvergenceError(RuntimeError):
+    """The Jacobi SVD used up its sweeps with column pairs still not orthogonal."""
+
+    def __init__(self, sweeps, worst, tol):
+        super().__init__(
+            f"Jacobi SVD did not converge in {sweeps} sweeps: "
+            f"worst pair residual {worst:.3e} > tol {tol:.1e}"
+        )
+        self.sweeps = sweeps
+        self.worst = worst
+
+
 def _round_robin_rounds(n):
     """Tournament schedule for n columns.
 
@@ -83,7 +95,8 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
         Convergence threshold on max |<g_i, g_j>| / (|g_i| |g_j|).
     max_sweeps : int
         Hard cap on full sweeps; convergence is quadratic in the tail so
-        this is never reached on finite input.
+        the default is never reached on finite input. A last sweep that
+        still finds a pair above `tol` raises ConvergenceError.
     want_uv : bool
         When False, skip accumulating V and return only the singular
         values. Roughly halves the work; used by rank computations.
@@ -145,6 +158,8 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
                     v[:, jj] = s_ * vi + c * vj
             if worst <= tol:
                 break
+        else:
+            raise ConvergenceError(max_sweeps, worst, tol)
 
     norms = np.sqrt(np.einsum("ij,ij->j", g, g))
     order = np.argsort(-norms, kind="stable")

@@ -189,13 +189,31 @@ def _adapted(state, base, x=None):
     return out
 
 
-def forward(state, x):
-    """Apply the adapted layer to a batch x (n x k, one column per input)."""
+def check_inputs(state, x):
+    """`x` as a validated batch for the layer: a finite n x k matrix."""
     x = as_matrix(x, "x")
     n = state.w0.shape[1]
     if x.shape[0] != n:
-        raise ShapeError(f"input rows {x.shape[0]} do not match layer width {n}")
-    return _adapted(state, state.w0 @ x, x)
+        raise ShapeError(f"x has {x.shape[0]} rows, expected the layer width {n}")
+    return x
+
+
+def forward(state, x, base=None):
+    """Apply the adapted layer to a batch x (n x k, one column per input).
+
+    `base` is the frozen output w0 @ x when the caller already has it (a
+    training loop over a fixed batch computes it once); forward then skips
+    the m x n x k product and returns the same bits.
+    """
+    x = check_inputs(state, x)
+    if base is None:
+        base = state.w0 @ x
+    elif np.shape(base) != (state.w0.shape[0], x.shape[1]):
+        raise ShapeError(
+            f"base has shape {np.shape(base)}, expected w0 @ x of shape "
+            f"{(state.w0.shape[0], x.shape[1])}"
+        )
+    return _adapted(state, base, x)
 
 
 def merge(state):

@@ -5,8 +5,8 @@ param-count. Every command is deterministic given --seed (the DEFT_SEED
 environment variable supplies the default), prints every output path it
 writes, and reports results as CSV files.
 
-Exit codes: 0 success, 1 verification/training failure, 2 usage error,
-3 I/O or file-format error.
+Exit codes: 0 success, 1 verification/training failure (a Jacobi SVD
+that did not converge included), 2 usage error, 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 
 from deft import adapters, store, subspace, train
+from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, AdapterConfig, ConfigError
 from deft.decompose import INTRINSIC_RANK, KINDS, Backend, decompose as run_decompose, reconstruct
 from deft.matcore import ShapeError, gaussian, make_rng, numerical_rank, rel_error
@@ -437,7 +438,7 @@ def main(argv=None):
     except (FormatError, PairingError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except DivergenceError as exc:
+    except (DivergenceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

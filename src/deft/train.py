@@ -11,6 +11,14 @@ gradients and the one the finite-difference suite certifies.
 Each adapter's p-side trainable (the projection latent, or lora's a)
 trains at lr_p, its r-side one (the replacement R, or lora's b_lo) at the
 larger lr_r; see :mod:`deft.adapters` for which is which.
+
+A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
+plus a fixed number of passes over the m x k batch. Two things make it so.
+The frozen base output y = w0 @ x is computed once per run, because the
+batch is fixed and w0 never changes; every step's forward pass and
+gradient reuse it. And the gradient products are associated so that each
+has a rank-sized operand, e.g. g @ (y^T P) rather than (g y^T) P, so no
+m x m or m x n matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from deft import store
-from deft.adapters import forward, init_adapter, projection_factor, refresh, trainables
+from deft.adapters import (
+    check_inputs, forward, init_adapter, projection_factor, refresh, trainables,
+)
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -106,38 +116,50 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0, batch=
     return ToyTask(teacher=w0.copy(), inputs=inputs, targets=targets, noise_stddev=noise_stddev)
 
 
-def loss_mse(state, task):
-    """Mean squared error of the adapted forward pass against the targets."""
-    diff = forward(state, task.inputs) - task.targets
+def _mse(diff):
     m, k = diff.shape
     return float(np.einsum("ij,ij->", diff, diff)) / (m * k)
 
 
-def _loss_and_grads(state, task):
-    x = task.inputs
-    h = forward(state, x)
-    diff = h - task.targets
+def loss_mse(state, task):
+    """Mean squared error of the adapted forward pass against the targets."""
+    return _mse(forward(state, task.inputs) - task.targets)
+
+
+def _batch(state, task):
+    """The validated task inputs x and the frozen base output y = w0 @ x."""
+    x = check_inputs(state, task.inputs)
+    return x, state.w0 @ x
+
+
+def _loss_and_grads(state, x, y, targets):
+    """Loss and gradients on a validated batch x whose base output is y = w0 @ x.
+
+    Each product has a rank-sized operand, so no m x m or m x n matrix is
+    formed: O(r (m + n) k) for an m x n layer, rank r and batch k.
+    """
+    diff = forward(state, x, y) - targets
+    loss = _mse(diff)
     m, k = diff.shape
-    loss = float(np.einsum("ij,ij->", diff, diff)) / (m * k)
     g = (2.0 / (m * k)) * diff  # dL/dh
 
     cfg = state.cfg
     if cfg.method == "lora":
         scale = cfg.alpha / cfg.rank
-        gxt = g @ x.T
-        da = scale * (state.b_lo.T @ gxt)
-        db = scale * (gxt @ state.a.T)
+        da = scale * ((state.b_lo.T @ g) @ x.T)
+        db = scale * (g @ (x.T @ state.a.T))
         return loss, {"a": da, "b_lo": db}
 
     (p_name, latent), *_ = trainables(state).items()
     p = projection_factor(state)
-    y = state.w0 @ x
-    dp = -(g @ y.T) @ p - (y @ g.T) @ p
+    pg = p.T @ g
+    # dP = -g y^T P - y g^T P (+ g x^T R^T for deft), one pass over g
+    c = -(y.T @ p)
     dr = {}
     if state.r is not None:  # deft
-        gxt = g @ x.T
-        dp = dp + gxt @ state.r.T
-        dr = {"r": p.T @ gxt}
+        c += x.T @ state.r.T
+        dr = {"r": pg @ x.T}
+    dp = g @ c - y @ pg.T
     if cfg.backend.kind == "relax_nmf":
         # subgradient of max(latent, 0): zero at and below the kink
         dp = dp * (latent > 0.0)
@@ -151,7 +173,7 @@ def grad(state, task):
     are exact; for factorizing backends they are the straight-through
     estimates described in the module docstring.
     """
-    return _loss_and_grads(state, task)[1]
+    return _loss_and_grads(state, *_batch(state, task), task.targets)[1]
 
 
 def sgd_step(state, grads, cfg):
@@ -174,10 +196,11 @@ def run_finetune(w0, cfg, task, steps):
     state = init_adapter(w0, cfg)
     report = TrainReport(steps=steps)
     report.w0_hash_before = store.matrix_hash(state.w0).hex()
+    x, y = _batch(state, task)  # w0 is frozen: one base product serves every step
 
     last_finite = None
     for i in range(steps):
-        loss, grads = _loss_and_grads(state, task)
+        loss, grads = _loss_and_grads(state, x, y, task.targets)
         if not np.isfinite(loss):
             raise DivergenceError(i, last_finite)
         last_finite = loss
@@ -188,7 +211,7 @@ def run_finetune(w0, cfg, task, steps):
         sgd_step(state, grads, cfg)
 
     refresh(state)
-    final = loss_mse(state, task)
+    final = _mse(forward(state, x, y) - task.targets)  # the bits of loss_mse(state, task)
     if not np.isfinite(final):
         raise DivergenceError(steps, last_finite)
     report.losses.append(final)

@@ -1,9 +1,12 @@
+import functools
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from deft import store
+from deft._jacobi import jacobi_svd
 from deft.cli import main
 from deft.matcore import make_rng
 
@@ -21,6 +24,16 @@ def write_mat(path, seed=0, m=8, n=6):
 
 
 class TestDecompose:
+    def test_unconverged_svd_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
+        write_mat("b.mat", seed=5, m=40, n=30)
+        monkeypatch.setattr(sys.modules["deft.decompose"], "jacobi_svd",
+                            functools.partial(jacobi_svd, max_sweeps=1))
+        assert main(["decompose", "--in", "b.mat", "--method", "tsvd",
+                     "--rank", "4", "--out", "fac"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Jacobi SVD did not converge in 1 sweeps")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_tsvd_writes_factors(self, in_tmp, capsys):
         write_mat("b.mat", seed=1)
         assert main(["decompose", "--in", "b.mat", "--method", "tsvd",

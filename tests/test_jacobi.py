@@ -5,8 +5,9 @@ here as a fully independent oracle.
 """
 
 import numpy as np
+import pytest
 
-from deft._jacobi import _round_robin_rounds, jacobi_svd
+from deft._jacobi import ConvergenceError, _round_robin_rounds, jacobi_svd
 from deft.matcore import make_rng
 
 
@@ -86,3 +87,16 @@ def test_extreme_scale_columns():
     ref = np.linalg.svd(a, compute_uv=False)
     assert np.abs(s - ref).max() < 1e-11 * ref[0]
     assert np.isfinite(u).all() and np.isfinite(v).all()
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (30, 40)])
+def test_sweep_cap_raises_instead_of_returning_unconverged_values(shape):
+    a = make_rng(11).normal(size=shape)
+    with pytest.raises(ConvergenceError, match="in 1 sweeps") as exc:
+        jacobi_svd(a, max_sweeps=1)
+    assert exc.value.sweeps == 1
+    assert exc.value.worst > 1e-13
+    with pytest.raises(ConvergenceError):
+        jacobi_svd(a, max_sweeps=1, want_uv=False)
+    np.testing.assert_allclose(jacobi_svd(a, want_uv=False), np.linalg.svd(a, compute_uv=False),
+                               rtol=1e-12)

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from deft.adapters import AdapterConfig, init_adapter, merge, trainables
+from deft.adapters import (
+    AdapterConfig, forward, init_adapter, merge, projection_factor, trainables,
+)
 from deft.decompose import Backend
-from deft.matcore import make_rng
+from deft.matcore import ShapeError, make_rng
 from deft.train import (
     DivergenceError,
     ToyTask,
@@ -115,6 +117,100 @@ class TestGradients:
         before = loss_mse(state, task)
         sgd_step(state, grad(state, task), cfg)
         assert loss_mse(state, task) < before
+
+
+def dense_reference_grads(state, task):
+    """The gradients by the first, dense association of the products.
+
+    Builds the m x m products g y^T, y g^T and the m x n product g x^T that
+    the trainer avoids; the trainer must agree with it to float rounding.
+    """
+    x = task.inputs
+    diff = forward(state, x) - task.targets
+    m, k = diff.shape
+    g = (2.0 / (m * k)) * diff
+    cfg = state.cfg
+    if cfg.method == "lora":
+        scale = cfg.alpha / cfg.rank
+        gxt = g @ x.T
+        return {"a": scale * (state.b_lo.T @ gxt), "b_lo": scale * (gxt @ state.a.T)}
+    (name, latent), *_ = trainables(state).items()
+    p = projection_factor(state)
+    y = state.w0 @ x
+    dp = -(g @ y.T) @ p - (y @ g.T) @ p
+    dr = {}
+    if state.r is not None:
+        gxt = g @ x.T
+        dp = dp + gxt @ state.r.T
+        dr = {"r": p.T @ gxt}
+    if cfg.backend.kind == "relax_nmf":
+        dp = dp * (latent > 0.0)
+    return {name: dp, **dr}
+
+
+def rect_state(method, kind, seed, m=40, n=24, k=16, rank=3):
+    """An adapter with every trainable non-zero on an m x n layer, and a batch of k < n."""
+    rng = make_rng(seed)
+    w0 = rng.normal(size=(m, n))
+    teacher = w0 + rng.normal(size=(m, n))
+    inputs = rng.normal(size=(n, k))
+    backend = None if method == "lora" else Backend(kind, rank)
+    state = init_adapter(w0, AdapterConfig(method, rank, backend=backend, init_stddev=0.5, seed=seed))
+    for name, mat in list(trainables(state).items())[1:]:
+        mat[...] = rng.normal(size=mat.shape)
+    state.stale = True
+    return state, ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
+
+
+PARITY_CASES = [("lora", None)] + [
+    (method, kind) for method in ("para", "deft") for kind in ("relax", "relax_nmf", "qr")
+]
+
+
+class TestLowRankStep:
+    @pytest.mark.parametrize("method,kind", PARITY_CASES)
+    def test_grad_matches_dense_reference(self, method, kind):
+        state, task = rect_state(method, kind, seed=50)
+        got = grad(state, task)
+        want = dense_reference_grads(state, task)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            assert rel_dev(got[name], want[name]) <= 1e-12, (method, kind, name)
+
+    @pytest.mark.parametrize("method", ["lora", "para", "deft"])
+    def test_forward_with_base_is_bit_identical(self, method):
+        state, task = rect_state(method, "relax", seed=51)
+        x = task.inputs
+        assert np.array_equal(forward(state, x, state.w0 @ x), forward(state, x))
+
+    @pytest.mark.parametrize("shape", [(40, 15), (39, 16), (16, 40), (40,)])
+    def test_forward_rejects_wrong_base_shape(self, shape):
+        state, task = rect_state("deft", "relax", seed=52)
+        with pytest.raises(ShapeError, match="base"):
+            forward(state, task.inputs, np.zeros(shape))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [grad, loss_mse])
+    def test_non_finite_inputs_rejected(self, fn, entry):
+        state, task = rect_state("deft", "relax", seed=53)
+        task.inputs[2, 3] = entry
+        with pytest.raises(ValueError, match="x contains non-finite"):
+            fn(state, task)
+
+    @pytest.mark.parametrize("rows", [23, 25])
+    @pytest.mark.parametrize("fn", [grad, loss_mse])
+    def test_wrong_row_inputs_rejected(self, fn, rows):
+        state, task = rect_state("lora", None, seed=54)
+        task.inputs = make_rng(55).normal(size=(rows, 16))
+        with pytest.raises(ShapeError, match="x has"):
+            fn(state, task)
+
+    def test_run_finetune_rejects_bad_inputs_before_training(self):
+        state, task = rect_state("para", "qr", seed=56)
+        task.inputs = task.inputs[:-1]
+        with pytest.raises(ShapeError, match="x has 23 rows"):
+            run_finetune(state.w0, state.cfg, task, steps=3)
 
 
 class TestSgdStep:
