@@ -32,7 +32,6 @@ from deft.decompose import (
     qr_decompose,
     reconstruct,
     relax,
-    singular_values,
     truncated_svd,
 )
 from deft.matcore import (
@@ -88,6 +87,6 @@ __all__ = [
     "nmf_decompose", "numerical_rank", "param_count", "parse_config",
     "projection_factor", "qr_decompose", "read_config", "reconstruct",
     "refresh", "relax", "run_finetune", "save_adapter", "save_matrix",
-    "sgd_step", "singular_values", "state_hash", "trainables",
+    "sgd_step", "state_hash", "trainables",
     "truncated_svd", "verify_decomposition_identity",
 ]

@@ -1,11 +1,18 @@
-"""One-sided Jacobi SVD.
+"""One-sided Jacobi SVD, the factorization behind the tsvd and lrmf backends.
 
 Rotates column pairs of a working copy until all pairs are numerically
 orthogonal; column norms are then the singular values, normalized columns
 the left singular vectors, and the accumulated rotations the right ones.
 Slower than bidiagonalization-based routines but accurate to a few ulps on
 the small and strongly rank-deficient inputs this package cares about, and
-free of LAPACK version drift.
+free of LAPACK version drift, so tsvd/lrmf factors are the same bits on
+every platform. Rank counting does not need factors or that accuracy and
+uses LAPACK's singular values instead (see ``deft.matcore.numerical_rank``).
+
+The working copy is the input times a power of two that brings its largest
+entry into [0.5, 1). The scaling is exact, and it keeps the sums of squares
+below from overflowing or underflowing at any input scale; the singular
+values are scaled back at the end.
 
 Pairs are visited in round-robin rounds (the all-play-all tournament
 schedule). Every pair still appears exactly once per sweep, but each round's
@@ -56,23 +63,20 @@ def _round_robin_rounds(n):
 def _complete_basis(u, start):
     """Fill u[:, start:] with orthonormal columns via Gram-Schmidt.
 
-    Deterministic: candidates are the standard basis vectors in order.
-    Assumes u[:, :start] already has orthonormal columns.
+    Deterministic: each new column comes from the standard basis vector
+    e_i with the largest residual against the columns so far (lowest i on
+    ties). With col orthonormal columns the squared residuals
+    1 - |u[i, :col]|^2 sum to m - col, so the pick's residual is at least
+    sqrt((m - col) / m) and never degenerate. Assumes u[:, :start] already
+    has orthonormal columns.
     """
-    m = u.shape[0]
-    col = start
-    for i in range(m):
-        if col >= u.shape[1]:
-            break
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        cand -= u[:, :col] @ (u[:, :col].T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:  # e_i nearly inside the current span, try the next one
-            u[:, col] = cand / nrm
-            col += 1
-    if col < u.shape[1]:
-        raise RuntimeError("failed to complete orthonormal basis")
+    for col in range(start, u.shape[1]):
+        basis = u[:, :col]
+        i = int(np.argmin(np.einsum("ij,ij->i", basis, basis)))
+        cand = -(basis @ basis[i])
+        cand[i] += 1.0
+        cand -= basis @ (basis.T @ cand)  # second pass restores orthogonality lost to rounding
+        u[:, col] = cand / np.linalg.norm(cand)
     return u
 
 
@@ -85,7 +89,7 @@ def _fix_signs(u, v):
         v[:, flip] *= -1.0
 
 
-def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
+def jacobi_svd(a, tol=1e-13, max_sweeps=60):
     """Thin SVD of `a` by one-sided Jacobi rotations.
 
     Parameters
@@ -97,27 +101,23 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
         Hard cap on full sweeps; convergence is quadratic in the tail so
         the default is never reached on finite input. A last sweep that
         still finds a pair above `tol` raises ConvergenceError.
-    want_uv : bool
-        When False, skip accumulating V and return only the singular
-        values. Roughly halves the work; used by rank computations.
 
     Returns
     -------
     (u, s, v) with ``a = u @ diag(s) @ v.T``, s non-increasing, u and v
-    having orthonormal columns. With ``want_uv=False``, returns s alone.
+    having orthonormal columns.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     if m < n:
         # rotate over the smaller column count; swap roles on the way out
-        res = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps, want_uv=want_uv)
-        if not want_uv:
-            return res
-        u, s, v = res
+        u, s, v = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps)
         return v, s, u
 
-    g = a.copy()
-    v = np.eye(n) if want_uv else None
+    shift = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    g = a.copy()  # C-ordered even for a transposed view; the order fixes einsum's rounding
+    np.ldexp(g, -shift, out=g)
+    v = np.eye(n)
     if n > 1:
         rounds = _round_robin_rounds(n)
         for _ in range(max_sweeps):
@@ -151,11 +151,10 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
                 gj = g[:, jj]
                 g[:, ii] = c * gi - s_ * gj
                 g[:, jj] = s_ * gi + c * gj
-                if v is not None:
-                    vi = v[:, ii].copy()
-                    vj = v[:, jj]
-                    v[:, ii] = c * vi - s_ * vj
-                    v[:, jj] = s_ * vi + c * vj
+                vi = v[:, ii].copy()
+                vj = v[:, jj]
+                v[:, ii] = c * vi - s_ * vj
+                v[:, jj] = s_ * vi + c * vj
             if worst <= tol:
                 break
         else:
@@ -163,17 +162,14 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, want_uv=True):
 
     norms = np.sqrt(np.einsum("ij,ij->j", g, g))
     order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    if not want_uv:
-        return s
-
+    norms = norms[order]
     g = g[:, order]
     v = v[:, order]
     u = np.empty((m, n))
-    nz = int(np.count_nonzero(s > 0.0))
-    u[:, :nz] = g[:, :nz] / s[:nz]
+    nz = int(np.count_nonzero(norms > 0.0))
+    u[:, :nz] = g[:, :nz] / norms[:nz]
     if nz < n:
         u[:, nz:] = 0.0
         _complete_basis(u, nz)
     _fix_signs(u, v)
-    return u, s, v
+    return u, np.ldexp(norms, shift), v

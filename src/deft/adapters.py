@@ -129,6 +129,11 @@ def trainable_shapes(cfg, m, n):
     return {name: (dims[rows], dims[cols]) for name, rows, cols in _TRAINABLES[cfg.method]}
 
 
+def _check_rank(cfg, m, n):
+    if cfg.rank > min(m, n):
+        raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)} for shape ({m}, {n})")
+
+
 def init_adapter(w0, cfg):
     """Fresh adapter state over frozen `w0`.
 
@@ -138,8 +143,7 @@ def init_adapter(w0, cfg):
     """
     w0 = freeze(as_matrix(w0, "w0"))
     m, n = w0.shape
-    if cfg.rank > min(m, n):
-        raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)} for shape {w0.shape}")
+    _check_rank(cfg, m, n)
     rng = make_rng(cfg.seed)
     state = AdapterState(cfg=cfg, w0=w0)
     (p_name, p_shape), *r_side = trainable_shapes(cfg, m, n).items()
@@ -229,8 +233,10 @@ def param_count(cfg, m, n):
     """Trainable-parameter count for a cfg applied to an m x n layer.
 
     lora and deft both spend rank * (m + n); para spends rank * m. The
-    deft/para ratio is therefore (m + n) / m regardless of rank.
+    deft/para ratio is therefore (m + n) / m regardless of rank. A rank
+    above min(m, n) raises ConfigError, as in init_adapter.
     """
     if m < 1 or n < 1:
         raise ShapeError(f"matrix dims must be positive, got {m}x{n}")
+    _check_rank(cfg, m, n)
     return sum(rows * cols for rows, cols in trainable_shapes(cfg, m, n).values())

@@ -5,13 +5,15 @@ param-count. Every command is deterministic given --seed (the DEFT_SEED
 environment variable supplies the default), prints every output path it
 writes, and reports results as CSV files.
 
-Exit codes: 0 success, 1 verification/training failure (a Jacobi SVD
-that did not converge included), 2 usage error, 3 I/O or file-format error.
+Exit codes: 0 success, 1 verification/training failure (an SVD that did
+not converge included, Jacobi or LAPACK), 2 usage error, 3 I/O or
+file-format error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -62,6 +64,20 @@ def _nonneg_int(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _nonneg_float(text):
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -227,9 +243,7 @@ def cmd_verify(args):
         # reduced weight stays inside col(w0) when q is built from it
         q_in, _ = np.linalg.qr(w0[:, :rank])
         w_reduce = w0 - q_in @ (q_in.T @ w0)
-        subset_ok = (
-            numerical_rank(np.hstack([w0, w_reduce]), 1e-8) == numerical_rank(w0, 1e-8)
-        )
+        subset_ok = numerical_rank(np.hstack([w0, w_reduce]), 1e-8) == report.rank_w0
 
         ww0, wq, wtot = _extension_witness()
         witness = subspace.check_containment(ww0, wq, wtot)
@@ -351,7 +365,7 @@ def _build_parser():
     p.add_argument("--rank", type=_positive_int, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--nmf-iters", type=_positive_int, default=None)
-    p.add_argument("--nmf-tol", type=float, default=None)
+    p.add_argument("--nmf-tol", type=_nonneg_float, default=None)
     add_seed(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -359,13 +373,13 @@ def _build_parser():
     p.add_argument("--w0", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--backend", choices=_BACKEND_CHOICES, default=None)
-    p.add_argument("--lr-p", type=float, default=1e-3)
-    p.add_argument("--lr-r", type=float, default=1e-2)
-    p.add_argument("--init-stddev", type=float, default=0.01)
+    p.add_argument("--lr-p", type=_finite_float, default=1e-3)
+    p.add_argument("--lr-r", type=_finite_float, default=1e-2)
+    p.add_argument("--init-stddev", type=_nonneg_float, default=0.01)
     p.add_argument("--nmf-iters", type=_positive_int, default=None)
-    p.add_argument("--nmf-tol", type=float, default=None)
+    p.add_argument("--nmf-tol", type=_nonneg_float, default=None)
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_adapt_init)
@@ -379,9 +393,9 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task-seed", type=_nonneg_int, default=None,
                    help="task seed (default: the config seed)")
-    p.add_argument("--shift-scale", type=float, default=1.0)
-    p.add_argument("--input-scale", type=float, default=64.0)
-    p.add_argument("--noise-stddev", type=float, default=0.01)
+    p.add_argument("--shift-scale", type=_finite_float, default=1.0)
+    p.add_argument("--input-scale", type=_finite_float, default=64.0)
+    p.add_argument("--noise-stddev", type=_nonneg_float, default=0.01)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the column-space property suite")
@@ -396,8 +410,8 @@ def _build_parser():
     p = sub.add_parser("displacement", help="displacement field of an adapter update")
     p.add_argument("--state", default=None, help="ADPT1 checkpoint (default: seeded 2x2 probe)")
     p.add_argument("--w0", default=None, help="MAT1 base weight for --state")
-    p.add_argument("--grid-lo", type=float, default=-1.0)
-    p.add_argument("--grid-hi", type=float, default=1.0)
+    p.add_argument("--grid-lo", type=_finite_float, default=-1.0)
+    p.add_argument("--grid-hi", type=_finite_float, default=1.0)
     p.add_argument("--grid-n", type=_positive_int, default=21)
     p.add_argument("--out", default="displacement.csv")
     add_seed(p)
@@ -438,7 +452,7 @@ def main(argv=None):
     except (FormatError, PairingError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, ConvergenceError) as exc:
+    except (DivergenceError, ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

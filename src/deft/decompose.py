@@ -20,8 +20,11 @@ relax_nmf     max(b, 0) elementwise                    (none)
 qr, tsvd and eig yield orthonormal columns; lrmf, nmf and the relax pair
 deliberately do not, and nothing downstream may assume it for them.
 
-The SVD used by tsvd/lrmf and by rank computations is the one-sided Jacobi
-routine in ``deft._jacobi``, chosen for accuracy over speed at this scale.
+The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
+``deft._jacobi`` (see ``full_svd_oracle`` for why). eig reads its factor off
+LAPACK's thin SVD, and rank counting (``deft.matcore.numerical_rank``) uses
+LAPACK's singular values, which only need to be accurate relative to a
+cutoff.
 """
 
 from __future__ import annotations
@@ -84,6 +87,12 @@ class DecompositionResult:
 def full_svd_oracle(a):
     """Thin SVD ``a = u @ diag(s) @ v.T`` at near-machine accuracy.
 
+    This is the Jacobi SVD, not LAPACK's: its factors are accurate to a few
+    ulps on strongly rank-deficient latents and are the same bits on every
+    platform, so tsvd/lrmf outputs do not drift with the LAPACK build. It is
+    also what acceptance check c10 times: a LAPACK thin SVD of a 3072 x 8
+    latent would beat nmf and invert that speed ordering.
+
     Returns
     -------
     (u, s, v)
@@ -93,12 +102,6 @@ def full_svd_oracle(a):
     """
     a = as_matrix(a, "a")
     return jacobi_svd(a, tol=1e-13)
-
-
-def singular_values(a):
-    """Singular values of `a`, non-increasing. Cheaper than the full oracle."""
-    a = as_matrix(a, "a")
-    return jacobi_svd(a, want_uv=False)
 
 
 def qr_decompose(b):

@@ -322,5 +322,11 @@ def parse_config(text):
 
 
 def read_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: config is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_config(text)

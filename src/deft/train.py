@@ -24,6 +24,7 @@ m x m or m x n matrix is ever formed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,8 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0, batch=
     The best reachable loss is the noise floor, making this a stability
     probe rather than a convergence benchmark.
     """
+    if not 0.0 <= noise_stddev < math.inf:
+        raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
     w0 = as_matrix(w0, "w0")
     m, n = w0.shape
     k = n if batch is None else batch

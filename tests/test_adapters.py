@@ -221,6 +221,12 @@ class TestParamCount:
         with pytest.raises(ShapeError):
             param_count(AdapterConfig("deft", 1), 0, 4)
 
+    @pytest.mark.parametrize("method", ["lora", "para", "deft"])
+    def test_rank_above_min_dim_rejected(self, method):
+        with pytest.raises(ConfigError, match="rank 4 exceeds min"):
+            param_count(AdapterConfig(method, 4), 3, 5)
+        assert param_count(AdapterConfig(method, 3), 3, 5) > 0
+
 
 class TestUpdateRulesExact:
     """forward, merge and sgd_step bit for bit against the rules written out.

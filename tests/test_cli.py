@@ -11,6 +11,10 @@ from deft.cli import main
 from deft.matcore import make_rng
 
 
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -70,6 +74,39 @@ class TestDecompose:
         assert "clamping" in captured.err
         assert store.load_matrix("w.h.mat").shape == (2, 6)
         assert store.load_matrix("w.errtrace.mat").shape[1] == 1
+
+    @pytest.mark.parametrize("method", ["tsvd", "lrmf"])
+    def test_square_input_with_zero_column(self, in_tmp, capsys, method):
+        b = make_rng(6).normal(size=(33, 33))
+        b[:, 7] = 0.0
+        store.save_matrix(b, "b.mat")
+        assert main(["decompose", "--in", "b.mat", "--method", method, "--out", "f"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        p = store.load_matrix("f.p.mat")
+        s = store.load_matrix("f.s.mat")[:, 0]
+        assert s[-1] == 0.0
+        if method == "tsvd":
+            assert np.abs(p.T @ p - np.eye(33)).max() < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_tsvd_at_extreme_scale(self, in_tmp, capsys, scale):
+        b = scale * make_rng(7).normal(size=(12, 8))
+        store.save_matrix(b, "b.mat")
+        assert main(["decompose", "--in", "b.mat", "--method", "tsvd", "--out", "f"]) == 0
+        out = capsys.readouterr().out
+        err = float(out.split("reconstruction_error=")[1].split()[0])
+        assert err < 1e-13
+        s = store.load_matrix("f.s.mat")[:, 0]
+        ref = np.linalg.svd(b, compute_uv=False)
+        assert np.abs(s - ref).max() <= 1e-13 * ref[0]
+
+    def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
+        write_mat("b.mat", seed=8)
+        monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+        assert main(["decompose", "--in", "b.mat", "--method", "eig",
+                     "--rank", "2", "--out", "fac"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: SVD did not converge\n"
 
     def test_relax_nmf_hyphen_accepted(self, in_tmp):
         write_mat("b.mat", seed=5, m=5, n=2)
@@ -175,6 +212,12 @@ class TestTrain:
                      "--steps", "5", "--out", "x"]) == 3
         assert "unknown key" in capsys.readouterr().err
 
+    def test_binary_config_is_io_error(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=16)
+        assert main(["train", "--w0", "w0.mat", "--config", "w0.mat",
+                     "--steps", "5", "--out", "x"]) == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_nan_alpha_in_config_is_io_error(self, in_tmp, capsys):
         write_mat("w0.mat", seed=16)
         write_config("nan.cfg", ["method = deft", "rank = 2", "alpha = nan"])
@@ -212,6 +255,20 @@ class TestVerify:
     def test_rank_too_large(self, in_tmp, capsys):
         write_mat("w0.mat", seed=20, m=6, n=4)
         assert main(["verify", "--w0", "w0.mat", "--rank", "5", "--trials", "1"]) == 2
+
+    def test_tiny_w0_keeps_its_rank(self, in_tmp, capsys):
+        store.save_matrix(1e-300 * make_rng(22).normal(size=(64, 48)), "w0.mat")
+        assert main(["verify", "--w0", "w0.mat", "--trials", "1", "--out", "v.csv"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        with open("v.csv", "rb") as f:
+            header, row = f.read().decode().split("\r\n")[:2]
+        assert dict(zip(header.split(","), row.split(",")))["rank_w0"] == "48"
+
+    def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+        assert main(["verify", "--trials", "1", "--out", "v.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: SVD did not converge\n"
 
 
 class TestDisplacement:
@@ -305,6 +362,50 @@ class TestParamCount:
         assert main(["param-count", "--method", "para", "--rank", "4",
                      "--m", "32", "--n", "16"]) == 0
         assert "params=128" in capsys.readouterr().out
+
+
+class TestFloatFlags:
+    """Every float flag fails closed with exit 2 and a message naming it."""
+
+    TRAIN = ["train", "--w0", "w0.mat", "--config", "run.cfg", "--steps", "2", "--out", "t"]
+    CASES = [
+        (["decompose", "--in", "w0.mat", "--method", "nmf", "--out", "f"], "--nmf-tol",
+         ["nan", "inf", "-1"]),
+        (["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+          "--backend", "nmf", "--out", "a.adpt"], "--nmf-tol", ["nan", "inf", "-1"]),
+        (["adapt-init", "--w0", "w0.mat", "--method", "lora", "--rank", "2",
+          "--out", "a.adpt"], "--alpha", ["nan", "inf"]),
+        (["adapt-init", "--w0", "w0.mat", "--method", "lora", "--rank", "2",
+          "--out", "a.adpt"], "--lr-p", ["nan", "-inf"]),
+        (["adapt-init", "--w0", "w0.mat", "--method", "lora", "--rank", "2",
+          "--out", "a.adpt"], "--lr-r", ["nan", "inf"]),
+        (["adapt-init", "--w0", "w0.mat", "--method", "lora", "--rank", "2",
+          "--out", "a.adpt"], "--init-stddev", ["nan", "inf", "-1"]),
+        (TRAIN, "--input-scale", ["nan", "inf"]),
+        (TRAIN, "--shift-scale", ["nan", "inf"]),
+        (TRAIN + ["--task", "teacher-noise"], "--noise-stddev", ["nan", "inf", "-1"]),
+        (["displacement", "--out", "d.csv"], "--grid-lo", ["nan", "-inf"]),
+        (["displacement", "--out", "d.csv"], "--grid-hi", ["nan", "inf"]),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        pytest.param(argv, flag, value, id=f"{argv[0]}{flag}={value}")
+        for argv, flag, values in CASES for value in values
+    ])
+    def test_bad_value_is_usage_error(self, in_tmp, capsys, argv, flag, value):
+        write_mat("w0.mat", seed=23)
+        write_config("run.cfg", ["method = deft", "rank = 2", "backend = relax"])
+        before = set(in_tmp.iterdir())
+        assert main(argv + [f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite" in err and "Traceback" not in err
+        assert set(in_tmp.iterdir()) == before  # nothing written
+
+    def test_param_count_rank_above_min_dim(self, capsys):
+        assert main(["param-count", "--method", "para", "--rank", "9",
+                     "--m", "3", "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "rank 9 exceeds min(m, n) = 3" in captured.err and "params=" not in captured.out
 
 
 class TestParser:

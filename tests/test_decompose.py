@@ -14,7 +14,6 @@ from deft.decompose import (
     qr_decompose,
     reconstruct,
     relax,
-    singular_values,
     truncated_svd,
 )
 from deft.matcore import ShapeError, frobenius_norm, make_rng, rel_error
@@ -134,6 +133,14 @@ class TestTruncatedSvd:
         res = truncated_svd(make_rng(9).normal(size=(10, 6)), 4)
         s = res.aux["s"]
         assert (np.diff(s) <= 0).all() and (s >= 0).all()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_whole_matrix_scale(self, scale):
+        b = scale * make_rng(9).normal(size=(10, 6))
+        res = truncated_svd(b, 4)
+        ref = np.linalg.svd(b, compute_uv=False)
+        assert np.abs(res.aux["s"] - ref[:4]).max() <= 1e-13 * ref[0]
+        assert np.abs(res.p_factor.T @ res.p_factor - np.eye(4)).max() < 1e-13
 
 
 class TestLrmf:
@@ -333,8 +340,3 @@ class TestDispatcherAndProperties:
             Backend("cholesky", 2)
         with pytest.raises(ValueError):
             Backend("qr", 0)
-
-
-def test_singular_values_sorted_nonneg():
-    s = singular_values(make_rng(32).normal(size=(6, 9)))
-    assert (s >= 0).all() and (np.diff(s) <= 0).all()

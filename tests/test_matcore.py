@@ -48,20 +48,34 @@ class TestFrobeniusNorm:
                 total += v * v
         assert abs(frobenius_norm(m) ** 2 - total) < 1e-12
 
+    def test_extreme_scale(self):
+        # the plain sum of squares would overflow to inf or underflow to 0
+        assert frobenius_norm(np.array([[3e300, 4e300]])) == pytest.approx(5e300, rel=1e-15)
+        assert frobenius_norm(np.array([[3e-300, 4e-300]])) == pytest.approx(5e-300, rel=1e-15)
+        assert frobenius_norm(np.array([[1e-170, 0.0]])) == 1e-170
+
+
+# Each rank case must hold at any overall scale: the cutoff is relative to sigma_max.
+SCALES = (1.0, 1e-300, 1e-160, 1e160, 1e300)
+
 
 class TestNumericalRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(4)) == 4
+        for scale in SCALES:
+            assert numerical_rank(scale * np.eye(4)) == 4, scale
 
     def test_outer_product(self):
         rng = make_rng(6)
         u = rng.normal(size=5)
         v = rng.normal(size=7)
-        assert numerical_rank(np.outer(u, v)) == 1
+        for scale in SCALES:
+            assert numerical_rank(scale * np.outer(u, v)) == 1, scale
 
     def test_against_elimination(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        assert numerical_rank(m) == elimination_rank(m) == 1
+        assert elimination_rank(m) == 1
+        for scale in SCALES:
+            assert numerical_rank(scale * m) == 1, scale
 
     def test_random_against_elimination(self):
         rng = make_rng(7)
@@ -70,20 +84,26 @@ class TestNumericalRank:
             left = rng.normal(size=(8, r))
             right = rng.normal(size=(r, 6))
             m = left @ right
-            assert numerical_rank(m) == elimination_rank(m) == r
+            assert elimination_rank(m) == r
+            for scale in SCALES:
+                assert numerical_rank(scale * m) == r, (trial, scale)
 
     def test_permutation_invariance(self):
         rng = make_rng(8)
         m = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 5))
-        base = numerical_rank(m)
-        for _ in range(5):
-            rp = rng.permutation(6)
-            cp = rng.permutation(5)
-            assert numerical_rank(m[rp][:, cp]) == base
+        perms = [(rng.permutation(6), rng.permutation(5)) for _ in range(5)]
+        for scale in SCALES:
+            assert numerical_rank(scale * m) == 3, scale
+            for rp, cp in perms:
+                assert numerical_rank(scale * m[rp][:, cp]) == 3, scale
+
+    def test_zero_matrix(self):
+        assert numerical_rank(np.zeros((3, 5))) == 0
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol=0.0)
+        for tol in (0.0, -1e-8, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                numerical_rank(np.eye(2), tol=tol)
 
 
 class TestGaussian:

@@ -317,3 +317,9 @@ class TestConfigText:
         path.write_text("method = lora\nrank = 8\nalpha = 16\n", encoding="utf-8")
         cfg = read_config(path)
         assert cfg.method == "lora" and cfg.alpha == 16.0 and cfg.backend is None
+
+    def test_read_config_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"method = lora\nrank = \xd9\n")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_config(path)

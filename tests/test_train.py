@@ -270,6 +270,11 @@ class TestTasks:
         assert not np.array_equal(noisy.targets, w0 @ noisy.inputs)
         assert noisy.teacher is not w0
 
+    @pytest.mark.parametrize("stddev", [float("nan"), float("inf"), -1.0])
+    def test_noise_task_rejects_bad_stddev(self, stddev):
+        with pytest.raises(ValueError, match="noise_stddev must be finite and >= 0"):
+            make_teacher_noise_task(make_rng(25).normal(size=(6, 5)), seed=26, noise_stddev=stddev)
+
     def test_determinism(self):
         w0 = make_rng(27).normal(size=(6, 5))
         t1 = make_teacher_shift_task(w0, seed=28)
