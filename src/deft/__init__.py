@@ -16,7 +16,6 @@ from deft.adapters import (
     merge,
     param_count,
     projection_factor,
-    refresh,
     trainables,
 )
 from deft._jacobi import ConvergenceError
@@ -86,7 +85,7 @@ __all__ = [
     "make_teacher_shift_task", "matrix_hash", "merge",
     "nmf_decompose", "numerical_rank", "param_count", "parse_config",
     "projection_factor", "qr_decompose", "read_config", "reconstruct",
-    "refresh", "relax", "run_finetune", "save_adapter", "save_matrix",
+    "relax", "run_finetune", "save_adapter", "save_matrix",
     "sgd_step", "state_hash", "trainables",
     "truncated_svd", "verify_decomposition_identity",
 ]

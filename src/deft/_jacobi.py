@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from deft.matcore import unit_exponent
+
 
 class ConvergenceError(RuntimeError):
     """The Jacobi SVD used up its sweeps with column pairs still not orthogonal."""
@@ -114,7 +116,7 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60):
         u, s, v = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps)
         return v, s, u
 
-    shift = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    shift = unit_exponent(a)
     g = a.copy()  # C-ordered even for a transposed view; the order fixes einsum's rounding
     np.ldexp(g, -shift, out=g)
     v = np.eye(n)

@@ -11,9 +11,11 @@ of extra matrices, differing in how the effective weight is assembled:
   deft adapter acts exactly like a para adapter with the same latent.
 
 For para and deft, the projection factor (Q or P) is produced from a
-trainable latent matrix by a decomposition backend; the factorization is
-cached and recomputed whenever the latent changes (every optimizer step
-marks the state stale). lora ignores the backend entirely.
+trainable latent matrix by a decomposition backend. The factorization is
+cached together with the bytes of the latent it was built from, and it is
+recomputed whenever the latent's bits differ from those, however the
+latent was changed: an optimizer step, an in-place edit or a reassignment.
+lora ignores the backend entirely.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
 trainables in storage order with their shapes. The first is the p-side
@@ -104,8 +106,8 @@ class AdapterState:
     """Trainable state for one adapted layer.
 
     Only the method's own trainables (see _TRAINABLES) are set; the rest
-    stay None. w0 is a read-only array; writes raise. cache holds the
-    latent's factorization and is refreshed lazily whenever stale is set.
+    stay None. w0 is a read-only array; writes raise. cache is None or a
+    (latent bytes, factorization) pair; see refresh.
     """
 
     cfg: AdapterConfig
@@ -115,8 +117,7 @@ class AdapterState:
     q_latent: np.ndarray | None = None
     p_latent: np.ndarray | None = None
     r: np.ndarray | None = None
-    cache: DecompositionResult | None = None
-    stale: bool = True
+    cache: tuple[bytes, DecompositionResult] | None = None
 
     @property
     def shape(self):
@@ -159,13 +160,19 @@ def trainables(state):
 
 
 def refresh(state):
-    """Recompute the latent factorization if the cache is stale."""
-    if state.cfg.backend is None:  # lora: nothing to factorize
+    """Factorize the p-side latent unless the cache was built from the same bytes.
+
+    The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
+    a factor. Any change to the latent, in place or by reassignment, is
+    seen here; nothing has to mark the cache out of date.
+    """
+    cfg = state.cfg
+    if cfg.backend is None:  # lora: nothing to factorize
         return state
-    if state.cache is None or state.stale:
-        latent = getattr(state, _TRAINABLES[state.cfg.method][0][0])  # the p-side factor
-        state.cache = decompose(latent, state.cfg.backend, seed=state.cfg.seed)
-        state.stale = False
+    latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
+    key = latent.tobytes()
+    if state.cache is None or state.cache[0] != key:
+        state.cache = (key, decompose(latent, cfg.backend, seed=cfg.seed))
     return state
 
 
@@ -173,8 +180,7 @@ def projection_factor(state):
     """Current P (deft) or Q (para) from the cached factorization."""
     if state.cfg.backend is None:
         raise ConfigError("lora has no projection factor")
-    refresh(state)
-    return state.cache.p_factor
+    return refresh(state).cache[1].p_factor
 
 
 def _adapted(state, base, x=None):

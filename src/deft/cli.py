@@ -6,13 +6,16 @@ environment variable supplies the default), prints every output path it
 writes, and reports results as CSV files.
 
 Exit codes: 0 success, 1 verification/training failure (an SVD that did
-not converge included, Jacobi or LAPACK), 2 usage error, 3 I/O or
-file-format error.
+not converge included, Jacobi or LAPACK, and a decomposition with a
+non-finite output, of which no file is written), 2 usage error, 3 I/O or
+file-format error. A warning raised while a subcommand runs is printed
+to stderr once, as a `warning: <message>` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import statistics
@@ -85,9 +88,21 @@ def _wrote(path):
     print(f"wrote {path}")
 
 
-def _print_warnings(caught):
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+@contextlib.contextmanager
+def _warning_lines():
+    """Print each distinct warning raised inside as one `warning: <message>` line.
+
+    The "default" action records a warning once per message and place, so a
+    clamp or overflow repeated every training step prints one line, not one
+    per step.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            yield
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _backend_from_args(kind, rank, args):
@@ -114,25 +129,23 @@ def cmd_decompose(args):
     backend = _backend_from_args(kind, rank, args)
     seed = _resolve_seed(args.seed)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        t0 = time.perf_counter()
-        result = run_decompose(b, backend, seed=seed)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-    _print_warnings(caught)
+    t0 = time.perf_counter()
+    result = run_decompose(b, backend, seed=seed)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-    err = rel_error(reconstruct(result, b), b)
     out = args.out
-    path = f"{out}.p.mat"
-    store.save_matrix(result.p_factor, path)
-    _wrote(path)
+    outputs = {f"{out}.p.mat": result.p_factor}
     aux_names = {"r_tri": "rtri", "s": "s", "v": "v", "h": "h",
                  "lambda": "lam", "err_trace": "errtrace"}
     for key, mat in result.aux.items():
         arr = np.asarray(mat)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        path = f"{out}.{aux_names[key]}.mat"
+        outputs[f"{out}.{aux_names[key]}.mat"] = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+    for path, arr in outputs.items():  # all checked before any is written
+        if not np.isfinite(arr).all():
+            raise FloatingPointError(
+                f"{args.method} produced non-finite entries for {path}; nothing written")
+    err = rel_error(reconstruct(result, b), b)
+    for path, arr in outputs.items():
         store.save_matrix(arr, path)
         _wrote(path)
     print(f"method={args.method} rank={rank} reconstruction_error={err:.6e} "
@@ -172,12 +185,7 @@ def cmd_train(args):
         task = train.make_teacher_noise_task(
             w0, task_seed, noise_stddev=args.noise_stddev, input_scale=args.input_scale,
         )
-    try:
-        report, state = train.run_finetune(w0, cfg, task, args.steps)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    report, state = train.run_finetune(w0, cfg, task, args.steps)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -235,7 +243,6 @@ def cmd_verify(args):
                             init_stddev=0.5, seed=trial_seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
-        state.stale = True
         w_total = adapters.merge(state)
         q_fac = adapters.projection_factor(state)
         report = subspace.check_containment(w0, q_fac, w_total)
@@ -298,7 +305,6 @@ def cmd_displacement(args):
                             init_stddev=0.5, seed=seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, 1, 2, 1.0)
-        state.stale = True
 
     field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi, n=args.grid_n)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -445,14 +451,16 @@ def main(argv=None):
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        with _warning_lines():
+            return args.func(args)
     except (UsageError, ConfigError, ShapeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, PairingError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, ConvergenceError, np.linalg.LinAlgError) as exc:
+    except (DivergenceError, ConvergenceError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,18 +54,27 @@ def require_finite(a, name="matrix"):
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def unit_exponent(a):
+    """The e for which max|a| * 2**-e lies in [0.5, 1); 0 when `a` is all zero.
+
+    ``np.ldexp(a, -unit_exponent(a))`` is `a` brought to unit scale. The
+    scaling is exact, except where it takes an entry below the normal range.
+    """
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
 def frobenius_norm(a):
     """Frobenius norm, sqrt of the sum of squared entries.
 
     A sum of squares outside (1e-280, 1e280) may have overflowed, or lost
     entries whose squares underflowed; it is then retaken over the entries
-    times the power of two that brings the largest into [0.5, 1). That
-    scaling is exact, so the norm is right anywhere in float64 range.
+    brought to unit scale (see unit_exponent), so the norm is right
+    anywhere in float64 range.
     """
     a = np.asarray(a, dtype=np.float64)
     total = np.einsum("ij,ij->", a, a)
     if not 1e-280 < total < 1e280:
-        shift = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+        shift = unit_exponent(a)
         a = np.ldexp(a, -shift)
         return float(np.ldexp(np.sqrt(np.einsum("ij,ij->", a, a)), shift))
     return float(np.sqrt(total))

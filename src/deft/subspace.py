@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deft import adapters
-from deft.matcore import as_matrix, frobenius_norm, numerical_rank
+from deft.matcore import as_matrix, frobenius_norm, numerical_rank, unit_exponent
 
 
 @dataclass
@@ -81,6 +81,11 @@ def check_containment(w0, q, w_total, tol=1e-8):
     q may be any m x r matrix (orthonormality is not assumed; relax-style
     factors are legal). The residuals map carries the raw rank of the
     largest stack for reporting.
+
+    Each block is brought to unit scale (see unit_exponent) before it is
+    stacked. That leaves every column space as it was, and it keeps the
+    one relative cutoff of a stack from falling below a whole block when
+    w0 is far larger or smaller than the O(1) factor q.
     """
     w0 = as_matrix(w0, "w0")
     q = as_matrix(q, "q")
@@ -90,9 +95,10 @@ def check_containment(w0, q, w_total, tol=1e-8):
     rank_w0 = numerical_rank(w0, tol)
     rank_reduce = numerical_rank(w_reduce, tol)
     rank_total = numerical_rank(w_total, tol)
-    rank_union = numerical_rank(np.hstack([w0, q]), tol)
-    rank_union_total = numerical_rank(np.hstack([w0, q, w_total]), tol)
-    rank_w0_total = numerical_rank(np.hstack([w0, w_total]), tol)
+    w0_u, q_u, total_u = (np.ldexp(a, -unit_exponent(a)) for a in (w0, q, w_total))
+    rank_union = numerical_rank(np.hstack([w0_u, q_u]), tol)
+    rank_union_total = numerical_rank(np.hstack([w0_u, q_u, total_u]), tol)
+    rank_w0_total = numerical_rank(np.hstack([w0_u, total_u]), tol)
 
     return SubspaceReport(
         rank_w0=rank_w0,

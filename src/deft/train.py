@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from deft import store
-from deft.adapters import (
-    check_inputs, forward, init_adapter, projection_factor, refresh, trainables,
-)
+from deft.adapters import check_inputs, forward, init_adapter, projection_factor, trainables
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -180,10 +178,13 @@ def grad(state, task):
 
 
 def sgd_step(state, grads, cfg):
-    """One in-place SGD update; marks the factorization cache stale."""
+    """One in-place SGD update of each trainable at its rate.
+
+    The next forward pass refactorizes the moved latent on its own: the
+    factor cache is keyed on the latent's bits (see deft.adapters.refresh).
+    """
     for (name, mat), lr in zip(trainables(state).items(), (cfg.lr_p, cfg.lr_r)):
         mat -= lr * grads[name]
-    state.stale = True
     return state
 
 
@@ -213,7 +214,6 @@ def run_finetune(w0, cfg, task, steps):
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
 
-    refresh(state)
     final = _mse(forward(state, x, y) - task.targets)  # the bits of loss_mse(state, task)
     if not np.isfinite(final):
         raise DivergenceError(steps, last_finite)

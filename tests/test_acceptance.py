@@ -80,7 +80,6 @@ def test_c03_total_weight_containment():
                                 init_stddev=0.5, seed=seed)
             state = init_adapter(w0, cfg)
             state.r = gaussian(rng, rank, 18, 1.0)
-            state.stale = True
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # nmf clamps signed latents here
                 q = projection_factor(state)
@@ -120,7 +119,6 @@ def test_c04_forward_matches_merge():
                 state.b_lo = gaussian(rng, 10, 3, 1.0)
             elif method == "deft":
                 state.r = gaussian(rng, 3, 8, 1.0)
-                state.stale = True
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 dev = rel_error(forward(state, x), merge(state) @ x)
@@ -164,13 +162,10 @@ def test_c06_gradients_match_finite_differences():
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + h
-            state.stale = True
             hi = loss_mse(state, task)
             arr[idx] = orig - h
-            state.stale = True
             lo = loss_mse(state, task)
             arr[idx] = orig
-            state.stale = True
             out[idx] = (hi - lo) / (2.0 * h)
         return out
 
@@ -195,7 +190,6 @@ def test_c06_gradients_match_finite_differences():
     deft = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax", 2),
                                           init_stddev=0.5, seed=1))
     deft.r = gaussian(rng, 2, 4, 1.0)
-    deft.stale = True
     worst = max(worst, check(deft, task, "deft-relax"))
 
     deft_nn = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax_nmf", 2),
@@ -203,7 +197,6 @@ def test_c06_gradients_match_finite_differences():
     latent = deft_nn.p_latent
     latent[np.abs(latent) < 1e-3] = 0.25  # keep entries off the max(., 0) kink
     deft_nn.r = gaussian(rng, 2, 4, 1.0)
-    deft_nn.stale = True
     worst = max(worst, check(deft_nn, task, "deft-relax_nmf"))
 
     lora = init_adapter(w0, AdapterConfig("lora", 2, alpha=4.0, init_stddev=0.5, seed=3))

@@ -137,7 +137,6 @@ class TestForwardAndMerge:
             state = init_adapter(w0, AdapterConfig(method, 3, init_stddev=0.3, seed=13))
             if method == "deft":
                 state.r = make_rng(14).normal(size=(3, 7))
-                state.stale = True
             assert rel_error(forward(state, x), merge(state) @ x) < 1e-10, method
 
     def test_projection_removes_component(self):
@@ -153,7 +152,6 @@ class TestForwardAndMerge:
         w0 = random_w0(13)
         state = init_adapter(w0, AdapterConfig("deft", 2, init_stddev=0.4, seed=17))
         state.r = make_rng(18).normal(size=(2, 7))
-        state.stale = True
         p = projection_factor(state)
         expected = w0 - p @ (p.T @ w0) + p @ state.r
         assert rel_error(merge(state), expected) < 1e-14
@@ -177,25 +175,52 @@ class TestForwardAndMerge:
 
 
 class TestRefresh:
-    def test_cache_reused_until_stale(self):
-        state = init_adapter(random_w0(17), AdapterConfig("deft", 3, init_stddev=0.3))
-        refresh(state)
-        first = state.cache
-        refresh(state)
-        assert state.cache is first
-        state.p_latent[0, 0] += 1.0
-        state.stale = True
-        refresh(state)
-        assert state.cache is not first
+    def check_edit_reaches_every_reader(self, edit):
+        """After edit(state), with no other call, forward, merge and P read the new latent.
 
-    def test_stale_latent_changes_forward(self):
-        state = init_adapter(random_w0(18), AdapterConfig("para", 2, init_stddev=0.5))
-        x = make_rng(19).normal(size=(7, 3))
-        before = forward(state, x)
-        state.q_latent += make_rng(20).normal(size=state.q_latent.shape)
-        state.stale = True
-        after = forward(state, x)
-        assert np.abs(before - after).max() > 1e-6
+        The state's cache is built before the edit; the reference is a
+        cache-free state with the same trainables.
+        """
+        for kind in ("qr", "tsvd", "relax"):
+            state = init_adapter(random_w0(18), AdapterConfig(
+                "deft", 3, backend=Backend(kind, 3), init_stddev=0.5, seed=2))
+            state.r = make_rng(19).normal(size=(3, 7))
+            x = make_rng(20).normal(size=(7, 4))
+            before = forward(state, x)
+            edit(state)
+            fresh = init_adapter(state.w0, state.cfg)
+            fresh.p_latent, fresh.r = state.p_latent.copy(), state.r
+            assert np.array_equal(projection_factor(state), projection_factor(fresh)), kind
+            assert np.array_equal(forward(state, x), forward(fresh, x)), kind
+            assert np.array_equal(merge(state), merge(fresh)), kind
+            assert np.abs(forward(state, x) - before).max() > 1e-6, kind
+
+    def test_cache_reused_until_latent_changes(self):
+        state = init_adapter(random_w0(17), AdapterConfig("deft", 3, init_stddev=0.3))
+        first = refresh(state).cache
+        assert refresh(state).cache is first
+        state.r += 1.0  # R is not an input of the factorization
+        assert refresh(state).cache is first
+        state.p_latent[0, 0] += 1.0
+        assert refresh(state).cache is not first
+
+    def test_in_place_edit_reaches_every_reader(self):
+        def edit(state):
+            state.p_latent += make_rng(21).normal(size=state.p_latent.shape)
+        self.check_edit_reaches_every_reader(edit)
+
+    def test_reassigned_latent_reaches_every_reader(self):
+        def edit(state):
+            state.p_latent = make_rng(22).normal(size=state.p_latent.shape)
+        self.check_edit_reaches_every_reader(edit)
+
+    def test_sign_of_zero_is_a_change(self):
+        state = init_adapter(random_w0(23), AdapterConfig(
+            "deft", 2, backend=Backend("relax", 2), init_stddev=0.5))
+        state.p_latent[0, 0] = 0.0
+        assert not np.signbit(projection_factor(state)[0, 0])
+        state.p_latent[0, 0] = -0.0
+        assert np.signbit(projection_factor(state)[0, 0])
 
     def test_orthonormal_projector_for_qr(self):
         state = init_adapter(random_w0(19), AdapterConfig("deft", 4, init_stddev=0.2))
@@ -268,7 +293,8 @@ class TestUpdateRulesExact:
         g = {"q_latent": self.rng.normal(size=(10, 3))}
         sgd_step(state, g, cfg)
         assert np.array_equal(state.q_latent, q - 0.1 * g["q_latent"])
-        assert state.stale
+        q = state.q_latent  # the forward pass after a step reads the moved latent
+        assert np.array_equal(forward(state, x), y - q @ (q.T @ y))
 
     def test_deft(self):
         w0, x, cfg = self.w0, self.x, self.cfg("deft")

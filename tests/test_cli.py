@@ -75,6 +75,19 @@ class TestDecompose:
         assert store.load_matrix("w.h.mat").shape == (2, 6)
         assert store.load_matrix("w.errtrace.mat").shape[1] == 1
 
+    @pytest.mark.parametrize("method", ["eig", "nmf"])
+    def test_non_finite_factor_fails_closed(self, in_tmp, capsys, method):
+        # at 1e300, eig's lambda = s**2 and nmf's update products overflow
+        store.save_matrix(1e300 * make_rng(7).normal(size=(12, 8)), "b.mat")
+        assert main(["decompose", "--in", "b.mat", "--method", method,
+                     "--rank", "3", "--out", "f"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {method} produced non-finite entries for f.")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["b.mat"]
+
     @pytest.mark.parametrize("method", ["tsvd", "lrmf"])
     def test_square_input_with_zero_column(self, in_tmp, capsys, method):
         b = make_rng(6).normal(size=(33, 33))
@@ -194,7 +207,6 @@ class TestTrain:
                 blobs.append((f1.read(), f2.read()))
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_one(self, in_tmp, capsys):
         write_mat("w0.mat", seed=14, m=6, n=6)
         write_config("hot.cfg", [
@@ -203,7 +215,11 @@ class TestTrain:
         ])
         assert main(["train", "--w0", "w0.mat", "--config", "hot.cfg",
                      "--steps", "100", "--out", "boom"]) == 1
-        assert "diverged" in capsys.readouterr().err
+        # the overflows on the way to inf arrive as warning lines, then one error line
+        *warned, last = capsys.readouterr().err.splitlines()
+        assert warned and all(line.startswith("warning: ") for line in warned)
+        assert not any("RuntimeWarning" in line for line in warned)
+        assert last.startswith("error: loss diverged")
 
     def test_bad_config_is_io_error(self, in_tmp, capsys):
         write_mat("w0.mat", seed=16)
@@ -264,11 +280,33 @@ class TestVerify:
             header, row = f.read().decode().split("\r\n")[:2]
         assert dict(zip(header.split(","), row.split(",")))["rank_w0"] == "48"
 
+    @pytest.mark.parametrize("backend", ["qr", "relax"])
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e-8, 1e300])
+    def test_containment_at_any_w0_scale(self, in_tmp, capsys, scale, backend):
+        store.save_matrix(scale * make_rng(3).normal(size=(64, 48)), "w0.mat")
+        assert main(["verify", "--w0", "w0.mat", "--backend", backend, "--out", "v.csv"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS: 3 trials" in out and "containment=false" not in out
+
     def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)
         assert main(["verify", "--trials", "1", "--out", "v.csv"]) == 1
         err = capsys.readouterr().err
         assert err == "error: SVD did not converge\n"
+
+
+class TestWarningLines:
+    def test_nmf_clamp_is_one_line(self, in_tmp, capsys):
+        # the clamp is raised on every step and every trial, and printed once
+        clamp = "warning: nmf input has negative entries; clamping to zero\n"
+        write_mat("w0.mat", seed=30, m=8, n=6)
+        write_config("nmf.cfg", ["method = deft", "rank = 2", "backend = nmf",
+                                 "lr_p = 1e-4", "lr_r = 1e-4", "seed = 31"])
+        assert main(["train", "--w0", "w0.mat", "--config", "nmf.cfg", "--steps", "20",
+                     "--input-scale", "8", "--out", "t"]) == 0
+        assert capsys.readouterr().err == clamp
+        assert main(["verify", "--backend", "nmf", "--out", "v.csv"]) == 0
+        assert capsys.readouterr().err == clamp
 
 
 class TestDisplacement:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from deft.adapters import AdapterConfig, forward, init_adapter
+from deft.adapters import AdapterConfig, forward, init_adapter, projection_factor
 from deft.decompose import Backend
 from deft.matcore import make_rng
 from deft.store import (
@@ -110,7 +110,6 @@ def trained_state(method, seed, m=8, n=6, backend_kind="qr"):
         state.b_lo = rng.normal(size=(m, 2))
     elif method == "deft":
         state.r = rng.normal(size=(2, n))
-        state.stale = True
     return w0, state
 
 
@@ -191,13 +190,15 @@ class TestAdapterCheckpoints:
         with pytest.raises(FormatError, match="trailing"):
             load_adapter(path, w0)
 
-    def test_loaded_state_is_stale(self, tmp_path):
+    def test_loaded_state_refactorizes_its_latent(self, tmp_path):
         # the factorization cache is never persisted, only the latents
         w0, state = trained_state("para", seed=10)
+        p = projection_factor(state)
         path = tmp_path / "st.adpt"
         save_adapter(state, path)
         back = load_adapter(path, w0)
-        assert back.stale and back.cache is None
+        assert back.cache is None
+        assert np.array_equal(projection_factor(back), p)
 
 
 def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0):

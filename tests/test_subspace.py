@@ -69,7 +69,6 @@ class TestContainment:
                 w0, AdapterConfig("deft", 3, backend=Backend(kind, 3), init_stddev=0.4, seed=6)
             )
             state.r = rng.normal(size=(3, 8))
-            state.stale = True
             from deft.adapters import projection_factor
 
             rep = check_containment(w0, projection_factor(state), merge(state))
@@ -98,6 +97,17 @@ class TestContainment:
         rep = check_containment(w0, q, w_total)
         assert rep.containment_holds
         assert not rep.extension_holds
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e8, 1e300])
+    def test_report_does_not_depend_on_w0_scale(self, scale):
+        # w0 is tall, so q reaches outside col(w0) and the update extends it
+        w0 = make_rng(12).normal(size=(20, 8))
+        q = orthonormal(13, 20, 3)
+        r = make_rng(14).normal(size=(3, 8))
+        want = check_containment(w0, q, w0 - q @ (q.T @ w0) + q @ r)
+        assert want.containment_holds and want.extension_holds
+        w0 = scale * w0
+        assert check_containment(w0, q, w0 - q @ (q.T @ w0) + q @ (scale * r)) == want
 
     def test_ranks_match_lapack(self):
         w0 = make_rng(9).normal(size=(9, 5))
