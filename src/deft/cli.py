@@ -6,8 +6,9 @@ environment variable supplies the default), prints every output path it
 writes, and reports results as CSV files.
 
 Exit codes: 0 success, 1 verification/training failure (an SVD that did
-not converge included, Jacobi or LAPACK, and a decomposition with a
-non-finite output, of which no file is written), 2 usage error, 3 I/O or
+not converge included, Jacobi or LAPACK, a decomposition with a non-finite
+output, of which no file is written, and a verify W0 so large that its
+norm or the merged weight overflows float64), 2 usage error, 3 I/O or
 file-format error. A warning raised while a subcommand runs is printed
 to stderr once, as a `warning: <message>` line.
 """
@@ -28,8 +29,8 @@ import numpy as np
 from deft import adapters, store, subspace, train
 from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, AdapterConfig, ConfigError
-from deft.decompose import INTRINSIC_RANK, KINDS, Backend, decompose as run_decompose, reconstruct
-from deft.matcore import ShapeError, gaussian, make_rng, numerical_rank, rel_error
+from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
+from deft.matcore import ShapeError, frobenius_norm, gaussian, make_rng, numerical_rank, rel_error
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
@@ -105,28 +106,13 @@ def _warning_lines():
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _backend_from_args(kind, rank, args):
-    kwargs = {}
-    if getattr(args, "nmf_iters", None) is not None:
-        kwargs["nmf_iters"] = args.nmf_iters
-    if getattr(args, "nmf_tol", None) is not None:
-        kwargs["nmf_tol"] = args.nmf_tol
-    return Backend(_norm_kind(kind), rank, **kwargs)
-
-
 def cmd_decompose(args):
     b = store.load_matrix(args.infile)
     kind = _norm_kind(args.method)
-    m, n = b.shape
-    if kind in INTRINSIC_RANK:
-        rank = n if args.rank is None else args.rank
-        if rank != n:
-            raise UsageError(f"{args.method} rank is the column count {n}, got --rank {rank}")
-    else:
-        rank = min(m, n) if args.rank is None else args.rank
-        if not 1 <= rank <= min(m, n):
-            raise UsageError(f"--rank {rank} out of range for input shape {m}x{n}")
-    backend = _backend_from_args(kind, rank, args)
+    rank = args.rank  # checked against b's shape by the backend (ShapeError, exit 2)
+    if rank is None:
+        rank = b.shape[1] if _KINDS[kind].intrinsic_rank else min(b.shape)
+    backend = Backend(kind, rank, args.nmf_iters, args.nmf_tol)
     seed = _resolve_seed(args.seed)
 
     t0 = time.perf_counter()
@@ -135,11 +121,9 @@ def cmd_decompose(args):
 
     out = args.out
     outputs = {f"{out}.p.mat": result.p_factor}
-    aux_names = {"r_tri": "rtri", "s": "s", "v": "v", "h": "h",
-                 "lambda": "lam", "err_trace": "errtrace"}
-    for key, mat in result.aux.items():
-        arr = np.asarray(mat)
-        outputs[f"{out}.{aux_names[key]}.mat"] = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+    for key, stem in _KINDS[kind].aux_stems.items():
+        arr = np.asarray(result.aux[key])
+        outputs[f"{out}.{stem}.mat"] = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     for path, arr in outputs.items():  # all checked before any is written
         if not np.isfinite(arr).all():
             raise FloatingPointError(
@@ -160,7 +144,7 @@ def cmd_adapt_init(args):
     seed = _resolve_seed(args.seed)
     backend = None
     if args.backend is not None:
-        backend = _backend_from_args(args.backend, args.rank, args)
+        backend = Backend(_norm_kind(args.backend), args.rank, args.nmf_iters, args.nmf_tol)
     cfg = AdapterConfig(
         method=args.method, rank=args.rank, alpha=args.alpha, backend=backend,
         lr_p=args.lr_p, lr_r=args.lr_r, init_stddev=args.init_stddev, seed=seed,
@@ -188,8 +172,7 @@ def cmd_train(args):
     report, state = train.run_finetune(w0, cfg, task, args.steps)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        f.write(train.report_to_csv(report))
+    train.report_to_csv(report, csv_path)
     _wrote(csv_path)
     ckpt_path = os.path.join(args.out, "adapter.adpt")
     store.save_adapter(state, ckpt_path)
@@ -198,29 +181,25 @@ def cmd_train(args):
     return 0
 
 
-def _extension_witness():
-    """Fixed integer instance where the update provably adds one rank.
+def _extension_witness_ok():
+    """Check a fixed integer instance where the update provably adds one rank.
 
     w0 is rank 2 with zero third row; the projector direction e3 lies
     outside col(w0), so a nonzero replacement row extends the column
     space by exactly one dimension.
     """
-    w0 = np.array([
-        [2.0, 0.0, 0.0, 0.0],
-        [0.0, 3.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+    w0 = np.diag([2.0, 3.0, 0.0, 0.0])
     q = np.array([[0.0], [0.0], [1.0], [0.0]])
-    r = np.ones((1, 4))
-    w_total = w0 - q @ (q.T @ w0) + q @ r
-    return w0, q, w_total
+    w_total = w0 - q @ (q.T @ w0) + q @ np.ones((1, 4))
+    report = subspace.check_containment(w0, q, w_total)
+    return report.extension_holds and report.containment_holds
 
 
 def cmd_verify(args):
     seed = _resolve_seed(args.seed)
     kind = _norm_kind(args.backend)
     w0_fixed = store.load_matrix(args.w0) if args.w0 is not None else None
+    witness_ok = _extension_witness_ok()  # a fixed instance: one check serves every trial
 
     rows = []
     failures = []
@@ -229,21 +208,27 @@ def cmd_verify(args):
         rng = make_rng(trial_seed)
         w0 = w0_fixed if w0_fixed is not None else gaussian(rng, 64, 48, 1.0)
         m, n = w0.shape
-        rank = args.rank
-        if rank > min(m, n):
-            raise UsageError(f"--rank {rank} exceeds min(m, n) = {min(m, n)}")
-
-        # split identity with a random orthonormal q
+        rank = args.rank  # init_adapter rejects one above min(m, n) (ConfigError, exit 2)
         q_orth, _ = np.linalg.qr(gaussian(rng, m, rank, 1.0))
-        identity_resid = subspace.verify_decomposition_identity(w0, q_orth)
-        identity_ok = identity_resid < 1e-12
 
-        # containment for a freshly trained-looking adapter state
+        # a freshly trained-looking adapter state
         cfg = AdapterConfig(method="deft", rank=rank, backend=Backend(kind, rank),
                             init_stddev=0.5, seed=trial_seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
-        w_total = adapters.merge(state)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
+            w_total = adapters.merge(state)
+            w0_norm = frobenius_norm(w0)
+        if not (math.isfinite(w0_norm) and np.isfinite(w_total).all()):
+            raise FloatingPointError(
+                f"W0's scale is out of range for verify (max |entry| {np.abs(w0).max():.3e}): "
+                "its Frobenius norm or the merged weight overflows float64")
+
+        # split identity with a random orthonormal q
+        identity_resid = subspace.verify_decomposition_identity(w0, q_orth)
+        identity_ok = identity_resid < 1e-12
+
+        # containment of the merged weight
         q_fac = adapters.projection_factor(state)
         report = subspace.check_containment(w0, q_fac, w_total)
 
@@ -252,12 +237,10 @@ def cmd_verify(args):
         w_reduce = w0 - q_in @ (q_in.T @ w0)
         subset_ok = numerical_rank(np.hstack([w0, w_reduce]), 1e-8) == report.rank_w0
 
-        ww0, wq, wtot = _extension_witness()
-        witness = subspace.check_containment(ww0, wq, wtot)
-        witness_ok = witness.extension_holds and witness.containment_holds
-
         ok = identity_ok and report.containment_holds and subset_ok and witness_ok
-        rows.append((t, identity_resid, identity_ok, subset_ok, report, witness_ok))
+        rows.append((t, identity_resid, identity_ok, subset_ok, report.containment_holds,
+                     witness_ok, report.rank_w0, report.rank_reduce, report.rank_total,
+                     report.rank_union))
         print(f"trial {t}: identity_residual={identity_resid:.3e} "
               f"containment={str(report.containment_holds).lower()} "
               f"subset={str(subset_ok).lower()} witness={str(witness_ok).lower()}")
@@ -268,19 +251,9 @@ def cmd_verify(args):
                 store.save_matrix(mat, path)
                 _wrote(path)
 
-    cols = ["trial", "identity_residual", "identity_ok", "subset_ok",
-            "containment_holds", "extension_witness_ok",
-            "rank_w0", "rank_reduce", "rank_total", "rank_union"]
-    lines = [",".join(cols)]
-    for t, resid, id_ok, sub_ok, report, wit_ok in rows:
-        lines.append(",".join([
-            str(t), repr(float(resid)), str(id_ok).lower(), str(sub_ok).lower(),
-            str(report.containment_holds).lower(), str(wit_ok).lower(),
-            str(report.rank_w0), str(report.rank_reduce),
-            str(report.rank_total), str(report.rank_union),
-        ]))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+    store.save_csv(args.out, ("trial", "identity_residual", "identity_ok", "subset_ok",
+                              "containment_holds", "extension_witness_ok",
+                              "rank_w0", "rank_reduce", "rank_total", "rank_union"), rows)
     _wrote(args.out)
 
     if failures:
@@ -307,8 +280,7 @@ def cmd_displacement(args):
         state.r = gaussian(rng, 1, 2, 1.0)
 
     field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi, n=args.grid_n)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write(subspace.field_to_csv(field))
+    subspace.field_to_csv(field, args.out)
     _wrote(args.out)
     summary = subspace.field_summary(field)
     print(" ".join(f"{k}={v:.6e}" for k, v in summary.items()))
@@ -337,12 +309,9 @@ def cmd_bench(args):
                 times.append((time.perf_counter() - t0) * 1e3)
         results.append((k, statistics.median(times), min(times), max(times)))
 
-    lines = ["backend,median_ms,min_ms,max_ms"]
     for k, med, lo, hi in results:
         print(f"{k}: median={med:.3f} ms min={lo:.3f} max={hi:.3f}")
-        lines.append(f"{k},{med!r},{lo!r},{hi!r}")
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+    store.save_csv(args.out, ("backend", "median_ms", "min_ms", "max_ms"), results)
     _wrote(args.out)
     return 0
 
@@ -370,8 +339,8 @@ def _build_parser():
     p.add_argument("--method", required=True, choices=_BACKEND_CHOICES)
     p.add_argument("--rank", type=_positive_int, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--nmf-iters", type=_positive_int, default=None)
-    p.add_argument("--nmf-tol", type=_nonneg_float, default=None)
+    p.add_argument("--nmf-iters", type=_positive_int, default=Backend.nmf_iters)
+    p.add_argument("--nmf-tol", type=_nonneg_float, default=Backend.nmf_tol)
     add_seed(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -384,8 +353,8 @@ def _build_parser():
     p.add_argument("--lr-p", type=_finite_float, default=1e-3)
     p.add_argument("--lr-r", type=_finite_float, default=1e-2)
     p.add_argument("--init-stddev", type=_nonneg_float, default=0.01)
-    p.add_argument("--nmf-iters", type=_positive_int, default=None)
-    p.add_argument("--nmf-tol", type=_nonneg_float, default=None)
+    p.add_argument("--nmf-iters", type=_positive_int, default=Backend.nmf_iters)
+    p.add_argument("--nmf-tol", type=_nonneg_float, default=Backend.nmf_tol)
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_adapt_init)

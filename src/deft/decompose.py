@@ -20,6 +20,9 @@ relax_nmf     max(b, 0) elementwise                    (none)
 qr, tsvd and eig yield orthonormal columns; lrmf, nmf and the relax pair
 deliberately do not, and nothing downstream may assume it for them.
 
+``_KINDS`` is the single source of each kind's rules (see ``_Kind``); the
+dispatch, reconstruction, CLI output files and training gradient read it.
+
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
 ``deft._jacobi`` (see ``full_svd_oracle`` for why). eig reads its factor off
 LAPACK's thin SVD, and rank counting (``deft.matcore.numerical_rank``) uses
@@ -31,17 +34,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from deft._jacobi import _fix_signs, jacobi_svd
-from deft.matcore import ShapeError, as_matrix, make_rng
-
-# The order is the ADPT1 backend tag (see deft.store): append, never reorder.
-KINDS = ("qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax_nmf")
-# Kinds whose rank is the latent's column count rather than a truncation.
-INTRINSIC_RANK = ("qr", "relax", "relax_nmf")
+from deft.matcore import ShapeError, as_matrix, make_rng, unit_exponent
 
 # Default multiplicative-update budget when a backend refactorizes a latent
 # on every training step. Deliberately small: the per-step cost must sit in
@@ -122,10 +121,7 @@ def qr_decompose(b):
     if m < r:
         raise ShapeError(f"qr latent must be tall or square, got {b.shape}")
     q, r_tri = np.linalg.qr(b)
-    idx = np.argmax(np.abs(q), axis=0)
-    flip = q[idx, np.arange(r)] < 0.0
-    q[:, flip] *= -1.0
-    r_tri[flip, :] *= -1.0
+    _fix_signs(q, r_tri.T)  # flips the rows of r_tri with the columns of q
     diag = np.abs(np.diagonal(r_tri))
     scale = diag.max() if diag.size else 0.0
     notes = ()
@@ -172,6 +168,11 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
 
     aux carries the H factor and ``err_trace``, the Frobenius error
     measured before each update round plus once after the last.
+
+    The updates guard each denominator with an absolute 1e-12, which would
+    swamp small data. An input whose largest entry is below 2**-10 is
+    factored at unit scale, times an even power of two 4**-k; W and H are
+    scaled back by 2**k each and err_trace by 4**k.
     """
     b = as_matrix(b, "b")
     m, n = b.shape
@@ -184,6 +185,9 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
         warnings.warn("nmf input has negative entries; clamping to zero", stacklevel=2)
         b = np.maximum(b, 0.0)
         notes = ("clamped_negative_input",)
+    half = unit_exponent(b) // 2 if b.max() < 2.0**-10 else 0
+    if half:
+        b = np.ldexp(b, -2 * half)
 
     mean = float(b.mean())
     if mean == 0.0:  # all-zero input factorizes exactly as zero
@@ -218,6 +222,8 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
         diff = b - w @ h
         trace.append(float(np.sqrt(np.einsum("ij,ij->", diff, diff))))
 
+    if half:  # back to the input's scale
+        w, h, trace = np.ldexp(w, half), np.ldexp(h, half), np.ldexp(trace, 2 * half)
     aux = {"h": h, "err_trace": np.asarray(trace)}
     return DecompositionResult("nmf", r, w, aux, notes)
 
@@ -249,33 +255,60 @@ def relax(b, nonneg=False):
     return DecompositionResult(kind, b.shape[1], p)
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """The rules of one backend kind; see ``_KINDS``."""
+
+    factor: Callable  # (b, backend, seed) -> DecompositionResult
+    rebuild: Callable  # (result, b) -> the rank-r approximation of b
+    aux_stems: dict  # aux key -> file stem in `deft decompose` output
+    intrinsic_rank: bool = False  # rank is b's column count, not a truncation
+    ste_mask: Callable | None = None  # straight-through gradient mask of a clipped latent
+
+
+def _rebuild_eig(result, b):
+    if b is None:
+        raise ValueError("eig reconstruction needs the original matrix")
+    p = result.p_factor
+    return p @ (p.T @ np.asarray(b, dtype=np.float64))
+
+
+# The key order is the ADPT1 backend tag (see deft.store): append, never reorder.
+_KINDS = {
+    "qr": _Kind(lambda b, bk, seed: qr_decompose(b),
+                lambda res, b: res.p_factor @ res.aux["r_tri"],
+                {"r_tri": "rtri"}, intrinsic_rank=True),
+    "tsvd": _Kind(lambda b, bk, seed: truncated_svd(b, bk.rank),
+                  lambda res, b: res.p_factor @ (res.aux["s"][:, None] * res.aux["v"].T),
+                  {"s": "s", "v": "v"}),
+    "lrmf": _Kind(lambda b, bk, seed: lrmf_decompose(b, bk.rank),
+                  lambda res, b: res.p_factor @ (np.sqrt(res.aux["s"])[:, None] * res.aux["v"].T),
+                  {"s": "s", "v": "v"}),
+    "nmf": _Kind(lambda b, bk, seed: nmf_decompose(b, bk.rank, bk.nmf_iters, bk.nmf_tol, seed),
+                 lambda res, b: res.p_factor @ res.aux["h"], {"h": "h", "err_trace": "errtrace"}),
+    "eig": _Kind(lambda b, bk, seed: eig_project(b, bk.rank), _rebuild_eig, {"lambda": "lam"}),
+    "relax": _Kind(lambda b, bk, seed: relax(b), lambda res, b: res.p_factor.copy(), {},
+                   intrinsic_rank=True),
+    "relax_nmf": _Kind(lambda b, bk, seed: relax(b, nonneg=True),
+                       lambda res, b: res.p_factor.copy(), {},
+                       intrinsic_rank=True, ste_mask=lambda latent: latent > 0.0),
+}
+KINDS = tuple(_KINDS)
+
+
 def decompose(b, backend, seed=0):
     """Apply `backend` to latent `b`. Deterministic in (b, backend, seed).
 
-    The INTRINSIC_RANK kinds reject a backend.rank other than the latent's
-    column count; the others truncate to backend.rank.
+    A kind with an intrinsic rank rejects a backend.rank other than the
+    latent's column count; the others truncate to backend.rank.
     """
     b = as_matrix(b, "b")
-    k = backend.kind
-    if k in INTRINSIC_RANK and backend.rank != b.shape[1]:
+    kind = _KINDS[backend.kind]
+    if kind.intrinsic_rank and backend.rank != b.shape[1]:
         raise ShapeError(
-            f"{k} backend rank {backend.rank} must equal latent column count {b.shape[1]}"
+            f"{backend.kind} backend rank {backend.rank} must equal latent column count {b.shape[1]}"
         )
-    if k == "qr":
-        return qr_decompose(b)
-    if k == "tsvd":
-        return truncated_svd(b, backend.rank)
-    if k == "lrmf":
-        return lrmf_decompose(b, backend.rank)
-    if k == "nmf":
-        return nmf_decompose(b, backend.rank, iters=backend.nmf_iters, tol=backend.nmf_tol, seed=seed)
-    if k == "eig":
-        return eig_project(b, backend.rank)
-    if k == "relax":
-        return relax(b, nonneg=False)
-    if k == "relax_nmf":
-        return relax(b, nonneg=True)
-    raise ValueError(f"unknown backend kind {k!r}")  # unreachable, Backend validates
+    return kind.factor(b, backend, seed)
 
 
 def reconstruct(result, b=None):
@@ -284,22 +317,4 @@ def reconstruct(result, b=None):
     eig reconstructs by projecting the original matrix and therefore
     needs `b`; every other kind reconstructs from its own factors.
     """
-    k = result.kind
-    p = result.p_factor
-    if k == "qr":
-        return p @ result.aux["r_tri"]
-    if k == "tsvd":
-        s, v = result.aux["s"], result.aux["v"]
-        return p @ (s[:, None] * v.T)
-    if k == "lrmf":
-        s, v = result.aux["s"], result.aux["v"]
-        return p @ (np.sqrt(s)[:, None] * v.T)
-    if k == "nmf":
-        return p @ result.aux["h"]
-    if k == "eig":
-        if b is None:
-            raise ValueError("eig reconstruction needs the original matrix")
-        return p @ (p.T @ np.asarray(b, dtype=np.float64))
-    if k in ("relax", "relax_nmf"):
-        return p.copy()
-    raise ValueError(f"unknown result kind {k!r}")
+    return _KINDS[result.kind].rebuild(result, b)

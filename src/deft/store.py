@@ -65,6 +65,8 @@ from deft.matcore import as_matrix, freeze
 
 MAT_MAGIC = b"MAT1"
 ADPT_MAGIC = b"ADPT1"
+# The ADPT1 header, bytes 0-110 in the table above, as one fixed struct.
+_ADPT_HEADER = struct.Struct("<5sBBQddddQQd32sQ")
 
 CONFIG_KEYS = ("method", "rank", "alpha", "backend", "lr_p", "lr_r",
                "init_stddev", "seed", "nmf_iters", "nmf_tol")
@@ -110,6 +112,25 @@ def save_matrix(m, path):
         f.write(matrix_bytes(m))
 
 
+def _csv_cell(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    return "" if value is None else str(value)
+
+
+def save_csv(path, header, rows):
+    """Write a CSV report: the header, then one line per row, each ending CRLF.
+
+    A float cell is its repr, a bool cell true or false, a None cell empty.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("\r\n".join(lines) + "\r\n")
+
+
 def _parse_matrix(buf, offset, label):
     """Decode one embedded MAT1 blob starting at `offset`; return (matrix, end)."""
     if len(buf) < offset + 20:
@@ -151,22 +172,14 @@ def save_adapter(state, path):
     else:
         backend_tag = KINDS.index(cfg.backend.kind)
         nmf_iters, nmf_tol = cfg.backend.nmf_iters, cfg.backend.nmf_tol
-    parts = [
-        ADPT_MAGIC,
-        struct.pack("<BB", METHODS.index(cfg.method), backend_tag),
-        struct.pack("<Qd", cfg.rank, cfg.alpha),
-        struct.pack("<dd", cfg.lr_p, cfg.lr_r),
-        struct.pack("<dQ", cfg.init_stddev, cfg.seed),
-        struct.pack("<Qd", nmf_iters, nmf_tol),
-        matrix_hash(state.w0),
-    ]
     mats = trainables(state)
-    parts.append(struct.pack("<Q", len(mats)))
+    parts = [_ADPT_HEADER.pack(
+        ADPT_MAGIC, METHODS.index(cfg.method), backend_tag, cfg.rank, cfg.alpha,
+        cfg.lr_p, cfg.lr_r, cfg.init_stddev, cfg.seed, nmf_iters, nmf_tol,
+        matrix_hash(state.w0), len(mats))]
     for name, mat in mats.items():
         raw = name.encode()
-        parts.append(struct.pack("<Q", len(raw)))
-        parts.append(raw)
-        parts.append(matrix_bytes(mat))
+        parts += [struct.pack("<Q", len(raw)), raw, matrix_bytes(mat)]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
@@ -181,21 +194,17 @@ def load_adapter(path, w0):
     with open(path, "rb") as f:
         buf = f.read()
     label = str(path)
-    if len(buf) < 111:
-        raise FormatError(f"{label}: header truncated, need 111 bytes, file has {len(buf)}")
-    if buf[:5] != ADPT_MAGIC:
-        raise FormatError(f"{label}: bad magic {buf[:5]!r}, expected {ADPT_MAGIC!r}")
-    method_tag, backend_tag = struct.unpack_from("<BB", buf, 5)
+    if len(buf) < _ADPT_HEADER.size:
+        raise FormatError(
+            f"{label}: header truncated, need {_ADPT_HEADER.size} bytes, file has {len(buf)}")
+    (magic, method_tag, backend_tag, rank, alpha, lr_p, lr_r, init_stddev, seed,
+     nmf_iters, nmf_tol, stored_hash, count) = _ADPT_HEADER.unpack_from(buf)
+    if magic != ADPT_MAGIC:
+        raise FormatError(f"{label}: bad magic {magic!r}, expected {ADPT_MAGIC!r}")
     if method_tag >= len(METHODS):
         raise FormatError(f"{label}: unsupported method tag {method_tag}")
     if backend_tag >= len(KINDS):
         raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
-    rank, alpha = struct.unpack_from("<Qd", buf, 7)
-    lr_p, lr_r = struct.unpack_from("<dd", buf, 23)
-    init_stddev, seed = struct.unpack_from("<dQ", buf, 39)
-    nmf_iters, nmf_tol = struct.unpack_from("<Qd", buf, 55)
-    stored_hash = buf[71:103]
-    (count,) = struct.unpack_from("<Q", buf, 103)
 
     method = METHODS[method_tag]
     try:
@@ -213,7 +222,7 @@ def load_adapter(path, w0):
             "(stored hash does not match the supplied w0)"
         )
 
-    offset = 111
+    offset = _ADPT_HEADER.size
     sections = {}
     for i in range(count):
         if len(buf) < offset + 8:
@@ -289,21 +298,16 @@ def parse_config(text):
     method = take("method", str)
     rank = take("rank", int)
     backend_kind = take("backend", lambda v: v.replace("-", "_"))
-    nmf_iters = take("nmf_iters", int)
-    nmf_tol = take("nmf_tol", float)
+    nmf_iters = take("nmf_iters", int, Backend.nmf_iters)
+    nmf_tol = take("nmf_tol", float, Backend.nmf_tol)
 
     backend = None
     if backend_kind is not None:
-        kwargs = {}
-        if nmf_iters is not None:
-            kwargs["nmf_iters"] = nmf_iters
-        if nmf_tol is not None:
-            kwargs["nmf_tol"] = nmf_tol
         try:
-            backend = Backend(backend_kind, rank, **kwargs)
+            backend = Backend(backend_kind, rank, nmf_iters, nmf_tol)
         except ValueError as exc:
             raise FormatError(f"bad backend config: {exc}") from exc
-    elif nmf_iters is not None or nmf_tol is not None:
+    elif "nmf_iters" in seen or "nmf_tol" in seen:
         raise FormatError("nmf_iters/nmf_tol given without a backend key")
 
     kwargs = {"method": method, "rank": rank, "backend": backend}

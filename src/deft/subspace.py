@@ -16,12 +16,11 @@ answers are unambiguous.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from deft import adapters
+from deft import adapters, store
 from deft.matcore import as_matrix, frobenius_norm, numerical_rank, unit_exponent
 
 
@@ -171,15 +170,9 @@ def field_summary(field):
     }
 
 
-def field_to_csv(field):
-    """RFC-4180-style CSV: one row per grid point."""
+def field_to_csv(field, path):
+    """Write the field as CSV, one row per grid point (see deft.store.save_csv)."""
     m = field.displacements_full.shape[1]
-    cols = ["x0", "x1"]
-    cols += [f"full_{i}" for i in range(m)]
-    cols += [f"nonneg_{i}" for i in range(m)]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\r\n")
-    for g, df, dn in zip(field.grid_points, field.displacements_full, field.displacements_nonneg):
-        row = [repr(float(v)) for v in (*g, *df, *dn)]
-        buf.write(",".join(row) + "\r\n")
-    return buf.getvalue()
+    cols = ["x0", "x1", *(f"full_{i}" for i in range(m)), *(f"nonneg_{i}" for i in range(m))]
+    store.save_csv(path, cols, ((*g, *df, *dn) for g, df, dn in zip(
+        field.grid_points, field.displacements_full, field.displacements_nonneg)))

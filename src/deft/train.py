@@ -23,14 +23,15 @@ m x m or m x n matrix is ever formed.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from deft import store
 from deft.adapters import check_inputs, forward, init_adapter, projection_factor, trainables
+from deft.decompose import _KINDS
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -161,9 +162,9 @@ def _loss_and_grads(state, x, y, targets):
         c += x.T @ state.r.T
         dr = {"r": pg @ x.T}
     dp = g @ c - y @ pg.T
-    if cfg.backend.kind == "relax_nmf":
-        # subgradient of max(latent, 0): zero at and below the kink
-        dp = dp * (latent > 0.0)
+    mask = _KINDS[cfg.backend.kind].ste_mask
+    if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
+        dp = dp * mask(latent)
     return loss, {p_name: dp, **dr}
 
 
@@ -223,18 +224,11 @@ def run_finetune(w0, cfg, task, steps):
     return report, state
 
 
-def report_to_csv(report):
-    """CSV trace: step, loss, grad norms. The final row has no gradients."""
-    buf = io.StringIO()
-    buf.write("step,loss,grad_norm_p,grad_norm_r\r\n")
-    for i, loss in enumerate(report.losses):
-        if i < len(report.grad_norm_p):
-            gp = repr(report.grad_norm_p[i])
-            gr = repr(report.grad_norm_r[i])
-        else:
-            gp = gr = ""
-        buf.write(f"{i},{loss!r},{gp},{gr}\r\n")
-    return buf.getvalue()
+def report_to_csv(report, path):
+    """Write the CSV trace: step, loss, grad norms. The final row has no gradients."""
+    store.save_csv(path, ("step", "loss", "grad_norm_p", "grad_norm_r"),
+                   zip_longest(range(len(report.losses)), report.losses,
+                               report.grad_norm_p, report.grad_norm_r))
 
 
 def summary_line(report):

@@ -8,6 +8,7 @@ import pytest
 from deft import store
 from deft._jacobi import jacobi_svd
 from deft.cli import main
+from deft.decompose import _KINDS
 from deft.matcore import make_rng
 
 
@@ -87,6 +88,24 @@ class TestDecompose:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {method} produced non-finite entries for f.")
         assert sorted(p.name for p in in_tmp.iterdir()) == ["b.mat"]
+
+    AUX_STEMS = {"qr": ["rtri"], "tsvd": ["s", "v"], "lrmf": ["s", "v"], "nmf": ["h", "errtrace"],
+                 "eig": ["lam"], "relax": [], "relax_nmf": []}
+
+    @pytest.mark.parametrize("kind", AUX_STEMS)
+    def test_writes_the_aux_files_of_its_kind(self, in_tmp, capsys, kind):
+        stems = self.AUX_STEMS[kind]
+        assert list(_KINDS[kind].aux_stems.values()) == stems
+        store.save_matrix(np.abs(make_rng(9).normal(size=(8, 6))), "b.mat")
+        rank = [] if _KINDS[kind].intrinsic_rank else ["--rank", "3"]
+        assert main(["decompose", "--in", "b.mat", "--method", kind.replace("_", "-"),
+                     "--out", "f", *rank]) == 0
+        written = sorted(p.name for p in in_tmp.iterdir() if p.name != "b.mat")
+        assert written == sorted(["f.p.mat", *(f"f.{stem}.mat" for stem in stems)])
+        out = capsys.readouterr().out
+        for name in written:
+            assert f"wrote {name}\n" in out
+            store.load_matrix(name)
 
     @pytest.mark.parametrize("method", ["tsvd", "lrmf"])
     def test_square_input_with_zero_column(self, in_tmp, capsys, method):
@@ -281,12 +300,22 @@ class TestVerify:
         assert dict(zip(header.split(","), row.split(",")))["rank_w0"] == "48"
 
     @pytest.mark.parametrize("backend", ["qr", "relax"])
-    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e-8, 1e300])
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e-8, 1e300, 1e305])
     def test_containment_at_any_w0_scale(self, in_tmp, capsys, scale, backend):
         store.save_matrix(scale * make_rng(3).normal(size=(64, 48)), "w0.mat")
         assert main(["verify", "--w0", "w0.mat", "--backend", backend, "--out", "v.csv"]) == 0
         out = capsys.readouterr().out
         assert "PASS: 3 trials" in out and "containment=false" not in out
+
+    @pytest.mark.parametrize("backend", ["qr", "relax"])
+    def test_w0_too_large_fails_closed(self, in_tmp, capsys, backend):
+        # at 1e307, W0's Frobenius norm (qr) and the merged weight (relax) overflow
+        store.save_matrix(1e307 * make_rng(3).normal(size=(64, 48)), "w0.mat")
+        assert main(["verify", "--w0", "w0.mat", "--backend", backend, "--out", "v.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: W0's scale is out of range for verify (max |entry| 4.")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]
 
     def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)

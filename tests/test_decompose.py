@@ -204,6 +204,17 @@ class TestNmf:
         err = res.aux["err_trace"][-1]
         assert abs(err - frobenius_norm(clamped - res.p_factor @ res.aux["h"])) < 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-9, 1e9, 1e150])
+    def test_result_does_not_depend_on_scale(self, scale):
+        # an absolute guard in the updates used to swamp inputs below ~1e-8
+        b = np.abs(make_rng(19).normal(size=(12, 8)))
+        ref = nmf_decompose(b, 3)
+        res = nmf_decompose(scale * b, 3)
+        assert len(res.aux["err_trace"]) == len(ref.aux["err_trace"])
+        np.testing.assert_allclose(res.aux["err_trace"] / scale, ref.aux["err_trace"], rtol=1e-8)
+        np.testing.assert_allclose(res.p_factor @ res.aux["h"] / scale,
+                                   ref.p_factor @ ref.aux["h"], rtol=1e-8)
+
     def test_determinism(self):
         b = make_rng(18).uniform(0.0, 1.0, size=(7, 6))
         r1 = nmf_decompose(b, 3, iters=40, seed=5)

@@ -184,12 +184,12 @@ class TestGridAndField:
 
 
 class TestCsv:
-    def test_field_csv_layout(self):
+    def test_field_csv_layout(self, tmp_path):
         state = init_adapter(
             make_rng(20).normal(size=(3, 2)), AdapterConfig("para", 1, init_stddev=0.3)
         )
-        text = field_to_csv(displacement_field(state, n=2))
-        lines = text.split("\r\n")
+        field_to_csv(displacement_field(state, n=2), tmp_path / "field.csv")
+        lines = (tmp_path / "field.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == "x0,x1,full_0,full_1,full_2,nonneg_0,nonneg_1,nonneg_2"
         assert len(lines) == 6 and lines[-1] == ""  # header + 4 points + trailing newline
         # values survive a parse round trip exactly

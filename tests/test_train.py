@@ -341,9 +341,9 @@ class TestReporting:
         task = make_teacher_shift_task(w0, seed=45, input_scale=8.0)
         return run_finetune(w0, cfg, task, steps=3)[0]
 
-    def test_csv_layout(self):
-        text = report_to_csv(self.make_report())
-        lines = text.split("\r\n")
+    def test_csv_layout(self, tmp_path):
+        report_to_csv(self.make_report(), tmp_path / "report.csv")
+        lines = (tmp_path / "report.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == "step,loss,grad_norm_p,grad_norm_r"
         assert len(lines) == 6  # header + 4 loss rows + trailing newline
         assert lines[-1] == ""
