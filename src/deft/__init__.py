@@ -11,6 +11,7 @@ from deft.adapters import (
     AdapterState,
     ConfigError,
     METHODS,
+    config_from_fields,
     forward,
     init_adapter,
     merge,
@@ -25,7 +26,6 @@ from deft.decompose import (
     KINDS,
     decompose,
     eig_project,
-    full_svd_oracle,
     lrmf_decompose,
     nmf_decompose,
     qr_decompose,
@@ -78,8 +78,8 @@ __all__ = [
     "DecompositionResult", "DisplacementField", "DivergenceError",
     "FormatError", "KINDS", "METHODS", "PairingError", "ShapeError",
     "SubspaceReport", "ToyTask", "TrainReport",
-    "check_containment", "decompose", "displacement_field", "eig_project",
-    "forward", "frobenius_norm", "full_svd_oracle", "gaussian", "grad",
+    "check_containment", "config_from_fields", "decompose", "displacement_field", "eig_project",
+    "forward", "frobenius_norm", "gaussian", "grad",
     "init_adapter", "load_adapter", "load_matrix", "loss_mse",
     "lrmf_decompose", "make_rng", "make_teacher_noise_task",
     "make_teacher_shift_task", "matrix_hash", "merge",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deft.decompose import Backend, DecompositionResult, decompose
+from deft.decompose import Backend, ConfigError, DecompositionResult, decompose
 from deft.matcore import ShapeError, as_matrix, freeze, gaussian, make_rng
 
 # method -> (name, rows, cols) per trainable in storage order, over an m x n
@@ -45,10 +45,6 @@ _TRAINABLES = {
 }
 # The order is the ADPT1 method tag (see deft.store): append, never reorder.
 METHODS = tuple(_TRAINABLES)
-
-
-class ConfigError(ValueError):
-    """Invalid adapter configuration."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,22 @@ class AdapterConfig:
             raise ConfigError(f"init_stddev must be >= 0, got {self.init_stddev}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def config_from_fields(method, rank, backend=None, nmf_iters=None, nmf_tol=None, **rest):
+    """AdapterConfig from the flat fields of a config file, ADPT1 header or adapt-init.
+
+    backend is a kind name; rest holds alpha, lr_p, lr_r, init_stddev and seed.
+    A None field takes its default, the nmf knobs need a backend, and every
+    rejection is a ConfigError.
+    """
+    knobs = {k: v for k, v in (("nmf_iters", nmf_iters), ("nmf_tol", nmf_tol)) if v is not None}
+    if backend is not None:
+        backend = Backend(backend, rank, **knobs)
+    elif knobs:
+        raise ConfigError("nmf_iters/nmf_tol given without a backend")
+    return AdapterConfig(method, rank, backend=backend,
+                         **{k: v for k, v in rest.items() if v is not None})
 
 
 @dataclass

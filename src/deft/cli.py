@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import statistics
@@ -28,21 +29,18 @@ import numpy as np
 
 from deft import adapters, store, subspace, train
 from deft._jacobi import ConvergenceError
-from deft.adapters import METHODS, AdapterConfig, ConfigError
+from deft.adapters import METHODS, ConfigError, config_from_fields
 from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
 from deft.matcore import ShapeError, frobenius_norm, gaussian, make_rng, numerical_rank, rel_error
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
-_BACKEND_CHOICES = tuple(k.replace("_", "-") for k in KINDS)
+_BACKEND_CHOICES = tuple(k.replace("_", "-") for k in KINDS)  # how the CLI prints the kinds
+_KIND_HELP = f"one of {', '.join(_BACKEND_CHOICES)}; '_' may replace '-'"
 
 
 class UsageError(ValueError):
     pass
-
-
-def _norm_kind(name):
-    return name.replace("-", "_")
 
 
 def _resolve_seed(value):
@@ -108,11 +106,11 @@ def _warning_lines():
 
 def cmd_decompose(args):
     b = store.load_matrix(args.infile)
-    kind = _norm_kind(args.method)
-    rank = args.rank  # checked against b's shape by the backend (ShapeError, exit 2)
-    if rank is None:
-        rank = b.shape[1] if _KINDS[kind].intrinsic_rank else min(b.shape)
-    backend = Backend(kind, rank, args.nmf_iters, args.nmf_tol)
+    # a given rank is checked against b's shape by the backend (ShapeError, exit 2)
+    backend = Backend(args.method, args.rank or min(b.shape), args.nmf_iters, args.nmf_tol)
+    kind = _KINDS[backend.kind]
+    if args.rank is None and kind.intrinsic_rank:
+        backend = dataclasses.replace(backend, rank=b.shape[1])
     seed = _resolve_seed(args.seed)
 
     t0 = time.perf_counter()
@@ -121,7 +119,7 @@ def cmd_decompose(args):
 
     out = args.out
     outputs = {f"{out}.p.mat": result.p_factor}
-    for key, stem in _KINDS[kind].aux_stems.items():
+    for key, stem in kind.aux_stems.items():
         arr = np.asarray(result.aux[key])
         outputs[f"{out}.{stem}.mat"] = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     for path, arr in outputs.items():  # all checked before any is written
@@ -132,7 +130,7 @@ def cmd_decompose(args):
     for path, arr in outputs.items():
         store.save_matrix(arr, path)
         _wrote(path)
-    print(f"method={args.method} rank={rank} reconstruction_error={err:.6e} "
+    print(f"method={args.method} rank={backend.rank} reconstruction_error={err:.6e} "
           f"time_ms={elapsed_ms:.3f}")
     if result.notes:
         print(f"notes={','.join(result.notes)}")
@@ -141,14 +139,10 @@ def cmd_decompose(args):
 
 def cmd_adapt_init(args):
     w0 = store.load_matrix(args.w0)
-    seed = _resolve_seed(args.seed)
-    backend = None
-    if args.backend is not None:
-        backend = Backend(_norm_kind(args.backend), args.rank, args.nmf_iters, args.nmf_tol)
-    cfg = AdapterConfig(
-        method=args.method, rank=args.rank, alpha=args.alpha, backend=backend,
-        lr_p=args.lr_p, lr_r=args.lr_r, init_stddev=args.init_stddev, seed=seed,
-    )
+    cfg = config_from_fields(
+        args.method, args.rank, args.backend, args.nmf_iters, args.nmf_tol, alpha=args.alpha,
+        lr_p=args.lr_p, lr_r=args.lr_r, init_stddev=args.init_stddev,
+        seed=_resolve_seed(args.seed))
     state = adapters.init_adapter(w0, cfg)
     store.save_adapter(state, args.out)
     _wrote(args.out)
@@ -197,7 +191,6 @@ def _extension_witness_ok():
 
 def cmd_verify(args):
     seed = _resolve_seed(args.seed)
-    kind = _norm_kind(args.backend)
     w0_fixed = store.load_matrix(args.w0) if args.w0 is not None else None
     witness_ok = _extension_witness_ok()  # a fixed instance: one check serves every trial
 
@@ -212,8 +205,7 @@ def cmd_verify(args):
         q_orth, _ = np.linalg.qr(gaussian(rng, m, rank, 1.0))
 
         # a freshly trained-looking adapter state
-        cfg = AdapterConfig(method="deft", rank=rank, backend=Backend(kind, rank),
-                            init_stddev=0.5, seed=trial_seed)
+        cfg = config_from_fields("deft", rank, args.backend, init_stddev=0.5, seed=trial_seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
@@ -274,8 +266,7 @@ def cmd_displacement(args):
         # default probe: a small seeded deft state, arbitrary but reproducible
         rng = make_rng(seed)
         w0 = gaussian(rng, 2, 2, 1.0)
-        cfg = AdapterConfig(method="deft", rank=1, backend=Backend("relax", 1),
-                            init_stddev=0.5, seed=seed)
+        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.5, seed=seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, 1, 2, 1.0)
 
@@ -290,15 +281,12 @@ def cmd_displacement(args):
 def cmd_bench(args):
     seed = _resolve_seed(args.seed)
     kinds = [k.strip() for k in args.backends.split(",") if k.strip()]
-    for k in kinds:
-        if k not in _BACKEND_CHOICES:
-            raise UsageError(f"unknown backend {k!r}, expected one of {_BACKEND_CHOICES}")
+    backends = [Backend(k, args.rank) for k in kinds]  # an unknown kind exits 2 before any timing
     rng = make_rng(seed)
     latent = gaussian(rng, args.dim, args.rank, 1.0)
 
     results = []
-    for k in kinds:
-        backend = Backend(_norm_kind(k), args.rank)
+    for k, backend in zip(kinds, backends):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf clamp warning is expected on a signed latent
             run_decompose(latent, backend, seed=seed)  # warm-up
@@ -317,7 +305,7 @@ def cmd_bench(args):
 
 
 def cmd_param_count(args):
-    cfg = AdapterConfig(method=args.method, rank=args.rank)
+    cfg = config_from_fields(args.method, args.rank)
     count = adapters.param_count(cfg, args.m, args.n)
     print(f"method={args.method} rank={args.rank} m={args.m} n={args.n} params={count}")
     return 0
@@ -336,7 +324,7 @@ def _build_parser():
 
     p = sub.add_parser("decompose", help="factor a MAT1 matrix with one backend")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", required=True, choices=_BACKEND_CHOICES)
+    p.add_argument("--method", required=True, help=_KIND_HELP)
     p.add_argument("--rank", type=_positive_int, default=None)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--nmf-iters", type=_positive_int, default=Backend.nmf_iters)
@@ -348,13 +336,14 @@ def _build_parser():
     p.add_argument("--w0", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--alpha", type=_finite_float, default=None)
-    p.add_argument("--backend", choices=_BACKEND_CHOICES, default=None)
-    p.add_argument("--lr-p", type=_finite_float, default=1e-3)
-    p.add_argument("--lr-r", type=_finite_float, default=1e-2)
-    p.add_argument("--init-stddev", type=_nonneg_float, default=0.01)
-    p.add_argument("--nmf-iters", type=_positive_int, default=Backend.nmf_iters)
-    p.add_argument("--nmf-tol", type=_nonneg_float, default=Backend.nmf_tol)
+    # unset flags take AdapterConfig's and Backend's defaults; the nmf knobs need --backend
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--backend", help=_KIND_HELP)
+    p.add_argument("--lr-p", type=_finite_float)
+    p.add_argument("--lr-r", type=_finite_float)
+    p.add_argument("--init-stddev", type=_nonneg_float)
+    p.add_argument("--nmf-iters", type=_positive_int)
+    p.add_argument("--nmf-tol", type=_nonneg_float)
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_adapt_init)
@@ -376,7 +365,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run the column-space property suite")
     p.add_argument("--w0", default=None, help="MAT1 base weight (default: seeded random 64x48)")
     p.add_argument("--rank", type=_positive_int, default=8)
-    p.add_argument("--backend", choices=_BACKEND_CHOICES, default="qr")
+    p.add_argument("--backend", default="qr", help=_KIND_HELP)
     p.add_argument("--trials", type=_positive_int, default=3)
     p.add_argument("--out", default="verify_report.csv")
     add_seed(p)

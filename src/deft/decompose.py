@@ -1,5 +1,5 @@
 """Factorization backends that turn a trainable latent matrix into a
-projection factor, plus a high-accuracy SVD oracle.
+projection factor.
 
 Every backend maps an m x r latent (or an arbitrary matrix plus a target
 rank) to a ``DecompositionResult`` whose ``p_factor`` is m x r. Backends
@@ -24,8 +24,12 @@ deliberately do not, and nothing downstream may assume it for them.
 dispatch, reconstruction, CLI output files and training gradient read it.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
-``deft._jacobi`` (see ``full_svd_oracle`` for why). eig reads its factor off
-LAPACK's thin SVD, and rank counting (``deft.matcore.numerical_rank``) uses
+``deft._jacobi``, not LAPACK's: its factors are accurate to a few ulps on
+strongly rank-deficient latents and are the same bits on every platform,
+so tsvd/lrmf outputs do not drift with the LAPACK build. It is also what
+acceptance check c10 times: a LAPACK thin SVD of a 3072 x 8 latent would
+beat nmf and invert that speed ordering. eig reads its factor off LAPACK's
+thin SVD, and rank counting (``deft.matcore.numerical_rank``) uses
 LAPACK's singular values, which only need to be accurate relative to a
 cutoff.
 """
@@ -50,11 +54,16 @@ from deft.matcore import ShapeError, as_matrix, make_rng, unit_exponent
 PER_STEP_NMF_ITERS = 15
 
 
+class ConfigError(ValueError):
+    """Invalid adapter or backend configuration."""
+
+
 @dataclass(frozen=True)
 class Backend:
     """Selects a factorization and its hyperparameters.
 
-    rank is the number of columns of the factor the backend produces; for
+    kind may use ``-`` for ``_``; the ``_`` form is stored. rank is the
+    number of columns of the factor the backend produces; for
     qr/relax/relax_nmf it must equal the latent's column count.
     """
 
@@ -64,43 +73,23 @@ class Backend:
     nmf_tol: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", self.kind.replace("-", "_"))
         if self.kind not in KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}, expected one of {KINDS}")
+            raise ConfigError(f"unknown backend kind {self.kind!r}, expected one of {KINDS}")
         if self.rank < 1:
-            raise ValueError(f"backend rank must be >= 1, got {self.rank}")
+            raise ConfigError(f"backend rank must be >= 1, got {self.rank}")
         if self.nmf_iters < 1:
-            raise ValueError(f"nmf_iters must be >= 1, got {self.nmf_iters}")
+            raise ConfigError(f"nmf_iters must be >= 1, got {self.nmf_iters}")
         if not 0 <= self.nmf_tol < math.inf:
-            raise ValueError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
+            raise ConfigError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
     kind: str
-    rank: int
     p_factor: np.ndarray
     aux: dict = field(default_factory=dict)
     notes: tuple = ()
-
-
-def full_svd_oracle(a):
-    """Thin SVD ``a = u @ diag(s) @ v.T`` at near-machine accuracy.
-
-    This is the Jacobi SVD, not LAPACK's: its factors are accurate to a few
-    ulps on strongly rank-deficient latents and are the same bits on every
-    platform, so tsvd/lrmf outputs do not drift with the LAPACK build. It is
-    also what acceptance check c10 times: a LAPACK thin SVD of a 3072 x 8
-    latent would beat nmf and invert that speed ordering.
-
-    Returns
-    -------
-    (u, s, v)
-        u: m x k, v: n x k with orthonormal columns (k = min(m, n)),
-        s: 1-D, sorted non-increasing. Note v is returned untransposed,
-        unlike ``numpy.linalg.svd``.
-    """
-    a = as_matrix(a, "a")
-    return jacobi_svd(a, tol=1e-13)
 
 
 def qr_decompose(b):
@@ -127,16 +116,16 @@ def qr_decompose(b):
     notes = ()
     if scale == 0.0 or (diag <= 1e-12 * scale).any():
         notes = ("degenerate_columns",)
-    return DecompositionResult("qr", r, q, {"r_tri": r_tri}, notes)
+    return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
 def truncated_svd(b, r):
-    """Best rank-r approximation factors of `b` via the full SVD oracle."""
+    """Best rank-r approximation factors of `b` via the Jacobi SVD."""
     b = as_matrix(b, "b")
     if not 1 <= r <= min(b.shape):
         raise ShapeError(f"rank {r} out of range for shape {b.shape}")
-    u, s, v = full_svd_oracle(b)
-    return DecompositionResult("tsvd", r, u[:, :r].copy(), {"s": s[:r].copy(), "v": v[:, :r].copy()})
+    u, s, v = jacobi_svd(b)
+    return DecompositionResult("tsvd", u[:, :r].copy(), {"s": s[:r].copy(), "v": v[:, :r].copy()})
 
 
 def lrmf_decompose(b, r):
@@ -148,12 +137,12 @@ def lrmf_decompose(b, r):
     b = as_matrix(b, "b")
     if not 1 <= r <= min(b.shape):
         raise ShapeError(f"rank {r} out of range for shape {b.shape}")
-    u, s, v = full_svd_oracle(b)
+    u, s, v = jacobi_svd(b)
     s_r = s[:r]
     p = u[:, :r] * np.sqrt(s_r)
     cutoff = 1e-12 * s[0] if s.size else 0.0
     notes = ("zero_singular_columns",) if (s_r <= cutoff).any() else ()
-    return DecompositionResult("lrmf", r, p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes)
+    return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes)
 
 
 def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
@@ -170,9 +159,10 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
     measured before each update round plus once after the last.
 
     The updates guard each denominator with an absolute 1e-12, which would
-    swamp small data. An input whose largest entry is below 2**-10 is
-    factored at unit scale, times an even power of two 4**-k; W and H are
-    scaled back by 2**k each and err_trace by 4**k.
+    swamp small data, and the squared norm of an input with entries near
+    1e154 overflows. An input whose largest entry is below 2**-10 or at
+    least 2**500 is factored at unit scale, times an even power of two
+    4**-k; W and H are scaled back by 2**k each and err_trace by 4**k.
     """
     b = as_matrix(b, "b")
     m, n = b.shape
@@ -185,14 +175,14 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
         warnings.warn("nmf input has negative entries; clamping to zero", stacklevel=2)
         b = np.maximum(b, 0.0)
         notes = ("clamped_negative_input",)
-    half = unit_exponent(b) // 2 if b.max() < 2.0**-10 else 0
+    half = 0 if 2.0**-10 <= b.max() < 2.0**500 else unit_exponent(b) // 2
     if half:
         b = np.ldexp(b, -2 * half)
 
     mean = float(b.mean())
     if mean == 0.0:  # all-zero input factorizes exactly as zero
         zero_aux = {"h": np.zeros((r, n)), "err_trace": np.zeros(1)}
-        return DecompositionResult("nmf", r, np.zeros((m, r)), zero_aux, notes)
+        return DecompositionResult("nmf", np.zeros((m, r)), zero_aux, notes)
 
     rng = make_rng(seed)
     scale = np.sqrt(mean / r)
@@ -225,7 +215,7 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
     if half:  # back to the input's scale
         w, h, trace = np.ldexp(w, half), np.ldexp(h, half), np.ldexp(trace, 2 * half)
     aux = {"h": h, "err_trace": np.asarray(trace)}
-    return DecompositionResult("nmf", r, w, aux, notes)
+    return DecompositionResult("nmf", w, aux, notes)
 
 
 def eig_project(b, r):
@@ -241,7 +231,7 @@ def eig_project(b, r):
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     p = np.ascontiguousarray(u[:, :r])
     _fix_signs(p, None)
-    return DecompositionResult("eig", r, p, {"lambda": s[:r] ** 2})
+    return DecompositionResult("eig", p, {"lambda": s[:r] ** 2})
 
 
 def relax(b, nonneg=False):
@@ -252,7 +242,7 @@ def relax(b, nonneg=False):
     b = as_matrix(b, "b")
     p = np.maximum(b, 0.0) if nonneg else b.copy()
     kind = "relax_nmf" if nonneg else "relax"
-    return DecompositionResult(kind, b.shape[1], p)
+    return DecompositionResult(kind, p)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,13 @@ adapter trainables are meaningless away from the exact weights they were
 trained against.
 
 Config files are UTF-8 text, one ``key = value`` per line; blank lines and
-lines starting with ``#`` are ignored. Keys mirror AdapterConfig: method,
-rank, alpha, backend, lr_p, lr_r, init_stddev, seed, nmf_iters, nmf_tol.
-Unknown or duplicate keys are errors.
+lines starting with ``#`` are ignored. The keys are the ten flat fields of
+an adapter (``CONFIG_KEYS``): method, rank, alpha, backend, lr_p, lr_r,
+init_stddev, seed, nmf_iters, nmf_tol. Unknown or duplicate keys are
+errors. A config file, an ADPT1 header and ``deft adapt-init`` flags all
+become an AdapterConfig through ``adapters.config_from_fields``, so one
+rule holds for all three: nmf_iters and nmf_tol need a backend, and a
+backend kind may be spelled with ``-`` or ``_``.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ import struct
 
 import numpy as np
 
-from deft.adapters import METHODS, AdapterConfig, AdapterState, trainable_shapes, trainables
-from deft.decompose import KINDS, Backend
+from deft.adapters import (METHODS, AdapterState, ConfigError, config_from_fields,
+                           trainable_shapes, trainables)
+from deft.decompose import KINDS
 from deft.matcore import as_matrix, freeze
 
 MAT_MAGIC = b"MAT1"
@@ -68,8 +73,11 @@ ADPT_MAGIC = b"ADPT1"
 # The ADPT1 header, bytes 0-110 in the table above, as one fixed struct.
 _ADPT_HEADER = struct.Struct("<5sBBQddddQQd32sQ")
 
-CONFIG_KEYS = ("method", "rank", "alpha", "backend", "lr_p", "lr_r",
-               "init_stddev", "seed", "nmf_iters", "nmf_tol")
+# config key -> the type its value text converts to
+_CONFIG_TYPES = {"method": str, "rank": int, "alpha": float, "backend": str, "lr_p": float,
+                 "lr_r": float, "init_stddev": float, "seed": int, "nmf_iters": int,
+                 "nmf_tol": float}
+CONFIG_KEYS = tuple(_CONFIG_TYPES)
 
 
 class FormatError(ValueError):
@@ -207,12 +215,12 @@ def load_adapter(path, w0):
         raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
 
     method = METHODS[method_tag]
+    backend = {} if method == "lora" else dict(  # lora stores zero backend fields
+        backend=KINDS[backend_tag], nmf_iters=nmf_iters, nmf_tol=nmf_tol)
     try:
-        backend = None if method == "lora" else Backend(  # lora stores zero backend fields
-            KINDS[backend_tag], rank, nmf_iters=nmf_iters, nmf_tol=nmf_tol)
-        cfg = AdapterConfig(method=method, rank=rank, alpha=alpha, backend=backend,
-                            lr_p=lr_p, lr_r=lr_r, init_stddev=init_stddev, seed=seed)
-    except ValueError as exc:
+        cfg = config_from_fields(method, rank, alpha=alpha, lr_p=lr_p, lr_r=lr_r,
+                                 init_stddev=init_stddev, seed=seed, **backend)
+    except ConfigError as exc:
         raise FormatError(f"{label}: invalid stored config: {exc}") from exc
 
     w0 = freeze(as_matrix(w0, "w0"))
@@ -261,10 +269,10 @@ def load_adapter(path, w0):
 def parse_config(text):
     """Parse ``key = value`` config text into an AdapterConfig.
 
-    Unknown keys, duplicate keys and malformed lines fail fast. Backend
-    names accept hyphens interchangeably with underscores.
+    Unknown keys, duplicate keys, malformed lines and values that do not
+    convert fail fast; the fields then go through config_from_fields.
     """
-    seen = {}
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -274,54 +282,23 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in fields:
             raise FormatError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise FormatError(f"line {lineno}: empty value for {key!r}")
-        seen[key] = (lineno, value)
+        try:
+            fields[key] = _CONFIG_TYPES[key](value)
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad value for {key!r}: {value!r}") from None
 
     for req in ("method", "rank"):
-        if req not in seen:
+        if req not in fields:
             raise FormatError(f"missing required config key {req!r}")
-
-    def take(key, conv, default=None):
-        if key not in seen:
-            return default
-        lineno, value = seen[key]
-        try:
-            return conv(value)
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-
-    method = take("method", str)
-    rank = take("rank", int)
-    backend_kind = take("backend", lambda v: v.replace("-", "_"))
-    nmf_iters = take("nmf_iters", int, Backend.nmf_iters)
-    nmf_tol = take("nmf_tol", float, Backend.nmf_tol)
-
-    backend = None
-    if backend_kind is not None:
-        try:
-            backend = Backend(backend_kind, rank, nmf_iters, nmf_tol)
-        except ValueError as exc:
-            raise FormatError(f"bad backend config: {exc}") from exc
-    elif "nmf_iters" in seen or "nmf_tol" in seen:
-        raise FormatError("nmf_iters/nmf_tol given without a backend key")
-
-    kwargs = {"method": method, "rank": rank, "backend": backend}
-    alpha = take("alpha", float)
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    for key, conv in (("lr_p", float), ("lr_r", float),
-                      ("init_stddev", float), ("seed", int)):
-        val = take(key, conv)
-        if val is not None:
-            kwargs[key] = val
     try:
-        return AdapterConfig(**kwargs)
-    except ValueError as exc:
+        return config_from_fields(**fields)
+    except ConfigError as exc:
         raise FormatError(f"invalid config: {exc}") from exc
 
 

@@ -76,9 +76,9 @@ class TestDecompose:
         assert store.load_matrix("w.h.mat").shape == (2, 6)
         assert store.load_matrix("w.errtrace.mat").shape[1] == 1
 
-    @pytest.mark.parametrize("method", ["eig", "nmf"])
+    @pytest.mark.parametrize("method", ["eig"])
     def test_non_finite_factor_fails_closed(self, in_tmp, capsys, method):
-        # at 1e300, eig's lambda = s**2 and nmf's update products overflow
+        # at 1e300, eig's lambda = s**2 overflows
         store.save_matrix(1e300 * make_rng(7).normal(size=(12, 8)), "b.mat")
         assert main(["decompose", "--in", "b.mat", "--method", method,
                      "--rank", "3", "--out", "f"]) == 1
@@ -88,6 +88,19 @@ class TestDecompose:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {method} produced non-finite entries for f.")
         assert sorted(p.name for p in in_tmp.iterdir()) == ["b.mat"]
+
+    def test_nmf_factors_a_huge_input(self, in_tmp, capsys):
+        # the squared norm of a 1e300 input overflows; nmf factors it at unit scale
+        b = make_rng(7).normal(size=(12, 8))
+        errors = []
+        for name, scale in (("unit", 1.0), ("huge", 1e300)):
+            store.save_matrix(scale * b, f"{name}.mat")
+            assert main(["decompose", "--in", f"{name}.mat", "--method", "nmf",
+                         "--rank", "3", "--out", name]) == 0
+            errors.append(float(capsys.readouterr().out.split("reconstruction_error=")[1].split()[0]))
+        for stem in ("p", "h", "errtrace"):
+            assert np.isfinite(store.load_matrix(f"huge.{stem}.mat")).all()
+        assert errors[1] == pytest.approx(errors[0], rel=1e-5)
 
     AUX_STEMS = {"qr": ["rtri"], "tsvd": ["s", "v"], "lrmf": ["s", "v"], "nmf": ["h", "errtrace"],
                  "eig": ["lam"], "relax": [], "relax_nmf": []}

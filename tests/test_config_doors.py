@@ -1,0 +1,204 @@
+"""The three doors into an adapter configuration build the same AdapterConfig.
+
+A config file (`parse_config`, `deft train --config`), the `deft adapt-init`
+flags and an ADPT1 header carry the same flat fields. For every generated
+valid field set the three must give one config; for every generated invalid
+set each door must fail closed and write nothing. Runs are derandomized and
+bounded so the suite stays deterministic and fast.
+"""
+
+import contextlib
+import io
+import math
+import os
+import struct
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from deft import store
+from deft.adapters import METHODS, config_from_fields, init_adapter
+from deft.cli import main
+from deft.decompose import KINDS
+from deft.matcore import make_rng
+from deft.store import FormatError, load_adapter, parse_config, save_adapter
+
+DOORS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+W0 = make_rng(3).normal(size=(8, 6))
+
+# flag of each optional field; method and rank are always given
+FLAGS = {"backend": "--backend", "nmf_iters": "--nmf-iters", "nmf_tol": "--nmf-tol",
+         "alpha": "--alpha", "lr_p": "--lr-p", "lr_r": "--lr-r",
+         "init_stddev": "--init-stddev", "seed": "--seed"}
+
+
+@st.composite
+def valid_fields(draw):
+    """A valid flat field set; a key left out takes its default."""
+    fields = {"method": draw(st.sampled_from(METHODS)), "rank": draw(st.integers(1, 4))}
+    optional = {
+        "alpha": st.floats(1e-3, 1e3),
+        "lr_p": st.floats(1e-6, 1e-2),  # at most lr_r's default
+        "lr_r": st.floats(1e-2, 1.0),  # at least lr_p's default
+        "init_stddev": st.floats(0.0, 1.0),
+        "seed": st.integers(0, 2**32),
+    }
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(KINDS))
+        fields["backend"] = kind.replace("_", "-") if draw(st.booleans()) else kind
+        optional.update(nmf_iters=st.integers(1, 50), nmf_tol=st.floats(0.0, 1e-2))
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            fields[key] = draw(values)
+    return fields
+
+
+@st.composite
+def invalid_fields(draw):
+    """A valid field set with one defect; returns (fields, defect)."""
+    fields = draw(valid_fields())
+    defect = draw(st.sampled_from(("knobs_without_backend", "lr_r_below_lr_p",
+                                   "unknown_kind", "non_finite")))
+    if defect == "knobs_without_backend":
+        fields.pop("backend", None)
+        fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
+    elif defect == "lr_r_below_lr_p":
+        fields.update(lr_p=0.5, lr_r=0.1)
+    elif defect == "unknown_kind":
+        fields["backend"] = draw(st.sampled_from(("cholesky", "relax__nmf", "QR")))
+    else:
+        key = draw(st.sampled_from(("alpha", "lr_p", "lr_r", "init_stddev", "nmf_tol")))
+        if key == "nmf_tol":
+            fields.setdefault("backend", "nmf")
+        fields[key] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return fields, defect
+
+
+def config_text(fields):
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                   for key, value in fields.items())
+
+
+def adapt_init_argv(fields):
+    argv = ["adapt-init", "--w0", "w0.mat", "--method", fields["method"],
+            "--rank", str(fields["rank"]), "--out", "a.adpt"]
+    for key, flag in FLAGS.items():
+        if key in fields:
+            value = fields[key]
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+def header_bytes(fields):
+    """An ADPT1 header, written field by field, holding `fields` and no sections."""
+    method_tag = METHODS.index(fields["method"])
+    kind = fields.get("backend", "qr").replace("-", "_")
+    backend_tag = KINDS.index(kind) if kind in KINDS else len(KINDS)
+    return b"ADPT1" + struct.pack(
+        "<BBQddddQQd", method_tag, backend_tag, fields["rank"],
+        fields.get("alpha", float(fields["rank"])), fields.get("lr_p", 1e-3),
+        fields.get("lr_r", 1e-2), fields.get("init_stddev", 0.01), fields.get("seed", 0),
+        fields.get("nmf_iters", 15), fields.get("nmf_tol", 1e-6),
+    ) + store.matrix_hash(W0) + struct.pack("<Q", 0)
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("doors")
+    store.save_matrix(W0, path / "w0.mat")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(path)
+        mp.delenv("DEFT_SEED", raising=False)
+        yield path
+
+
+@DOORS
+@given(fields=valid_fields())
+@example(fields={"method": "deft", "rank": 2, "backend": "relax_nmf", "nmf_iters": 5})
+@example(fields={"method": "para", "rank": 3, "backend": "relax-nmf", "nmf_tol": 1e-4})
+def test_valid_fields_give_one_config_at_every_door(workdir, fields):
+    from_text = parse_config(config_text(fields))
+    assert from_text == config_from_fields(**fields)
+
+    assert run_cli(adapt_init_argv(fields))[0] == 0
+    from_flags = load_adapter("a.adpt", W0).cfg
+    os.remove("a.adpt")
+    assert from_flags == from_text
+
+    save_adapter(init_adapter(W0, from_text), "round.adpt")
+    assert load_adapter("round.adpt", W0).cfg == from_text
+    os.remove("round.adpt")
+
+
+@DOORS
+@given(case=invalid_fields())
+@example(case=({"method": "deft", "rank": 2, "nmf_iters": 5}, "knobs_without_backend"))
+@example(case=({"method": "para", "rank": 2, "lr_p": 0.5, "lr_r": 0.1}, "lr_r_below_lr_p"))
+@example(case=({"method": "deft", "rank": 2, "backend": "cholesky"}, "unknown_kind"))
+@example(case=({"method": "lora", "rank": 2, "alpha": math.inf}, "non_finite"))
+def test_invalid_fields_fail_closed_at_every_door(workdir, case):
+    fields, defect = case
+    with pytest.raises(FormatError, match="invalid config"):
+        parse_config(config_text(fields))
+
+    with open("bad.cfg", "w", encoding="utf-8") as f:
+        f.write(config_text(fields))
+    assert run_cli(["train", "--w0", "w0.mat", "--config", "bad.cfg", "--steps", "1",
+                    "--out", "t"])[0] == 3
+    os.remove("bad.cfg")
+
+    code, err = run_cli(adapt_init_argv(fields))
+    assert code == 2, err
+
+    # an ADPT1 header always holds a backend tag, and lora ignores its nmf fields
+    lora_nmf_tol = fields["method"] == "lora" and not math.isfinite(fields.get("nmf_tol", 0.0))
+    if defect != "knobs_without_backend" and not lora_nmf_tol:
+        with open("bad.adpt", "wb") as f:
+            f.write(header_bytes(fields))
+        with pytest.raises(FormatError, match="invalid stored config|unsupported backend tag"):
+            load_adapter("bad.adpt", W0)
+        os.remove("bad.adpt")
+    assert sorted(os.listdir()) == ["w0.mat"]  # nothing written
+
+
+def test_nmf_knobs_without_backend_exit_2(workdir):
+    code, err = run_cli(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                         "--nmf-iters", "5", "--out", "a.adpt"])
+    assert code == 2
+    assert err == "usage error: nmf_iters/nmf_tol given without a backend\n"
+    assert sorted(os.listdir()) == ["w0.mat"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--in", "w0.mat", "--out", "f", "--method"],
+    ["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2", "--out", "f.adpt",
+     "--backend"],
+    ["verify", "--trials", "1", "--rank", "3", "--out", "f.csv", "--backend"],
+], ids=["decompose", "adapt-init", "verify"])
+def test_kind_flags_take_both_spellings(workdir, argv):
+    outputs = []
+    for spelling in ("relax-nmf", "relax_nmf"):
+        assert run_cli(argv + [spelling])[0] == 0
+        written = sorted(p for p in os.listdir() if p.startswith("f"))
+        outputs.append([(p, open(p, "rb").read()) for p in written])
+        for p in written:
+            os.remove(p)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_bench_takes_both_spellings(workdir):
+    assert run_cli(["bench", "--dim", "8", "--rank", "2", "--iters", "1",
+                    "--backends", "relax-nmf,relax_nmf", "--out", "b.csv"])[0] == 0
+    with open("b.csv", "rb") as f:
+        rows = f.read().decode().split("\r\n")[1:-1]
+    os.remove("b.csv")
+    assert [r.split(",")[0] for r in rows] == ["relax-nmf", "relax_nmf"]
