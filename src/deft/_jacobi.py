@@ -17,9 +17,34 @@ values are scaled back at the end.
 Pairs are visited in round-robin rounds (the all-play-all tournament
 schedule). Every pair still appears exactly once per sweep, but each round's
 pairs are disjoint, so the rotations of a round vectorize across columns.
+
+On small inputs the cost is per round, not per flop, so a round does as few
+numpy calls as it can:
+
+- The schedule is built once per column count and cached. Each round holds
+  one read-only index array of its i columns followed by its j columns in
+  mirrored order, so the partner of position p is at position -1 - p.
+- The working copy g sits on top of the accumulated rotations v in one
+  (m + n) x n array. A round gathers its columns from it once: the first m
+  rows give all the dot products (two einsums), and the whole block is
+  rotated and written back in one step, g and v together.
+- The per-pair scalars are Python floats. Python's + - * / and sqrt round
+  exactly as numpy's do, but ``math.hypot`` differs from ``np.hypot`` in the
+  last bit on some inputs, so hypot stays one numpy call per round.
+- The rotation is ``blk * [c, c mirrored] + blk[:, ::-1] * [-s, s mirrored]``,
+  which is ``c*gi - s*gj`` and ``s*gi + c*gj`` exactly, because x - y is
+  x + (-y) and addition commutes. It runs in place in the gathered block
+  with one temporary: two more block-sized temporaries per round made a
+  3072 x 8 call about twice as slow in a fresh process.
+- A pair at or below `tol` is never rotated, not even by the identity: that
+  would turn a -0.0 into 0.0. A round where only some pairs rotate gathers
+  just their columns for the rotation.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -62,6 +87,21 @@ def _round_robin_rounds(n):
     return rounds
 
 
+@functools.lru_cache(maxsize=None)
+def _schedule(n):
+    """_round_robin_rounds(n), built once per n: one index array per round.
+
+    Each array is ``ia + ja[::-1]`` and read-only: the round's i columns,
+    then its j columns mirrored, so the partner of position p is at -1 - p.
+    """
+    rounds = []
+    for ia, ja in _round_robin_rounds(n):
+        cols = np.concatenate([ia, ja[::-1]])
+        cols.flags.writeable = False
+        rounds.append(cols)
+    return tuple(rounds)
+
+
 def _complete_basis(u, start):
     """Fill u[:, start:] with orthonormal columns via Gram-Schmidt.
 
@@ -86,6 +126,8 @@ def _fix_signs(u, v):
     """Force the largest-magnitude entry of each u column non-negative."""
     idx = np.argmax(np.abs(u), axis=0)
     flip = u[idx, np.arange(u.shape[1])] < 0.0
+    if not flip.any():
+        return
     u[:, flip] *= -1.0
     if v is not None:
         v[:, flip] *= -1.0
@@ -117,56 +159,64 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60):
         return v, s, u
 
     shift = unit_exponent(a)
-    g = a.copy()  # C-ordered even for a transposed view; the order fixes einsum's rounding
-    np.ldexp(g, -shift, out=g)
-    v = np.eye(n)
+    # g (the scaled input) on top of v, so one gather and one write per round serve both.
+    # w and the blocks gathered from it are C-ordered even for a transposed input; the
+    # order fixes einsum's rounding.
+    w = np.empty((m + n, n))
+    np.ldexp(a, -shift, out=w[:m])
+    w[m:] = np.eye(n)
     if n > 1:
-        rounds = _round_robin_rounds(n)
+        rounds = _schedule(n)
         for _ in range(max_sweeps):
             worst = 0.0
-            for ia, ja in rounds:
-                gia = g[:, ia]
-                gja = g[:, ja]
-                alpha = np.einsum("ij,ij->j", gia, gia)
-                gamma = np.einsum("ij,ij->j", gja, gja)
-                beta = np.einsum("ij,ij->j", gia, gja)
-                # sqrt before multiplying: alpha * gamma overflows near 1e308
-                denom = np.sqrt(alpha) * np.sqrt(gamma)
-                live = denom > 0.0
-                if not live.any():
+            for cols in rounds:
+                k = len(cols) // 2
+                blk = w[:, cols]
+                top = blk[:m]
+                norms2 = np.einsum("ij,ij->j", top, top).tolist()
+                betas = np.einsum("ij,ij->j", top[:, :k], top[:, ::-1][:, :k]).tolist()
+                rot, taus = [], []
+                for p in range(k):
+                    alpha, gamma, beta = norms2[p], norms2[-1 - p], betas[p]
+                    # sqrt before multiplying: alpha * gamma overflows near 1e308
+                    denom = math.sqrt(alpha) * math.sqrt(gamma)
+                    if denom > 0.0:
+                        rel = abs(beta) / denom
+                        worst = max(worst, rel)
+                        if rel > tol:
+                            rot.append(p)
+                            # a huge tau overflows to inf, giving t = 0, which is correct
+                            taus.append((gamma - alpha) / (2.0 * beta))
+                if not rot:
                     continue
-                rel = np.zeros_like(beta)
-                rel[live] = np.abs(beta[live]) / denom[live]
-                worst = max(worst, float(rel.max()))
-                rot = rel > tol
-                if not rot.any():
-                    continue
-                ii, jj = ia[rot], ja[rot]
-                ar, gr, br = alpha[rot], gamma[rot], beta[rot]
-                with np.errstate(over="ignore"):  # huge tau degrades to t ~ 0, which is correct
-                    tau = (gr - ar) / (2.0 * br)
-                    t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-                t[tau == 0.0] = 1.0  # equal norms: rotate by 45 degrees
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = c * t
-                gi = g[:, ii].copy()
-                gj = g[:, jj]
-                g[:, ii] = c * gi - s_ * gj
-                g[:, jj] = s_ * gi + c * gj
-                vi = v[:, ii].copy()
-                vj = v[:, jj]
-                v[:, ii] = c * vi - s_ * vj
-                v[:, jj] = s_ * vi + c * vj
+                cs, ss = [], []
+                for tau, h in zip(taus, np.hypot(1.0, taus).tolist()):
+                    if tau == 0.0:
+                        t = 1.0  # equal norms: rotate by 45 degrees
+                    else:
+                        t = (1.0 if tau > 0.0 else -1.0) / (abs(tau) + h)
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    cs.append(c)
+                    ss.append(c * t)
+                if len(rot) < k:
+                    sel = rot + [2 * k - 1 - p for p in reversed(rot)]
+                    blk, cols = blk[:, sel], cols[sel]
+                # each column's partner sits at the mirrored position: c*gi - s*gj, s*gi + c*gj
+                rest = blk[:, ::-1] * ([-s for s in ss] + ss[::-1])
+                blk *= cs + cs[::-1]
+                blk += rest
+                w[:, cols] = blk
             if worst <= tol:
                 break
         else:
             raise ConvergenceError(max_sweeps, worst, tol)
 
+    g = w[:m]
     norms = np.sqrt(np.einsum("ij,ij->j", g, g))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
     g = g[:, order]
-    v = v[:, order]
+    v = w[m:, order]
     u = np.empty((m, n))
     nz = int(np.count_nonzero(norms > 0.0))
     u[:, :nz] = g[:, :nz] / norms[:nz]

@@ -5,10 +5,14 @@ independent oracle, even though the library itself calls it for eig and
 for rank counting.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from deft._jacobi import ConvergenceError, _complete_basis, _round_robin_rounds, jacobi_svd
+from deft import _jacobi
+from deft._jacobi import (ConvergenceError, _complete_basis, _fix_signs, _round_robin_rounds,
+                          _schedule, jacobi_svd)
 from deft.matcore import make_rng
 
 
@@ -133,3 +137,82 @@ def test_sweep_cap_raises_instead_of_returning_unconverged_values(shape):
     assert exc.value.worst > 1e-13
     np.testing.assert_allclose(jacobi_svd(a)[1], np.linalg.svd(a, compute_uv=False),
                                rtol=1e-12)
+
+
+def _golden_corpus():
+    rng = make_rng(2024)
+    # random sets up to 29 x 29 at scales 1e-100..1e100; odd ones low rank,
+    # every fifth with a zero column
+    for k in range(400):
+        m, n = (int(x) for x in rng.integers(1, 30, size=2))
+        if k % 2:
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            a = rng.normal(size=(m, n))
+        a *= 10.0 ** rng.uniform(-100.0, 100.0)
+        if k % 5 == 0:
+            a[:, int(rng.integers(n))] = 0.0
+        yield a
+    for shape in ((32, 4), (64, 8), (1024, 8), (3072, 8)):
+        yield rng.normal(size=shape)
+    b = rng.normal(size=(12, 5))
+    yield b[:, [0, 1, 1, 2, 0, 3, 4]]  # duplicate columns
+    c = rng.normal(size=(9, 6))
+    c[c < -0.5] = -0.0
+    c[:, 2] = -0.0
+    yield c
+    yield rng.normal(size=(5, 17))  # wide
+    d = rng.normal(size=(10, 4))
+    d[:5, 0] = 0.0
+    d[5:, 3] = 0.0
+    yield d  # columns 0 and 3 are orthogonal: the first round rotates only (1, 2)
+
+
+def test_golden_digest_pins_the_bits():
+    # one hash over every factor of the corpus: any change to the rounding of
+    # the sweep loop, however small, shows here
+    h = hashlib.sha256()
+    for a in _golden_corpus():
+        for part in jacobi_svd(a):
+            h.update(repr(part.shape).encode())
+            h.update(part.tobytes())
+    assert h.hexdigest() == "b814bfbe916f4e2cd22e6a4a22070496c7f29707ea4444a0c8982bdacf3316bb"
+
+
+def test_fix_signs_writes_nothing_when_no_column_flips():
+    u = np.array([[1.0, -0.5], [-0.25, 2.0], [-0.0, 0.0]])
+    v = np.array([[-3.0, 1.0], [1.0, -0.0]])
+    u_before, v_before = u.copy(), v.copy()
+    u.flags.writeable = v.flags.writeable = False  # any write would raise
+    _fix_signs(u, v)
+    _fix_signs(u, None)
+    assert u.tobytes() == u_before.tobytes() and v.tobytes() == v_before.tobytes()
+    u.flags.writeable = v.flags.writeable = True
+    u[:, 1] *= -1.0
+    _fix_signs(u, v)
+    assert np.array_equal(u, u_before) and np.array_equal(v[:, 1], -v_before[:, 1])
+
+
+def test_cached_schedule_matches_the_round_robin_and_is_read_only():
+    for n in (2, 3, 6, 9):
+        rounds = _round_robin_rounds(n)
+        cached = _schedule(n)
+        assert len(cached) == len(rounds)
+        for (ia, ja), cols in zip(rounds, cached):
+            # i side, then j side mirrored: each column's partner is at -1 - p
+            assert cols.tolist() == ia.tolist() + ja.tolist()[::-1]
+            with pytest.raises(ValueError):
+                cols[0] = 0
+
+
+def test_schedule_is_built_once_per_column_count(monkeypatch):
+    calls = []
+    build = _jacobi._round_robin_rounds
+    monkeypatch.setattr(_jacobi, "_round_robin_rounds", lambda n: calls.append(n) or build(n))
+    _schedule.cache_clear()
+    a = make_rng(12).normal(size=(10, 5))
+    first = jacobi_svd(a)
+    second = jacobi_svd(a)
+    assert calls == [5]
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
