@@ -9,6 +9,9 @@ of extra matrices, differing in how the effective weight is assembled:
 * deft:  W = w0 - P P^T w0 + P R, subspace removal plus a trainable
   low-rank replacement inside that subspace. R starts at zero, so a fresh
   deft adapter acts exactly like a para adapter with the same latent.
+  Both P terms go through one rank-sized coefficient, and that is how it
+  is computed: W = w0 - P (P^T w0 - R), and W x = y - P (P^T y - R x)
+  with y = w0 x.
 
 For para and deft, the projection factor (Q or P) is produced from a
 trainable latent matrix by a decomposition backend. The factorization is
@@ -198,17 +201,25 @@ def projection_factor(state):
 def _adapted(state, base, x=None):
     """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
 
-    para/deft: base - P P^T base, plus P R x when R is present (deft).
+    para/deft: base - P (P^T base - R x), with R x read as R when x is None
+    and the R term absent for para. Both P terms share one rank x k
+    coefficient, so the only m x k array written is the result: the P
+    product is formed in its own buffer and base is subtracted from it in
+    place. lora: base + (alpha / rank) * b_lo (a x), scaled and added in the
+    product's buffer. The result is always a fresh array, never `base`.
     """
     cfg = state.cfg
     if cfg.method == "lora":
-        scale = cfg.alpha / cfg.rank
-        return base + scale * (state.b_lo @ (state.a if x is None else state.a @ x))
+        out = state.b_lo @ (state.a if x is None else state.a @ x)
+        out *= cfg.alpha / cfg.rank
+        out += base
+        return out
     p = projection_factor(state)
-    out = base - p @ (p.T @ base)
+    z = p.T @ base
     if state.r is not None:
-        out = out + p @ (state.r if x is None else state.r @ x)
-    return out
+        z -= state.r if x is None else state.r @ x
+    out = p @ z
+    return np.subtract(base, out, out=out)
 
 
 def check_inputs(state, x):
@@ -225,7 +236,13 @@ def forward(state, x, base=None):
 
     `base` is the frozen output w0 @ x when the caller already has it (a
     training loop over a fixed batch computes it once); forward then skips
-    the m x n x k product and returns the same bits.
+    the m x n x k product and returns the same bits. The result is a new
+    array; neither x nor base is written.
+
+    x is validated (shape and finiteness) on every call, even in a training
+    loop whose batch was checked once: forward is a public entry point,
+    and the scan costs about half a millisecond on a 1024 x 1024 batch, a
+    small part of a step there.
     """
     x = check_inputs(state, x)
     if base is None:

@@ -89,19 +89,33 @@ class PairingError(ValueError):
 
 
 def _mat_payload(m):
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    head = struct.pack("<QQ", m.shape[0], m.shape[1])
-    return head + m.astype("<f8", copy=False).tobytes(order="C")
+    """The MAT1 payload of `m`: its u64 shape header and its entries as row-major f8 LE."""
+    m = np.ascontiguousarray(m, dtype="<f8")
+    return struct.pack("<QQ", *m.shape), m
 
 
 def matrix_bytes(m):
     """Full MAT1 blob for matrix `m`."""
-    return MAT_MAGIC + _mat_payload(m)
+    head, data = _mat_payload(m)
+    return MAT_MAGIC + head + data.tobytes()
+
+
+def _hash_payload(h, m):
+    head, data = _mat_payload(m)
+    h.update(head)
+    h.update(memoryview(data).cast("B"))
 
 
 def matrix_hash(m):
-    """sha-256 digest (32 bytes) of a matrix's MAT1 payload."""
-    return hashlib.sha256(_mat_payload(m)).digest()
+    """sha-256 digest (32 bytes) of a matrix's MAT1 payload.
+
+    The entries are read from the array's own buffer, so a C-ordered
+    float64 matrix is hashed without a copy; any other layout or dtype is
+    converted once. The digest is that of the payload bytes in any case.
+    """
+    h = hashlib.sha256()
+    _hash_payload(h, m)
+    return h.digest()
 
 
 def state_hash(state):
@@ -109,7 +123,7 @@ def state_hash(state):
     h = hashlib.sha256()
     for name, mat in trainables(state).items():
         h.update(name.encode())
-        h.update(_mat_payload(mat))
+        _hash_payload(h, mat)
     return h.hexdigest()
 
 

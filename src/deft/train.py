@@ -13,12 +13,16 @@ trains at lr_p, its r-side one (the replacement R, or lora's b_lo) at the
 larger lr_r; see :mod:`deft.adapters` for which is which.
 
 A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
-plus a fixed number of passes over the m x k batch. Two things make it so.
-The frozen base output y = w0 @ x is computed once per run, because the
-batch is fixed and w0 never changes; every step's forward pass and
-gradient reuse it. And the gradient products are associated so that each
-has a rank-sized operand, e.g. g @ (y^T P) rather than (g y^T) P, so no
-m x m or m x n matrix is ever formed.
+plus a fixed number of passes over m x k arrays (nine for para and deft,
+seven for lora), and it writes one m x k array, the residual. Three things
+make it so. The frozen base output y = w0 @ x is computed once per run,
+because the batch is fixed and w0 never changes; every step's forward pass
+and gradient reuse it. The residual is forward's fresh output with the
+targets subtracted in place, and the loss scale 2 / (m k) is applied to
+rank-sized products, never to the residual. And the gradient products are
+associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
+with z = P^T y - R x, the rank x k coefficient of the forward pass, rather
+than (g y^T) P, so no m x m or m x n matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -123,9 +127,16 @@ def _mse(diff):
     return float(np.einsum("ij,ij->", diff, diff)) / (m * k)
 
 
+def _residual(state, x, y, targets):
+    """forward(state, x, y) - targets, subtracted in forward's fresh output."""
+    diff = forward(state, x, y)
+    diff -= targets
+    return diff
+
+
 def loss_mse(state, task):
     """Mean squared error of the adapted forward pass against the targets."""
-    return _mse(forward(state, task.inputs) - task.targets)
+    return _mse(_residual(state, task.inputs, None, task.targets))
 
 
 def _batch(state, task):
@@ -138,30 +149,33 @@ def _loss_and_grads(state, x, y, targets):
     """Loss and gradients on a validated batch x whose base output is y = w0 @ x.
 
     Each product has a rank-sized operand, so no m x m or m x n matrix is
-    formed: O(r (m + n) k) for an m x n layer, rank r and batch k.
+    formed: O(r (m + n) k) for an m x n layer, rank r and batch k. The
+    residual is the one m x k array written; the loss scale 2 / (m k) is
+    applied to rank-sized products, never to the residual.
     """
-    diff = forward(state, x, y) - targets
+    diff = _residual(state, x, y, targets)
     loss = _mse(diff)
     m, k = diff.shape
-    g = (2.0 / (m * k)) * diff  # dL/dh
+    scale = 2.0 / (m * k)  # dL/dh = scale * diff
 
     cfg = state.cfg
     if cfg.method == "lora":
-        scale = cfg.alpha / cfg.rank
-        da = scale * ((state.b_lo.T @ g) @ x.T)
-        db = scale * (g @ (x.T @ state.a.T))
+        scale *= cfg.alpha / cfg.rank
+        da = scale * ((state.b_lo.T @ diff) @ x.T)
+        db = scale * (diff @ (x.T @ state.a.T))
         return loss, {"a": da, "b_lo": db}
 
     (p_name, latent), *_ = trainables(state).items()
     p = projection_factor(state)
-    pg = p.T @ g
-    # dP = -g y^T P - y g^T P (+ g x^T R^T for deft), one pass over g
-    c = -(y.T @ p)
+    pg = scale * (p.T @ diff)
+    # dP = -g z^T - y g^T P with g = dL/dh and z = P^T y - R x (R absent for
+    # para), the coefficient forward applies P to
+    z = p.T @ y
     dr = {}
     if state.r is not None:  # deft
-        c += x.T @ state.r.T
+        z -= state.r @ x
         dr = {"r": pg @ x.T}
-    dp = g @ c - y @ pg.T
+    dp = -scale * (diff @ z.T) - y @ pg.T
     mask = _KINDS[cfg.backend.kind].ste_mask
     if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
         dp = dp * mask(latent)
@@ -215,7 +229,7 @@ def run_finetune(w0, cfg, task, steps):
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
 
-    final = _mse(forward(state, x, y) - task.targets)  # the bits of loss_mse(state, task)
+    final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
     if not np.isfinite(final):
         raise DivergenceError(steps, last_finite)
     report.losses.append(final)

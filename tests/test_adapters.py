@@ -302,8 +302,8 @@ class TestUpdateRulesExact:
         state.r = self.rng.normal(size=(3, 7))
         p, r = state.p_latent.copy(), state.r.copy()
         y = w0 @ x
-        assert np.array_equal(forward(state, x), y - p @ (p.T @ y) + p @ (r @ x))
-        assert np.array_equal(merge(state), w0 - p @ (p.T @ w0) + p @ r)
+        assert np.array_equal(forward(state, x), y - p @ (p.T @ y - r @ x))
+        assert np.array_equal(merge(state), w0 - p @ (p.T @ w0 - r))
         g = {"p_latent": self.rng.normal(size=(10, 3)), "r": self.rng.normal(size=(3, 7))}
         sgd_step(state, g, cfg)
         assert np.array_equal(state.p_latent, p - 0.1 * g["p_latent"])

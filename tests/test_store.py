@@ -6,7 +6,7 @@ import pytest
 
 from deft.adapters import AdapterConfig, forward, init_adapter, projection_factor
 from deft.decompose import Backend
-from deft.matcore import make_rng
+from deft.matcore import freeze, make_rng
 from deft.store import (
     FormatError,
     PairingError,
@@ -97,6 +97,79 @@ class TestHashes:
         before = state_hash(state)
         state.r[0, 0] = 1.0
         assert state_hash(state) != before
+
+
+def payload_copy(m):
+    """The MAT1 payload as one bytes object: the hash input, built the copying way."""
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    return struct.pack("<QQ", *m.shape) + m.astype("<f8", copy=False).tobytes(order="C")
+
+
+def hash_layouts():
+    """One 7 x 5 matrix's values in every memory layout the hashes must see through."""
+    base = make_rng(70).normal(size=(7, 5))
+    wide = make_rng(72).normal(size=(14, 15))
+    return {
+        "c_order": base,
+        "fortran": np.asfortranarray(base),
+        "strided_view": wide[::2, 1::3],
+        "big_endian": base.astype(">f8"),
+        "float32": base.astype(np.float32),
+        "read_only": freeze(base),
+    }
+
+
+# sha-256 of make_rng(70).normal(size=(7, 5))'s MAT1 payload; an ADPT1 file
+# stores this digest of its base weight at bytes 71-103.
+SEEDED_7X5_DIGEST = "ed821697494c46694d69c8301c8be3f1e8408d661fc581881b15e7a6e5d18406"
+
+# An ADPT1 file written by an earlier save_adapter: para, rank 1, relax backend,
+# init_stddev 0.5, seed 71, over make_rng(70).normal(size=(7, 5)).
+PINNED_PARA_ADPT1 = bytes.fromhex(
+    "414450543101050100000000000000000000000000f03ffca9f1d24d62503f7b14ae47e1"
+    "7a843f000000000000e03f47000000000000000f000000000000008dedb5a0f7c6b03eed"
+    "821697494c46694d69c8301c8be3f1e8408d661fc581881b15e7a6e5d184060100000000"
+    "0000000800000000000000715f6c6174656e744d41543107000000000000000100000000"
+    "000000d7d7f302814fb13fa469d6e7e856d2bf5e0a41a78a1addbf92f405f362b6b33f6e"
+    "b0e90b16f6d73f80c80f950535adbf318c56da207da2bf"
+)
+
+
+class TestHashDigestsPinned:
+    """The digests are fixed bytes: ADPT1 pairing compares them across versions."""
+
+    @pytest.mark.parametrize("layout", list(hash_layouts()))
+    def test_matrix_hash_is_sha256_of_the_payload(self, layout):
+        m = hash_layouts()[layout]
+        assert matrix_hash(m) == hashlib.sha256(payload_copy(m)).digest()
+
+    @pytest.mark.parametrize("layout", list(hash_layouts()))
+    def test_state_hash_is_sha256_of_names_and_payloads(self, layout):
+        w0 = make_rng(73).normal(size=(7, 5))
+        state = init_adapter(w0, AdapterConfig("deft", 2, init_stddev=0.3, seed=74))
+        state.p_latent = hash_layouts()[layout][:, :2]
+        state.r = hash_layouts()[layout][:2, :]
+        want = hashlib.sha256()
+        for name in ("p_latent", "r"):
+            want.update(name.encode() + payload_copy(getattr(state, name)))
+        assert state_hash(state) == want.hexdigest()
+
+    def test_seeded_digest_literal(self):
+        layouts = hash_layouts()
+        for name in ("c_order", "fortran", "big_endian", "read_only"):  # the same values
+            assert matrix_hash(layouts[name]).hex() == SEEDED_7X5_DIGEST, name
+
+    def test_pinned_checkpoint_loads_against_its_w0(self, tmp_path):
+        w0 = make_rng(70).normal(size=(7, 5))
+        path = tmp_path / "pinned.adpt"
+        path.write_bytes(PINNED_PARA_ADPT1)
+        state = load_adapter(path, w0)
+        assert state.cfg == AdapterConfig("para", 1, backend=Backend("relax", 1),
+                                          init_stddev=0.5, seed=71)
+        fresh = init_adapter(w0, state.cfg)
+        assert np.array_equal(state.q_latent, fresh.q_latent)
+        save_adapter(fresh, path)
+        assert path.read_bytes() == PINNED_PARA_ADPT1
 
 
 def trained_state(method, seed, m=8, n=6, backend_kind="qr"):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from deft.adapters import (
     AdapterConfig, forward, init_adapter, merge, projection_factor, trainables,
 )
-from deft.decompose import Backend
+from deft.decompose import KINDS, Backend
 from deft.matcore import ShapeError, make_rng
 from deft.train import (
     DivergenceError,
     ToyTask,
+    _batch,
+    _loss_and_grads,
     grad,
     loss_mse,
     make_teacher_noise_task,
@@ -157,11 +160,12 @@ def rect_state(method, kind, seed, m=40, n=24, k=16, rank=3):
 
 
 PARITY_CASES = [("lora", None)] + [
-    (method, kind) for method in ("para", "deft") for kind in ("relax", "relax_nmf", "qr")
+    (method, kind) for method in ("para", "deft") for kind in KINDS
 ]
 
 
 class TestLowRankStep:
+    @pytest.mark.filterwarnings("ignore:nmf input has negative entries")
     @pytest.mark.parametrize("method,kind", PARITY_CASES)
     def test_grad_matches_dense_reference(self, method, kind):
         state, task = rect_state(method, kind, seed=50)
@@ -171,6 +175,15 @@ class TestLowRankStep:
         for name in want:
             assert got[name].shape == want[name].shape, name
             assert rel_dev(got[name], want[name]) <= 1e-12, (method, kind, name)
+
+    @pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
+    def test_step_leaves_the_batch_unchanged(self, method, kind):
+        state, task = rect_state(method, kind, seed=57)
+        x, y = _batch(state, task)
+        before = [a.copy() for a in (x, y, task.targets)]
+        _loss_and_grads(state, x, y, task.targets)
+        for was, now in zip(before, (x, y, task.targets)):
+            assert was.tobytes() == now.tobytes()
 
     @pytest.mark.parametrize("method", ["lora", "para", "deft"])
     def test_forward_with_base_is_bit_identical(self, method):
@@ -205,6 +218,25 @@ class TestLowRankStep:
         task.inputs = task.inputs[:-1]
         with pytest.raises(ShapeError, match="x has 23 rows"):
             run_finetune(state.w0, state.cfg, task, steps=3)
+
+
+@pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
+def test_run_finetune_peak_memory(method, kind):
+    """A step holds few m x k arrays at once: the traced peak stays at 3.5 of them."""
+    m = n = k = 256
+    w0 = make_rng(58).normal(size=(m, n))
+    task = make_teacher_shift_task(w0, seed=59, batch=k)
+    backend = None if kind is None else Backend(kind, 8)
+    cfg = AdapterConfig(method, 8, backend=backend, seed=60)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run_finetune(w0, cfg, task, steps=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = (peak - start) / (m * k * 8)
+    assert buffers <= 3.5, f"{method}/{kind}: peak of {buffers:.2f} m x k buffers"
 
 
 class TestSgdStep:
