@@ -9,16 +9,14 @@ of extra matrices, differing in how the effective weight is assembled:
 * deft:  W = w0 - P P^T w0 + P R, subspace removal plus a trainable
   low-rank replacement inside that subspace. R starts at zero, so a fresh
   deft adapter acts exactly like a para adapter with the same latent.
-  Both P terms go through one rank-sized coefficient, and that is how it
-  is computed: W = w0 - P (P^T w0 - R), and W x = y - P (P^T y - R x)
-  with y = w0 x.
+  It is computed as W = w0 - P (P^T w0 - R); see _adapted.
 
 For para and deft, the projection factor (Q or P) is produced from a
 trainable latent matrix by a decomposition backend. The factorization is
 cached together with the bytes of the latent it was built from, and it is
 recomputed whenever the latent's bits differ from those, however the
 latent was changed: an optimizer step, an in-place edit or a reassignment.
-lora ignores the backend entirely.
+lora takes no backend.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
 trainables in storage order with their shapes. The first is the p-side
@@ -55,9 +53,9 @@ class AdapterConfig:
     """Method selection plus every knob training and persistence need.
 
     alpha defaults to rank, making the lora scale factor alpha/rank equal
-    to 1. backend defaults to qr for para/deft and is forced to None for
-    lora. lr_r must be at least lr_p: the in-subspace replacement term
-    trains at a higher rate than the projection factor.
+    to 1. backend defaults to qr for para/deft; lora takes none. lr_r must
+    be at least lr_p: the in-subspace replacement term trains at a higher
+    rate than the projection factor.
     """
 
     method: str
@@ -82,7 +80,8 @@ class AdapterConfig:
         if self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.method == "lora":
-            object.__setattr__(self, "backend", None)
+            if self.backend is not None:
+                raise ConfigError("lora takes no backend")
         else:
             if self.backend is None:
                 object.__setattr__(self, "backend", Backend("qr", self.rank))
@@ -96,8 +95,8 @@ class AdapterConfig:
             raise ConfigError(f"lr_r ({self.lr_r}) must be >= lr_p ({self.lr_p})")
         if self.init_stddev < 0:
             raise ConfigError(f"init_stddev must be >= 0, got {self.init_stddev}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # an ADPT1 header stores it as a u64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def config_from_fields(method, rank, backend=None, nmf_iters=None, nmf_tol=None, **rest):
@@ -133,10 +132,6 @@ class AdapterState:
     p_latent: np.ndarray | None = None
     r: np.ndarray | None = None
     cache: tuple[bytes, DecompositionResult] | None = None
-
-    @property
-    def shape(self):
-        return self.w0.shape
 
 
 def trainable_shapes(cfg, m, n):
@@ -202,11 +197,9 @@ def _adapted(state, base, x=None):
     """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
 
     para/deft: base - P (P^T base - R x), with R x read as R when x is None
-    and the R term absent for para. Both P terms share one rank x k
-    coefficient, so the only m x k array written is the result: the P
-    product is formed in its own buffer and base is subtracted from it in
-    place. lora: base + (alpha / rank) * b_lo (a x), scaled and added in the
-    product's buffer. The result is always a fresh array, never `base`.
+    and the R term absent for para. lora: base + (alpha / rank) * b_lo (a x).
+    The result is always a fresh array, never `base`; the pass counts this
+    association buys are in the deft.train module docstring.
     """
     cfg = state.cfg
     if cfg.method == "lora":

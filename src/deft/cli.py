@@ -43,44 +43,31 @@ class UsageError(ValueError):
     pass
 
 
+def _number(convert, low=-math.inf):
+    """An argparse type: the text through `convert` (int or float), then finite and >= low."""
+    bound = "" if low == -math.inf else f" and >= {low}"
+
+    def parse(text):
+        value = convert(text)
+        if not (-math.inf < value < math.inf and value >= low):
+            raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'" names it
+    return parse
+
+
 def _resolve_seed(value):
+    """--seed if given, else DEFT_SEED, which must pass --seed's rule, else 0."""
     if value is not None:
         return value
     env = os.environ.get("DEFT_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"DEFT_SEED must be an integer, got {env!r}") from None
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _nonneg_float(text):
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+        return _number(int, 0)(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"DEFT_SEED must be an integer >= 0, got {env!r}") from None
 
 
 def _wrote(path):
@@ -139,10 +126,9 @@ def cmd_decompose(args):
 
 def cmd_adapt_init(args):
     w0 = store.load_matrix(args.w0)
-    cfg = config_from_fields(
-        args.method, args.rank, args.backend, args.nmf_iters, args.nmf_tol, alpha=args.alpha,
-        lr_p=args.lr_p, lr_r=args.lr_r, init_stddev=args.init_stddev,
-        seed=_resolve_seed(args.seed))
+    fields = {key: getattr(args, key) for key in store.CONFIG_KEYS}  # one flag per key
+    fields["seed"] = _resolve_seed(args.seed)
+    cfg = config_from_fields(**fields)
     state = adapters.init_adapter(w0, cfg)
     store.save_adapter(state, args.out)
     _wrote(args.out)
@@ -239,7 +225,7 @@ def cmd_verify(args):
         if not ok:
             failures.append(t)
             for name, mat in (("w0", w0), ("q", q_fac), ("w_total", w_total)):
-                path = f"verify_fail_trial{t}_{name}.mat"
+                path = os.path.join(os.path.dirname(args.out), f"verify_fail_trial{t}_{name}.mat")
                 store.save_matrix(mat, path)
                 _wrote(path)
 
@@ -319,31 +305,31 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=_nonneg_int, default=None,
+        p.add_argument("--seed", type=_number(int, 0), default=None,
                        help="RNG seed (default: DEFT_SEED env var, else 0)")
 
     p = sub.add_parser("decompose", help="factor a MAT1 matrix with one backend")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", required=True, help=_KIND_HELP)
-    p.add_argument("--rank", type=_positive_int, default=None)
+    p.add_argument("--rank", type=_number(int, 1), default=None)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--nmf-iters", type=_positive_int, default=Backend.nmf_iters)
-    p.add_argument("--nmf-tol", type=_nonneg_float, default=Backend.nmf_tol)
+    p.add_argument("--nmf-iters", type=_number(int, 1), default=Backend.nmf_iters)
+    p.add_argument("--nmf-tol", type=_number(float, 0), default=Backend.nmf_tol)
     add_seed(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("adapt-init", help="initialize an adapter checkpoint")
     p.add_argument("--w0", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_number(int, 1), required=True)
     # unset flags take AdapterConfig's and Backend's defaults; the nmf knobs need --backend
-    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--alpha", type=_number(float))
     p.add_argument("--backend", help=_KIND_HELP)
-    p.add_argument("--lr-p", type=_finite_float)
-    p.add_argument("--lr-r", type=_finite_float)
-    p.add_argument("--init-stddev", type=_nonneg_float)
-    p.add_argument("--nmf-iters", type=_positive_int)
-    p.add_argument("--nmf-tol", type=_nonneg_float)
+    p.add_argument("--lr-p", type=_number(float))
+    p.add_argument("--lr-r", type=_number(float))
+    p.add_argument("--init-stddev", type=_number(float, 0))
+    p.add_argument("--nmf-iters", type=_number(int, 1))
+    p.add_argument("--nmf-tol", type=_number(float, 0))
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_adapt_init)
@@ -353,20 +339,20 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--task", choices=("teacher-shift", "teacher-noise"),
                    default="teacher-shift")
-    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--steps", type=_number(int, 1), required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--task-seed", type=_nonneg_int, default=None,
+    p.add_argument("--task-seed", type=_number(int, 0), default=None,
                    help="task seed (default: the config seed)")
-    p.add_argument("--shift-scale", type=_finite_float, default=1.0)
-    p.add_argument("--input-scale", type=_finite_float, default=64.0)
-    p.add_argument("--noise-stddev", type=_nonneg_float, default=0.01)
+    p.add_argument("--shift-scale", type=_number(float), default=1.0)
+    p.add_argument("--input-scale", type=_number(float), default=64.0)
+    p.add_argument("--noise-stddev", type=_number(float, 0), default=0.01)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the column-space property suite")
     p.add_argument("--w0", default=None, help="MAT1 base weight (default: seeded random 64x48)")
-    p.add_argument("--rank", type=_positive_int, default=8)
+    p.add_argument("--rank", type=_number(int, 1), default=8)
     p.add_argument("--backend", default="qr", help=_KIND_HELP)
-    p.add_argument("--trials", type=_positive_int, default=3)
+    p.add_argument("--trials", type=_number(int, 1), default=3)
     p.add_argument("--out", default="verify_report.csv")
     add_seed(p)
     p.set_defaults(func=cmd_verify)
@@ -374,17 +360,17 @@ def _build_parser():
     p = sub.add_parser("displacement", help="displacement field of an adapter update")
     p.add_argument("--state", default=None, help="ADPT1 checkpoint (default: seeded 2x2 probe)")
     p.add_argument("--w0", default=None, help="MAT1 base weight for --state")
-    p.add_argument("--grid-lo", type=_finite_float, default=-1.0)
-    p.add_argument("--grid-hi", type=_finite_float, default=1.0)
-    p.add_argument("--grid-n", type=_positive_int, default=21)
+    p.add_argument("--grid-lo", type=_number(float), default=-1.0)
+    p.add_argument("--grid-hi", type=_number(float), default=1.0)
+    p.add_argument("--grid-n", type=_number(int, 1), default=21)
     p.add_argument("--out", default="displacement.csv")
     add_seed(p)
     p.set_defaults(func=cmd_displacement)
 
     p = sub.add_parser("bench", help="time each backend on a seeded latent")
-    p.add_argument("--dim", type=_positive_int, default=3072)
-    p.add_argument("--rank", type=_positive_int, default=8)
-    p.add_argument("--iters", type=_positive_int, default=20)
+    p.add_argument("--dim", type=_number(int, 1), default=3072)
+    p.add_argument("--rank", type=_number(int, 1), default=8)
+    p.add_argument("--iters", type=_number(int, 1), default=20)
     p.add_argument("--backends", default=",".join(_BACKEND_CHOICES),
                    help="comma-separated backend list")
     p.add_argument("--out", default="bench.csv")
@@ -393,9 +379,9 @@ def _build_parser():
 
     p = sub.add_parser("param-count", help="trainable-parameter count for a config")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_number(int, 1), required=True)
+    p.add_argument("--m", type=_number(int, 1), required=True)
+    p.add_argument("--n", type=_number(int, 1), required=True)
     p.set_defaults(func=cmd_param_count)
 
     return parser

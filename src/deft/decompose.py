@@ -24,14 +24,10 @@ deliberately do not, and nothing downstream may assume it for them.
 dispatch, reconstruction, CLI output files and training gradient read it.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
-``deft._jacobi``, not LAPACK's: its factors are accurate to a few ulps on
-strongly rank-deficient latents and are the same bits on every platform,
-so tsvd/lrmf outputs do not drift with the LAPACK build. It is also what
+``deft._jacobi``, not LAPACK's; its docstring says why. It is also what
 acceptance check c10 times: a LAPACK thin SVD of a 3072 x 8 latent would
 beat nmf and invert that speed ordering. eig reads its factor off LAPACK's
-thin SVD, and rank counting (``deft.matcore.numerical_rank``) uses
-LAPACK's singular values, which only need to be accurate relative to a
-cutoff.
+thin SVD.
 """
 
 from __future__ import annotations
@@ -78,8 +74,8 @@ class Backend:
             raise ConfigError(f"unknown backend kind {self.kind!r}, expected one of {KINDS}")
         if self.rank < 1:
             raise ConfigError(f"backend rank must be >= 1, got {self.rank}")
-        if self.nmf_iters < 1:
-            raise ConfigError(f"nmf_iters must be >= 1, got {self.nmf_iters}")
+        if not 1 <= self.nmf_iters < 2**64:  # an ADPT1 header stores it as a u64
+            raise ConfigError(f"nmf_iters must be in [1, 2**64), got {self.nmf_iters}")
         if not 0 <= self.nmf_tol < math.inf:
             raise ConfigError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
 

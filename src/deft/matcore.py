@@ -25,33 +25,19 @@ class ShapeError(ValueError):
 
 
 def as_matrix(a, name="matrix"):
-    """Coerce `a` to a 2-D float64 C-contiguous array and validate it.
+    """`a` as a 2-D float64 C-contiguous matrix, copied only when coercion requires it.
 
-    Parameters
-    ----------
-    a : array_like
-        Anything ``numpy.asarray`` accepts, already two-dimensional.
-    name : str
-        Label used in error messages.
-
-    Returns
-    -------
-    numpy.ndarray
-        Validated matrix, copied only when coercion requires it.
+    `a` must already be two-dimensional, non-empty and finite; `name`
+    labels the error otherwise raised.
     """
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must be non-empty, got shape {out.shape}")
-    require_finite(out, name)
-    return out
-
-
-def require_finite(a, name="matrix"):
-    """Raise ValueError if `a` contains NaN or Inf."""
-    if not np.isfinite(a).all():
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return out
 
 
 def unit_exponent(a):
@@ -92,7 +78,7 @@ def rel_error(approx, exact):
 
 
 def numerical_rank(a, tol=DEFAULT_RANK_TOL):
-    """Count singular values above ``tol * sigma_max``.
+    """Count singular values above ``tol * sigma_max``; tol must be positive.
 
     The singular values come from LAPACK (``numpy.linalg.svd``). Its
     absolute error is about machine epsilon times sigma_max, four to six
@@ -100,13 +86,6 @@ def numerical_rank(a, tol=DEFAULT_RANK_TOL):
     so a more accurate SVD could only count differently a singular value
     within that error of the cutoff. LAPACK also rescales internally, so
     the count holds for entries anywhere in float64 range.
-
-    Parameters
-    ----------
-    a : array_like
-        Matrix whose rank is wanted.
-    tol : float
-        Relative cutoff, must be positive.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")

@@ -159,15 +159,19 @@ def field_summary(field):
 
     The non-negative shadow usually displaces less and more selectively;
     that is an empirical tendency, reported here but never asserted.
+
+    Each field's norms are taken at unit scale (see unit_exponent) and
+    scaled back, so squares neither overflow nor underflow to zero: the
+    summary is as finite and as non-zero as the field's entries.
     """
-    norm_full = np.linalg.norm(field.displacements_full, axis=1)
-    norm_nn = np.linalg.norm(field.displacements_nonneg, axis=1)
-    return {
-        "mean_full": float(norm_full.mean()),
-        "max_full": float(norm_full.max()),
-        "mean_nonneg": float(norm_nn.mean()),
-        "max_nonneg": float(norm_nn.max()),
-    }
+    summary = {}
+    for name, disp in (("full", field.displacements_full),
+                       ("nonneg", field.displacements_nonneg)):
+        shift = unit_exponent(disp)
+        norms = np.linalg.norm(np.ldexp(disp, -shift), axis=1)
+        summary[f"mean_{name}"] = float(np.ldexp(norms.mean(), shift))
+        summary[f"max_{name}"] = float(np.ldexp(norms.max(), shift))
+    return summary
 
 
 def field_to_csv(field, path):

@@ -14,15 +14,17 @@ larger lr_r; see :mod:`deft.adapters` for which is which.
 
 A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
 plus a fixed number of passes over m x k arrays (nine for para and deft,
-seven for lora), and it writes one m x k array, the residual. Three things
+seven for lora), and it writes one m x k array, the residual. Four things
 make it so. The frozen base output y = w0 @ x is computed once per run,
 because the batch is fixed and w0 never changes; every step's forward pass
-and gradient reuse it. The residual is forward's fresh output with the
+and gradient reuse it. The forward pass (deft.adapters._adapted) applies
+both P terms through one rank x k coefficient z = P^T y - R x: it forms
+P z in a fresh buffer and subtracts it from y there in place (lora scales
+and adds in its product's buffer). The residual is that output with the
 targets subtracted in place, and the loss scale 2 / (m k) is applied to
 rank-sized products, never to the residual. And the gradient products are
 associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
-with z = P^T y - R x, the rank x k coefficient of the forward pass, rather
-than (g y^T) P, so no m x m or m x n matrix is ever formed.
+rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ class TrainReport:
     w0_hash_after: str = ""
 
 
+def _task_shape(w0, batch):
+    """w0 as a validated m x n matrix, m, n, and the batch size k: n unless given, in [1, n]."""
+    w0 = as_matrix(w0, "w0")
+    m, n = w0.shape
+    k = n if batch is None else batch
+    if not 1 <= k <= n:
+        raise ValueError(f"batch must be in [1, {n}], got {k}")
+    return w0, m, n, k
+
+
 def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0, batch=None):
     """Teacher = w0 plus a unit rank-1 shift; reachable by a rank-1 update.
 
@@ -85,11 +97,7 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0, batch=N
     learning rates (lr_p 1e-3, lr_r 1e-2) well within 2000 steps; smaller
     scales converge too, just slower.
     """
-    w0 = as_matrix(w0, "w0")
-    m, n = w0.shape
-    k = n if batch is None else batch
-    if not 1 <= k <= n:
-        raise ValueError(f"batch must be in [1, {n}], got {k}")
+    w0, m, n, k = _task_shape(w0, batch)
     rng = make_rng(seed)
     u = rng.normal(size=m)
     v = rng.normal(size=n)
@@ -109,11 +117,7 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0, batch=
     """
     if not 0.0 <= noise_stddev < math.inf:
         raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
-    w0 = as_matrix(w0, "w0")
-    m, n = w0.shape
-    k = n if batch is None else batch
-    if not 1 <= k <= n:
-        raise ValueError(f"batch must be in [1, {n}], got {k}")
+    w0, m, n, k = _task_shape(w0, batch)
     rng = make_rng(seed)
     inputs = input_scale * rng.normal(size=(n, k))
     targets = w0 @ inputs
@@ -148,10 +152,7 @@ def _batch(state, task):
 def _loss_and_grads(state, x, y, targets):
     """Loss and gradients on a validated batch x whose base output is y = w0 @ x.
 
-    Each product has a rank-sized operand, so no m x m or m x n matrix is
-    formed: O(r (m + n) k) for an m x n layer, rank r and batch k. The
-    residual is the one m x k array written; the loss scale 2 / (m k) is
-    applied to rank-sized products, never to the residual.
+    The module docstring gives the step's cost and why it is so.
     """
     diff = _residual(state, x, y, targets)
     loss = _mse(diff)

@@ -26,9 +26,10 @@ class TestConfig:
         cfg = AdapterConfig("lora", 6)
         assert cfg.alpha == 6.0 and isinstance(cfg.alpha, float)
 
-    def test_lora_drops_backend(self):
-        cfg = AdapterConfig("lora", 2, backend=Backend("qr", 2))
-        assert cfg.backend is None
+    def test_lora_rejects_backend(self):
+        assert AdapterConfig("lora", 2).backend is None
+        with pytest.raises(ConfigError, match="lora takes no backend"):
+            AdapterConfig("lora", 2, backend=Backend("qr", 2))
 
     def test_para_deft_default_backend(self):
         for method in ("para", "deft"):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import struct
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from deft import store
+from deft import store, subspace
 from deft._jacobi import jacobi_svd
 from deft.cli import main
 from deft.decompose import _KINDS
@@ -189,13 +190,6 @@ class TestAdaptInit:
         with open("env.adpt", "rb") as f1, open("flag.adpt", "rb") as f2:
             assert f1.read() == f2.read()
 
-    def test_bad_seed_env(self, in_tmp, monkeypatch, capsys):
-        write_mat("w0.mat", seed=9)
-        monkeypatch.setenv("DEFT_SEED", "banana")
-        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
-                     "--out", "a.adpt"]) == 2
-        assert "DEFT_SEED" in capsys.readouterr().err
-
 
 def write_config(path, lines):
     with open(path, "w", encoding="utf-8") as f:
@@ -329,6 +323,20 @@ class TestVerify:
         assert err.startswith("error: W0's scale is out of range for verify (max |entry| 4.")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]
+
+    def test_failure_dumps_go_beside_out(self, in_tmp, capsys, monkeypatch):
+        real = subspace.check_containment
+
+        def failing_containment(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), containment_holds=False)
+
+        monkeypatch.setattr(subspace, "check_containment", failing_containment)
+        (in_tmp / "reports").mkdir()
+        assert main(["verify", "--trials", "2", "--out", "reports/v.csv"]) == 1
+        assert "FAIL: trials [0, 1] failed" in capsys.readouterr().out
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["reports"]
+        assert sorted(p.name for p in (in_tmp / "reports").iterdir()) == ["v.csv", *(
+            f"verify_fail_trial{t}_{name}.mat" for t in (0, 1) for name in ("q", "w0", "w_total"))]
 
     def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)
@@ -491,6 +499,22 @@ class TestFloatFlags:
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2", "--out", "a.adpt"],
+        ["verify", "--trials", "1"],
+        ["displacement"],
+        ["bench", "--dim", "8", "--rank", "2", "--iters", "1"],
+        ["decompose", "--in", "w0.mat", "--method", "nmf", "--out", "f"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("value", ["banana", "-1"])
+    def test_bad_seed_env(self, in_tmp, monkeypatch, capsys, argv, value):
+        write_mat("w0.mat", seed=9)
+        monkeypatch.setenv("DEFT_SEED", value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: DEFT_SEED must be an integer >= 0, got {value!r}\n"
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]  # nothing written
 
     def test_bad_flag_value(self, capsys):
         assert main(["bench", "--iters", "0"]) == 2

@@ -42,9 +42,9 @@ def valid_fields(draw):
         "lr_p": st.floats(1e-6, 1e-2),  # at most lr_r's default
         "lr_r": st.floats(1e-2, 1.0),  # at least lr_p's default
         "init_stddev": st.floats(0.0, 1.0),
-        "seed": st.integers(0, 2**32),
+        "seed": st.integers(0, 2**64 - 1),
     }
-    if draw(st.booleans()):
+    if fields["method"] != "lora" and draw(st.booleans()):  # lora takes no backend
         kind = draw(st.sampled_from(KINDS))
         fields["backend"] = kind.replace("_", "-") if draw(st.booleans()) else kind
         optional.update(nmf_iters=st.integers(1, 50), nmf_tol=st.floats(0.0, 1e-2))
@@ -59,7 +59,8 @@ def invalid_fields(draw):
     """A valid field set with one defect; returns (fields, defect)."""
     fields = draw(valid_fields())
     defect = draw(st.sampled_from(("knobs_without_backend", "lr_r_below_lr_p",
-                                   "unknown_kind", "non_finite")))
+                                   "unknown_kind", "non_finite", "lora_with_backend",
+                                   "past_u64")))
     if defect == "knobs_without_backend":
         fields.pop("backend", None)
         fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
@@ -67,6 +68,13 @@ def invalid_fields(draw):
         fields.update(lr_p=0.5, lr_r=0.1)
     elif defect == "unknown_kind":
         fields["backend"] = draw(st.sampled_from(("cholesky", "relax__nmf", "QR")))
+    elif defect == "lora_with_backend":
+        fields.update(method="lora", backend=draw(st.sampled_from(KINDS)))
+    elif defect == "past_u64":  # fields an ADPT1 header stores as u64
+        key = "seed" if fields["method"] == "lora" else draw(st.sampled_from(("seed", "nmf_iters")))
+        if key == "nmf_iters":
+            fields.setdefault("backend", "nmf")
+        fields[key] = draw(st.sampled_from((2**64, 2**64 + 1, 2**70)))
     else:
         key = draw(st.sampled_from(("alpha", "lr_p", "lr_r", "init_stddev", "nmf_tol")))
         if key == "nmf_tol":
@@ -125,6 +133,7 @@ def workdir(tmp_path_factory):
 @given(fields=valid_fields())
 @example(fields={"method": "deft", "rank": 2, "backend": "relax_nmf", "nmf_iters": 5})
 @example(fields={"method": "para", "rank": 3, "backend": "relax-nmf", "nmf_tol": 1e-4})
+@example(fields={"method": "lora", "rank": 1, "seed": 2**64 - 1})
 def test_valid_fields_give_one_config_at_every_door(workdir, fields):
     from_text = parse_config(config_text(fields))
     assert from_text == config_from_fields(**fields)
@@ -145,6 +154,10 @@ def test_valid_fields_give_one_config_at_every_door(workdir, fields):
 @example(case=({"method": "para", "rank": 2, "lr_p": 0.5, "lr_r": 0.1}, "lr_r_below_lr_p"))
 @example(case=({"method": "deft", "rank": 2, "backend": "cholesky"}, "unknown_kind"))
 @example(case=({"method": "lora", "rank": 2, "alpha": math.inf}, "non_finite"))
+@example(case=({"method": "lora", "rank": 2, "backend": "nmf", "nmf_iters": 5},
+               "lora_with_backend"))
+@example(case=({"method": "deft", "rank": 2, "seed": 2**64}, "past_u64"))
+@example(case=({"method": "para", "rank": 2, "backend": "nmf", "nmf_iters": 2**64}, "past_u64"))
 def test_invalid_fields_fail_closed_at_every_door(workdir, case):
     fields, defect = case
     with pytest.raises(FormatError, match="invalid config"):
@@ -159,9 +172,11 @@ def test_invalid_fields_fail_closed_at_every_door(workdir, case):
     code, err = run_cli(adapt_init_argv(fields))
     assert code == 2, err
 
-    # an ADPT1 header always holds a backend tag, and lora ignores its nmf fields
+    # an ADPT1 header always holds a backend tag, lora ignores its backend fields, and a
+    # u64 field cannot hold a value past u64
     lora_nmf_tol = fields["method"] == "lora" and not math.isfinite(fields.get("nmf_tol", 0.0))
-    if defect != "knobs_without_backend" and not lora_nmf_tol:
+    header_door = defect not in ("knobs_without_backend", "lora_with_backend", "past_u64")
+    if header_door and not lora_nmf_tol:
         with open("bad.adpt", "wb") as f:
             f.write(header_bytes(fields))
         with pytest.raises(FormatError, match="invalid stored config|unsupported backend tag"):

@@ -182,6 +182,24 @@ class TestGridAndField:
         assert set(summary) == {"mean_full", "max_full", "mean_nonneg", "max_nonneg"}
         assert summary["max_full"] >= summary["mean_full"] >= 0.0
 
+    @staticmethod
+    def _scaled_probe_summary(k):
+        """field_summary of a seeded 2 x 2 deft/relax state whose W0 and R are scaled by 2**k."""
+        rng = make_rng(21)
+        cfg = AdapterConfig("deft", 1, backend=Backend("relax", 1), init_stddev=0.5, seed=21)
+        state = init_adapter(np.ldexp(rng.normal(size=(2, 2)), k), cfg)
+        state.r = np.ldexp(rng.normal(size=(1, 2)), k)
+        return field_summary(displacement_field(state))
+
+    @pytest.mark.parametrize("k", [-540, 520])
+    def test_summary_scales_with_the_field(self, k):
+        # squared entries underflow to 0 at 2**-540 and overflow at 2**520
+        unit = self._scaled_probe_summary(0)
+        scaled = self._scaled_probe_summary(k)
+        for key, value in unit.items():
+            expected = np.ldexp(value, k)
+            assert value > 0.0 and abs(scaled[key] - expected) <= 1e-12 * expected, key
+
 
 class TestCsv:
     def test_field_csv_layout(self, tmp_path):
