@@ -82,13 +82,8 @@ class AdapterConfig:
         if self.method == "lora":
             if self.backend is not None:
                 raise ConfigError("lora takes no backend")
-        else:
-            if self.backend is None:
-                object.__setattr__(self, "backend", Backend("qr", self.rank))
-            if self.backend.rank != self.rank:
-                raise ConfigError(
-                    f"backend rank {self.backend.rank} does not match adapter rank {self.rank}"
-                )
+        elif self.backend is None:
+            object.__setattr__(self, "backend", Backend("qr"))
         if not self.lr_p > 0:
             raise ConfigError(f"lr_p must be positive, got {self.lr_p}")
         if self.lr_r < self.lr_p:
@@ -108,7 +103,7 @@ def config_from_fields(method, rank, backend=None, nmf_iters=None, nmf_tol=None,
     """
     knobs = {k: v for k, v in (("nmf_iters", nmf_iters), ("nmf_tol", nmf_tol)) if v is not None}
     if backend is not None:
-        backend = Backend(backend, rank, **knobs)
+        backend = Backend(backend, **knobs)
     elif knobs:
         raise ConfigError("nmf_iters/nmf_tol given without a backend")
     return AdapterConfig(method, rank, backend=backend,
@@ -182,7 +177,7 @@ def refresh(state):
     latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
     key = latent.tobytes()
     if state.cache is None or state.cache[0] != key:
-        state.cache = (key, decompose(latent, cfg.backend, seed=cfg.seed))
+        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed))
     return state
 
 

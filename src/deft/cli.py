@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import os
 import statistics
@@ -31,7 +30,8 @@ from deft import adapters, store, subspace, train
 from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, ConfigError, config_from_fields
 from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
-from deft.matcore import ShapeError, frobenius_norm, gaussian, make_rng, numerical_rank, rel_error
+from deft.matcore import (ShapeError, frobenius_norm, gaussian, make_rng, numerical_rank,
+                          rel_error, unit_exponent)
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
@@ -93,20 +93,17 @@ def _warning_lines():
 
 def cmd_decompose(args):
     b = store.load_matrix(args.infile)
-    # a given rank is checked against b's shape by the backend (ShapeError, exit 2)
-    backend = Backend(args.method, args.rank or min(b.shape), args.nmf_iters, args.nmf_tol)
-    kind = _KINDS[backend.kind]
-    if args.rank is None and kind.intrinsic_rank:
-        backend = dataclasses.replace(backend, rank=b.shape[1])
+    backend = Backend(args.method, nmf_iters=args.nmf_iters, nmf_tol=args.nmf_tol)
     seed = _resolve_seed(args.seed)
 
     t0 = time.perf_counter()
-    result = run_decompose(b, backend, seed=seed)
+    # decompose checks a given rank against b's shape (ShapeError, exit 2)
+    result = run_decompose(b, backend, args.rank, seed=seed)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     out = args.out
     outputs = {f"{out}.p.mat": result.p_factor}
-    for key, stem in kind.aux_stems.items():
+    for key, stem in _KINDS[backend.kind].aux_stems.items():
         arr = np.asarray(result.aux[key])
         outputs[f"{out}.{stem}.mat"] = arr.reshape(-1, 1) if arr.ndim == 1 else arr
     for path, arr in outputs.items():  # all checked before any is written
@@ -117,7 +114,7 @@ def cmd_decompose(args):
     for path, arr in outputs.items():
         store.save_matrix(arr, path)
         _wrote(path)
-    print(f"method={args.method} rank={backend.rank} reconstruction_error={err:.6e} "
+    print(f"method={args.method} rank={result.p_factor.shape[1]} reconstruction_error={err:.6e} "
           f"time_ms={elapsed_ms:.3f}")
     if result.notes:
         print(f"notes={','.join(result.notes)}")
@@ -177,6 +174,9 @@ def _extension_witness_ok():
 
 def cmd_verify(args):
     seed = _resolve_seed(args.seed)
+    if seed + args.trials - 1 >= 2**64:  # trial t's adapter config takes seed + t
+        raise UsageError(f"--seed (or DEFT_SEED) plus --trials - 1 must be below 2**64, got "
+                         f"seed {seed} with {args.trials} trials")
     w0_fixed = store.load_matrix(args.w0) if args.w0 is not None else None
     witness_ok = _extension_witness_ok()  # a fixed instance: one check serves every trial
 
@@ -210,10 +210,12 @@ def cmd_verify(args):
         q_fac = adapters.projection_factor(state)
         report = subspace.check_containment(w0, q_fac, w_total)
 
-        # reduced weight stays inside col(w0) when q is built from it
-        q_in, _ = np.linalg.qr(w0[:, :rank])
-        w_reduce = w0 - q_in @ (q_in.T @ w0)
-        subset_ok = numerical_rank(np.hstack([w0, w_reduce]), 1e-8) == report.rank_w0
+        # reduced weight stays inside col(w0) when q is built from it; at unit scale,
+        # as check_containment takes it, so a subnormal w0 keeps its column space
+        w0_u = np.ldexp(w0, -unit_exponent(w0))
+        q_in, _ = np.linalg.qr(w0_u[:, :rank])
+        w_reduce = w0_u - q_in @ (q_in.T @ w0_u)
+        subset_ok = numerical_rank(np.hstack([w0_u, w_reduce]), 1e-8) == report.rank_w0
 
         ok = identity_ok and report.containment_holds and subset_ok and witness_ok
         rows.append((t, identity_resid, identity_ok, subset_ok, report.containment_holds,
@@ -267,7 +269,9 @@ def cmd_displacement(args):
 def cmd_bench(args):
     seed = _resolve_seed(args.seed)
     kinds = [k.strip() for k in args.backends.split(",") if k.strip()]
-    backends = [Backend(k, args.rank) for k in kinds]  # an unknown kind exits 2 before any timing
+    if not kinds:
+        raise UsageError(f"--backends names no backend kind, got {args.backends!r}")
+    backends = [Backend(k) for k in kinds]  # an unknown kind exits 2 before any timing
     rng = make_rng(seed)
     latent = gaussian(rng, args.dim, args.rank, 1.0)
 
@@ -275,11 +279,11 @@ def cmd_bench(args):
     for k, backend in zip(kinds, backends):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf clamp warning is expected on a signed latent
-            run_decompose(latent, backend, seed=seed)  # warm-up
+            run_decompose(latent, backend, args.rank, seed=seed)  # warm-up
             times = []
             for _ in range(args.iters):
                 t0 = time.perf_counter()
-                run_decompose(latent, backend, seed=seed)
+                run_decompose(latent, backend, args.rank, seed=seed)
                 times.append((time.perf_counter() - t0) * 1e3)
         results.append((k, statistics.median(times), min(times), max(times)))
 

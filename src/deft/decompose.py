@@ -1,8 +1,9 @@
 """Factorization backends that turn a trainable latent matrix into a
 projection factor.
 
-Every backend maps an m x r latent (or an arbitrary matrix plus a target
-rank) to a ``DecompositionResult`` whose ``p_factor`` is m x r. Backends
+``decompose(b, backend, rank)`` is the one entry point. It maps a matrix
+(an m x r latent, or any matrix plus a target rank) to a
+``DecompositionResult`` whose ``p_factor`` has ``rank`` columns. Backends
 differ in what they promise about that factor:
 
 ============  =======================================  ==================
@@ -22,6 +23,8 @@ deliberately do not, and nothing downstream may assume it for them.
 
 ``_KINDS`` is the single source of each kind's rules (see ``_Kind``); the
 dispatch, reconstruction, CLI output files and training gradient read it.
+``decompose`` validates the matrix and the rank once, so a kind's factor
+rule receives a checked float64 matrix and a rank in range.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
 ``deft._jacobi``, not LAPACK's; its docstring says why. It is also what
@@ -42,11 +45,10 @@ import numpy as np
 from deft._jacobi import _fix_signs, jacobi_svd
 from deft.matcore import ShapeError, as_matrix, make_rng, unit_exponent
 
-# Default multiplicative-update budget when a backend refactorizes a latent
-# on every training step. Deliberately small: the per-step cost must sit in
-# the same cheap tier as qr/relax, and a warm-ish approximate factor is all
-# the adapter math needs. Standalone calls to nmf_decompose default to a
-# much larger budget (see its signature).
+# The nmf backend's multiplicative-update budget unless nmf_iters says
+# otherwise. Deliberately small: a training run refactorizes the latent on
+# every step, so the per-step cost must sit in the same cheap tier as
+# qr/relax, and a warm-ish approximate factor is all the adapter math needs.
 PER_STEP_NMF_ITERS = 15
 
 
@@ -56,24 +58,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Backend:
-    """Selects a factorization and its hyperparameters.
+    """Selects a factorization kind and its nmf knobs.
 
-    kind may use ``-`` for ``_``; the ``_`` form is stored. rank is the
-    number of columns of the factor the backend produces; for
-    qr/relax/relax_nmf it must equal the latent's column count.
+    kind may use ``-`` for ``_``; the ``_`` form is stored. The knobs are
+    keyword-only. The rank of the factor is not a backend field:
+    ``decompose`` takes it.
     """
 
     kind: str
-    rank: int
-    nmf_iters: int = PER_STEP_NMF_ITERS
-    nmf_tol: float = 1e-6
+    nmf_iters: int = field(default=PER_STEP_NMF_ITERS, kw_only=True)
+    nmf_tol: float = field(default=1e-6, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.kind.replace("-", "_"))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}, expected one of {KINDS}")
-        if self.rank < 1:
-            raise ConfigError(f"backend rank must be >= 1, got {self.rank}")
         if not 1 <= self.nmf_iters < 2**64:  # an ADPT1 header stores it as a u64
             raise ConfigError(f"nmf_iters must be in [1, 2**64), got {self.nmf_iters}")
         if not 0 <= self.nmf_tol < math.inf:
@@ -88,7 +87,7 @@ class DecompositionResult:
     notes: tuple = ()
 
 
-def qr_decompose(b):
+def _qr(b, r, backend, seed):
     """Thin QR of an m x r latent, b = Q @ r_tri.
 
     Q always comes back with r orthonormal columns. When b is (numerically)
@@ -101,55 +100,43 @@ def qr_decompose(b):
     Signs follow the package convention: the largest-magnitude entry of
     each Q column is non-negative.
     """
-    b = as_matrix(b, "b")
-    m, r = b.shape
-    if m < r:
+    if b.shape[0] < r:
         raise ShapeError(f"qr latent must be tall or square, got {b.shape}")
     q, r_tri = np.linalg.qr(b)
     _fix_signs(q, r_tri.T)  # flips the rows of r_tri with the columns of q
-    diag = np.abs(np.diagonal(r_tri))
-    scale = diag.max() if diag.size else 0.0
-    notes = ()
-    if scale == 0.0 or (diag <= 1e-12 * scale).any():
-        notes = ("degenerate_columns",)
+    diag = np.abs(np.diagonal(r_tri))  # an all-zero diagonal flags every column
+    notes = ("degenerate_columns",) if (diag <= 1e-12 * diag.max()).any() else ()
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
-def truncated_svd(b, r):
+def _tsvd(b, r, backend, seed):
     """Best rank-r approximation factors of `b` via the Jacobi SVD."""
-    b = as_matrix(b, "b")
-    if not 1 <= r <= min(b.shape):
-        raise ShapeError(f"rank {r} out of range for shape {b.shape}")
     u, s, v = jacobi_svd(b)
     return DecompositionResult("tsvd", u[:, :r].copy(), {"s": s[:r].copy(), "v": v[:, :r].copy()})
 
 
-def lrmf_decompose(b, r):
+def _lrmf(b, r, backend, seed):
     """Scaled-basis factorization: p_factor = U_r * sqrt(s_r).
 
     A zero singular value among the top r produces a zero column; that is
     allowed and flagged with a ``"zero_singular_columns"`` note.
     """
-    b = as_matrix(b, "b")
-    if not 1 <= r <= min(b.shape):
-        raise ShapeError(f"rank {r} out of range for shape {b.shape}")
     u, s, v = jacobi_svd(b)
     s_r = s[:r]
     p = u[:, :r] * np.sqrt(s_r)
-    cutoff = 1e-12 * s[0] if s.size else 0.0
-    notes = ("zero_singular_columns",) if (s_r <= cutoff).any() else ()
+    notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s[0]).any() else ()
     return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes)
 
 
-def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
+def _nmf(b, r, backend, seed):
     """Non-negative factorization b ~ W @ H by multiplicative updates.
 
     Negative entries of `b` are clamped to zero first (with a warning);
     the factorization is defined on the non-negative part only. Factors
     are initialized from a seeded uniform(0, 1) draw scaled by
     sqrt(mean(b) / r). The reconstruction error is non-increasing across
-    iterations; iteration stops early once the relative improvement drops
-    below `tol`.
+    iterations; iteration stops after backend.nmf_iters rounds, or early
+    once the relative improvement drops below backend.nmf_tol.
 
     aux carries the H factor and ``err_trace``, the Frobenius error
     measured before each update round plus once after the last.
@@ -160,12 +147,7 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
     least 2**500 is factored at unit scale, times an even power of two
     4**-k; W and H are scaled back by 2**k each and err_trace by 4**k.
     """
-    b = as_matrix(b, "b")
     m, n = b.shape
-    if not 1 <= r <= min(m, n):
-        raise ShapeError(f"rank {r} out of range for shape {b.shape}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     notes = ()
     if (b < 0.0).any():
         warnings.warn("nmf input has negative entries; clamping to zero", stacklevel=2)
@@ -189,7 +171,7 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
     eps = 1e-12
     trace = []
     prev = None
-    for _ in range(iters):
+    for _ in range(backend.nmf_iters):
         wtb = w.T @ b
         wtw = w.T @ w
         # error of the current (w, h) from already-needed products:
@@ -197,7 +179,7 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
         err2 = bnorm2 - 2.0 * np.einsum("ij,ij->", wtb, h) + np.einsum("ij,ij->", wtw @ h, h)
         err = float(np.sqrt(max(err2, 0.0)))
         trace.append(err)
-        if prev is not None and prev - err < tol * max(prev, eps):
+        if prev is not None and prev - err < backend.nmf_tol * max(prev, eps):
             break
         prev = err
         h *= wtb / (wtw @ h + eps)
@@ -214,38 +196,24 @@ def nmf_decompose(b, r, iters=200, tol=1e-6, seed=0):
     return DecompositionResult("nmf", w, aux, notes)
 
 
-def eig_project(b, r):
+def _eig(b, r, backend, seed):
     """Top-r eigenvectors of b @ b.T as the projection factor.
 
     They are b's top-r left singular vectors, taken from its thin LAPACK SVD
     without forming b @ b.T. aux carries ``lambda``, the matching
     eigenvalues: the squared singular values, sorted non-increasing.
     """
-    b = as_matrix(b, "b")
-    if not 1 <= r <= min(b.shape):
-        raise ShapeError(f"rank {r} out of range for shape {b.shape}")
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     p = np.ascontiguousarray(u[:, :r])
     _fix_signs(p, None)
     return DecompositionResult("eig", p, {"lambda": s[:r] ** 2})
 
 
-def relax(b, nonneg=False):
-    """No factorization: the latent is the factor.
-
-    nonneg=True keeps only the non-negative part (elementwise max with 0).
-    """
-    b = as_matrix(b, "b")
-    p = np.maximum(b, 0.0) if nonneg else b.copy()
-    kind = "relax_nmf" if nonneg else "relax"
-    return DecompositionResult(kind, p)
-
-
 @dataclass(frozen=True)
 class _Kind:
     """The rules of one backend kind; see ``_KINDS``."""
 
-    factor: Callable  # (b, backend, seed) -> DecompositionResult
+    factor: Callable  # (b, r, backend, seed) -> DecompositionResult
     rebuild: Callable  # (result, b) -> the rank-r approximation of b
     aux_stems: dict  # aux key -> file stem in `deft decompose` output
     intrinsic_rank: bool = False  # rank is b's column count, not a truncation
@@ -260,41 +228,49 @@ def _rebuild_eig(result, b):
 
 
 # The key order is the ADPT1 backend tag (see deft.store): append, never reorder.
+# relax and relax_nmf do not factorize: the latent, or its non-negative part,
+# is the factor.
 _KINDS = {
-    "qr": _Kind(lambda b, bk, seed: qr_decompose(b),
-                lambda res, b: res.p_factor @ res.aux["r_tri"],
+    "qr": _Kind(_qr, lambda res, b: res.p_factor @ res.aux["r_tri"],
                 {"r_tri": "rtri"}, intrinsic_rank=True),
-    "tsvd": _Kind(lambda b, bk, seed: truncated_svd(b, bk.rank),
-                  lambda res, b: res.p_factor @ (res.aux["s"][:, None] * res.aux["v"].T),
+    "tsvd": _Kind(_tsvd, lambda res, b: res.p_factor @ (res.aux["s"][:, None] * res.aux["v"].T),
                   {"s": "s", "v": "v"}),
-    "lrmf": _Kind(lambda b, bk, seed: lrmf_decompose(b, bk.rank),
+    "lrmf": _Kind(_lrmf,
                   lambda res, b: res.p_factor @ (np.sqrt(res.aux["s"])[:, None] * res.aux["v"].T),
                   {"s": "s", "v": "v"}),
-    "nmf": _Kind(lambda b, bk, seed: nmf_decompose(b, bk.rank, bk.nmf_iters, bk.nmf_tol, seed),
-                 lambda res, b: res.p_factor @ res.aux["h"], {"h": "h", "err_trace": "errtrace"}),
-    "eig": _Kind(lambda b, bk, seed: eig_project(b, bk.rank), _rebuild_eig, {"lambda": "lam"}),
-    "relax": _Kind(lambda b, bk, seed: relax(b), lambda res, b: res.p_factor.copy(), {},
-                   intrinsic_rank=True),
-    "relax_nmf": _Kind(lambda b, bk, seed: relax(b, nonneg=True),
+    "nmf": _Kind(_nmf, lambda res, b: res.p_factor @ res.aux["h"],
+                 {"h": "h", "err_trace": "errtrace"}),
+    "eig": _Kind(_eig, _rebuild_eig, {"lambda": "lam"}),
+    "relax": _Kind(lambda b, r, bk, seed: DecompositionResult("relax", b.copy()),
+                   lambda res, b: res.p_factor.copy(), {}, intrinsic_rank=True),
+    "relax_nmf": _Kind(lambda b, r, bk, seed: DecompositionResult("relax_nmf", np.maximum(b, 0.0)),
                        lambda res, b: res.p_factor.copy(), {},
                        intrinsic_rank=True, ste_mask=lambda latent: latent > 0.0),
 }
 KINDS = tuple(_KINDS)
 
 
-def decompose(b, backend, seed=0):
-    """Apply `backend` to latent `b`. Deterministic in (b, backend, seed).
+def decompose(b, backend, rank=None, seed=0):
+    """Factor `b` with `backend` into a rank-`rank` factor. Deterministic in its arguments.
 
-    A kind with an intrinsic rank rejects a backend.rank other than the
-    latent's column count; the others truncate to backend.rank.
+    A kind with an intrinsic rank (qr, relax, relax_nmf) takes b's column
+    count as its rank and rejects any other; the others truncate to
+    `rank`, which must lie in [1, min(b.shape)]. rank=None takes the
+    largest rank the kind allows: the column count for an intrinsic kind,
+    min(b.shape) otherwise. `seed` draws nmf's initial factors.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]
-    if kind.intrinsic_rank and backend.rank != b.shape[1]:
-        raise ShapeError(
-            f"{backend.kind} backend rank {backend.rank} must equal latent column count {b.shape[1]}"
-        )
-    return kind.factor(b, backend, seed)
+    if kind.intrinsic_rank:
+        rank = b.shape[1] if rank is None else rank
+        if rank != b.shape[1]:
+            raise ShapeError(
+                f"{backend.kind} backend rank {rank} must equal latent column count {b.shape[1]}")
+    else:
+        rank = min(b.shape) if rank is None else rank
+        if not 1 <= rank <= min(b.shape):
+            raise ShapeError(f"rank {rank} out of range for shape {b.shape}")
+    return kind.factor(b, rank, backend, seed)
 
 
 def reconstruct(result, b=None):

@@ -186,6 +186,12 @@ def load_matrix(path):
     return m
 
 
+def _section_tag(name):
+    """The bytes an ADPT1 section starts with: the name's length as a u64, then the name."""
+    raw = name.encode()
+    return struct.pack("<Q", len(raw)) + raw
+
+
 def save_adapter(state, path):
     """Write an adapter checkpoint in ADPT1 format."""
     cfg = state.cfg
@@ -200,8 +206,7 @@ def save_adapter(state, path):
         cfg.lr_p, cfg.lr_r, cfg.init_stddev, cfg.seed, nmf_iters, nmf_tol,
         matrix_hash(state.w0), len(mats))]
     for name, mat in mats.items():
-        raw = name.encode()
-        parts += [struct.pack("<Q", len(raw)), raw, matrix_bytes(mat)]
+        parts += [_section_tag(name), matrix_bytes(mat)]
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
@@ -211,7 +216,8 @@ def load_adapter(path, w0):
 
     The stored base-weight hash must match `w0` exactly; a mismatch raises
     PairingError because the checkpoint was trained against a different
-    base weight.
+    base weight. The sections must then be exactly those the stored config
+    implies over w0 (see adapters.trainable_shapes), in order.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -244,39 +250,22 @@ def load_adapter(path, w0):
             "(stored hash does not match the supplied w0)"
         )
 
+    shapes = trainable_shapes(cfg, *w0.shape)
+    if count != len(shapes):
+        raise FormatError(f"{label}: holds {count} sections, expected {len(shapes)}: "
+                          f"{tuple(shapes)}")
+    state = AdapterState(cfg=cfg, w0=w0)
     offset = _ADPT_HEADER.size
-    sections = {}
-    for i in range(count):
-        if len(buf) < offset + 8:
-            raise FormatError(f"{label}: section {i} name length truncated")
-        (name_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        if len(buf) < offset + name_len:
-            raise FormatError(f"{label}: section {i} name truncated")
-        try:
-            name = buf[offset:offset + name_len].decode()
-        except UnicodeDecodeError:
-            raise FormatError(f"{label}: section {i} name is not valid UTF-8") from None
-        offset += name_len
-        mat, offset = _parse_matrix(buf, offset, f"{label}: section {name!r}")
-        sections[name] = mat
+    for i, (name, shape) in enumerate(shapes.items()):
+        tag = _section_tag(name)
+        if buf[offset:offset + len(tag)] != tag:
+            raise FormatError(f"{label}: section {i} is missing or misnamed, expected {name!r}")
+        mat, offset = _parse_matrix(buf, offset + len(tag), f"{label}: section {name!r}")
+        if mat.shape != shape:
+            raise FormatError(f"{label}: section {name!r} has shape {mat.shape}, expected {shape}")
+        setattr(state, name, mat)
     if len(buf) != offset:
         raise FormatError(f"{label}: trailing bytes, expected {offset}, file has {len(buf)}")
-
-    shapes = trainable_shapes(cfg, *w0.shape)
-    if tuple(sections) != tuple(shapes):
-        raise FormatError(
-            f"{label}: sections {tuple(sections)} do not match expected {tuple(shapes)}"
-        )
-    for name, mat in sections.items():
-        if mat.shape != shapes[name]:
-            raise FormatError(
-                f"{label}: section {name!r} has shape {mat.shape}, expected {shapes[name]}"
-            )
-
-    state = AdapterState(cfg=cfg, w0=w0)
-    for name, mat in sections.items():
-        setattr(state, name, mat)
     return state
 
 

@@ -76,7 +76,7 @@ def test_c03_total_weight_containment():
         for seed in range(20):
             rng = make_rng(2000 + seed)
             w0 = gaussian(rng, 24, 18, 1.0)
-            cfg = AdapterConfig("deft", rank, backend=Backend(kind, rank),
+            cfg = AdapterConfig("deft", rank, backend=Backend(kind),
                                 init_stddev=0.5, seed=seed)
             state = init_adapter(w0, cfg)
             state.r = gaussian(rng, rank, 18, 1.0)
@@ -112,7 +112,7 @@ def test_c04_forward_matches_merge():
         w0 = gaussian(rng, 10, 8, 1.0)
         x = gaussian(rng, 8, 4, 1.0)
         for method, kind in combos:
-            backend = None if kind is None else Backend(kind, 3)
+            backend = None if kind is None else Backend(kind)
             cfg = AdapterConfig(method, 3, backend=backend, init_stddev=0.4, seed=seed)
             state = init_adapter(w0, cfg)
             if method == "lora":
@@ -133,9 +133,9 @@ def test_c05_special_cases_reduce_exactly():
             rng = make_rng(4000 + seed)
             w0 = gaussian(rng, 9, 7, 1.0)
             x = gaussian(rng, 7, 3, 1.0)
-            deft = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend(kind, 2),
+            deft = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend(kind),
                                                   init_stddev=0.5, seed=seed))
-            para = init_adapter(w0, AdapterConfig("para", 2, backend=Backend(kind, 2),
+            para = init_adapter(w0, AdapterConfig("para", 2, backend=Backend(kind),
                                                   init_stddev=0.5, seed=seed))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -187,12 +187,12 @@ def test_c06_gradients_match_finite_differences():
     task = ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
     worst = 0.0
 
-    deft = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax", 2),
+    deft = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax"),
                                           init_stddev=0.5, seed=1))
     deft.r = gaussian(rng, 2, 4, 1.0)
     worst = max(worst, check(deft, task, "deft-relax"))
 
-    deft_nn = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax_nmf", 2),
+    deft_nn = init_adapter(w0, AdapterConfig("deft", 2, backend=Backend("relax_nmf"),
                                              init_stddev=0.5, seed=2))
     latent = deft_nn.p_latent
     latent[np.abs(latent) < 1e-3] = 0.25  # keep entries off the max(., 0) kink
@@ -203,7 +203,7 @@ def test_c06_gradients_match_finite_differences():
     lora.b_lo = gaussian(rng, 6, 2, 1.0)
     worst = max(worst, check(lora, task, "lora"))
 
-    para = init_adapter(w0, AdapterConfig("para", 2, backend=Backend("relax", 2),
+    para = init_adapter(w0, AdapterConfig("para", 2, backend=Backend("relax"),
                                           init_stddev=0.5, seed=4))
     worst = max(worst, check(para, task, "para-relax"))
 
@@ -231,7 +231,7 @@ def test_c08_toy_finetune_reaches_threshold():
     rng = make_rng(6000)
     w0 = gaussian(rng, 32, 32, 1.0)
     task = make_teacher_shift_task(w0, seed=1)
-    cfg = AdapterConfig("deft", 4, backend=Backend("relax", 4),
+    cfg = AdapterConfig("deft", 4, backend=Backend("relax"),
                         lr_p=1e-3, lr_r=1e-2, init_stddev=0.1, seed=0)
 
     # reachability oracle: a rank-4 state that lands exactly on the teacher
@@ -260,7 +260,7 @@ def test_c09_truncated_svd_is_optimal():
     def error(b, kind, rank, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = decompose(b, Backend(kind, rank), seed=seed)
+            res = decompose(b, Backend(kind), rank, seed=seed)
             return frobenius_norm(b - reconstruct(res, b))
 
     instances = 0
@@ -294,14 +294,14 @@ def test_c10_decomposition_speed_ordering():
     latent = gaussian(make_rng(8000), dim, rank, 1.0)
 
     def median_ms(kind):
-        backend = Backend(kind, rank)
+        backend = Backend(kind)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            decompose(latent, backend, seed=0)  # warm-up
+            decompose(latent, backend, rank, seed=0)  # warm-up
             times = []
             for _ in range(iters):
                 t0 = time.perf_counter()
-                decompose(latent, backend, seed=0)
+                decompose(latent, backend, rank, seed=0)
                 times.append((time.perf_counter() - t0) * 1e3)
         return statistics.median(times)
 
@@ -336,7 +336,7 @@ def test_c11_persistence_round_trips(tmp_path):
         n = int(rng.integers(3, 9))
         r = int(rng.integers(1, min(m, n) + 1))
         method = methods[i % 3]
-        backend = None if method == "lora" else Backend(kinds[i % 7], r)
+        backend = None if method == "lora" else Backend(kinds[i % 7])
         w0 = rng.normal(size=(m, n))
         cfg = AdapterConfig(method, r, backend=backend, init_stddev=0.3, seed=i)
         state = init_adapter(w0, cfg)

@@ -29,16 +29,12 @@ class TestConfig:
     def test_lora_rejects_backend(self):
         assert AdapterConfig("lora", 2).backend is None
         with pytest.raises(ConfigError, match="lora takes no backend"):
-            AdapterConfig("lora", 2, backend=Backend("qr", 2))
+            AdapterConfig("lora", 2, backend=Backend("qr"))
 
     def test_para_deft_default_backend(self):
         for method in ("para", "deft"):
             cfg = AdapterConfig(method, 3)
-            assert cfg.backend == Backend("qr", 3)
-
-    def test_backend_rank_must_match(self):
-        with pytest.raises(ConfigError):
-            AdapterConfig("deft", 3, backend=Backend("tsvd", 2))
+            assert cfg.backend == Backend("qr")
 
     def test_bad_method(self):
         with pytest.raises(ConfigError):
@@ -75,7 +71,7 @@ class TestNonFiniteConfig:
     @NONFINITE
     def test_backend_nmf_tol_rejected(self, value):
         with pytest.raises(ValueError, match="nmf_tol must be finite"):
-            Backend("nmf", 2, nmf_tol=value)
+            Backend("nmf", nmf_tol=value)
 
 
 class TestInit:
@@ -127,8 +123,8 @@ class TestForwardAndMerge:
         w0 = random_w0(8)
         x = make_rng(9).normal(size=(7, 4))
         for kind in ("qr", "tsvd", "relax"):
-            deft = init_adapter(w0, AdapterConfig("deft", 3, backend=Backend(kind, 3), seed=11))
-            para = init_adapter(w0, AdapterConfig("para", 3, backend=Backend(kind, 3), seed=11))
+            deft = init_adapter(w0, AdapterConfig("deft", 3, backend=Backend(kind), seed=11))
+            para = init_adapter(w0, AdapterConfig("para", 3, backend=Backend(kind), seed=11))
             assert np.array_equal(forward(deft, x), forward(para, x)), kind
 
     def test_forward_matches_merge(self):
@@ -184,7 +180,7 @@ class TestRefresh:
         """
         for kind in ("qr", "tsvd", "relax"):
             state = init_adapter(random_w0(18), AdapterConfig(
-                "deft", 3, backend=Backend(kind, 3), init_stddev=0.5, seed=2))
+                "deft", 3, backend=Backend(kind), init_stddev=0.5, seed=2))
             state.r = make_rng(19).normal(size=(3, 7))
             x = make_rng(20).normal(size=(7, 4))
             before = forward(state, x)
@@ -217,7 +213,7 @@ class TestRefresh:
 
     def test_sign_of_zero_is_a_change(self):
         state = init_adapter(random_w0(23), AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2), init_stddev=0.5))
+            "deft", 2, backend=Backend("relax"), init_stddev=0.5))
         state.p_latent[0, 0] = 0.0
         assert not np.signbit(projection_factor(state)[0, 0])
         state.p_latent[0, 0] = -0.0
@@ -268,7 +264,7 @@ class TestUpdateRulesExact:
         self.rng = rng
 
     def cfg(self, method):
-        backend = None if method == "lora" else Backend("relax", 3)
+        backend = None if method == "lora" else Backend("relax")
         return AdapterConfig(method, 3, alpha=6.0, backend=backend, lr_p=0.1, lr_r=0.4,
                              init_stddev=0.3, seed=41)
 

@@ -306,6 +306,37 @@ class TestVerify:
             header, row = f.read().decode().split("\r\n")[:2]
         assert dict(zip(header.split(","), row.split(",")))["rank_w0"] == "48"
 
+    @pytest.mark.parametrize("backend", ["qr", "tsvd", "relax"])
+    def test_subnormal_w0_passes(self, in_tmp, capsys, backend):
+        # at 2**-1070 the entries are subnormal; the subset check takes w0 at unit scale
+        store.save_matrix(np.ldexp(make_rng(3).normal(size=(64, 48)), -1070), "w0.mat")
+        assert main(["verify", "--w0", "w0.mat", "--backend", backend, "--out", "v.csv"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS: 3 trials" in out and "subset=false" not in out
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["v.csv", "w0.mat"]
+
+    @pytest.mark.parametrize("seed, trials", [(2**64 - 1, 2), (2**64 - 2, 3), (2**64 - 8, 9)])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_range_checked_before_any_trial(self, in_tmp, capsys, monkeypatch, seed,
+                                                 trials, source):
+        argv = ["verify", "--trials", str(trials), "--out", "v.csv"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("DEFT_SEED", str(seed))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --seed (or DEFT_SEED) plus --trials - 1 must be below 2**64, "
+            f"got seed {seed} with {trials} trials\n")
+        assert list(in_tmp.iterdir()) == []
+
+    def test_last_seeds_below_u64_run(self, in_tmp, capsys):
+        assert main(["verify", "--seed", str(2**64 - 2), "--trials", "2", "--rank", "2",
+                     "--out", "v.csv"]) == 0
+        assert "PASS: 2 trials" in capsys.readouterr().out
+
     @pytest.mark.parametrize("backend", ["qr", "relax"])
     @pytest.mark.parametrize("scale", [1e6, 1e8, 1e-8, 1e300, 1e305])
     def test_containment_at_any_w0_scale(self, in_tmp, capsys, scale, backend):
@@ -415,7 +446,8 @@ class TestMalformedFiles:
         buf = self._checkpoint()
         buf[119] = 0xFF  # first byte of the first section name
         assert self._displacement(buf) == 3
-        assert "section 0 name is not valid UTF-8" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "io error: a.adpt: section 0 is missing or misnamed, expected 'p_latent'\n")
 
 
 class TestBench:
@@ -440,6 +472,19 @@ class TestBench:
     def test_unknown_backend(self, in_tmp, capsys):
         assert main(["bench", "--backends", "qr,cholesky"]) == 2
         assert "unknown backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backends", [",", "", " , "])
+    def test_empty_backend_list(self, in_tmp, capsys, backends):
+        assert main(["bench", "--backends", backends, "--out", "b.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --backends names no backend kind, got {backends!r}\n")
+        assert list(in_tmp.iterdir()) == []
+
+    def test_rank_above_dim_is_usage_error(self, in_tmp, capsys):
+        assert main(["bench", "--dim", "2", "--rank", "4", "--backends", "tsvd",
+                     "--out", "b.csv"]) == 2
+        assert capsys.readouterr().err == "usage error: rank 4 out of range for shape (2, 4)\n"
+        assert list(in_tmp.iterdir()) == []
 
 
 class TestParamCount:

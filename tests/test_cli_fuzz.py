@@ -106,7 +106,7 @@ def workdir(tmp_path_factory):
     (path / "corrupt.bin").write_bytes(b"MAT1\x02\x00garbage")
     (path / "run.cfg").write_text("method = deft\nrank = 2\nbackend = tsvd\ninit_stddev = 0.1\n")
     (path / "lora.cfg").write_text("method = lora\nrank = 3\n")
-    cfg = AdapterConfig("deft", 2, backend=Backend("relax", 2), init_stddev=0.3, seed=1)
+    cfg = AdapterConfig("deft", 2, backend=Backend("relax"), init_stddev=0.3, seed=1)
     store.save_adapter(init_adapter(w0, cfg), path / "a.adpt")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(path)

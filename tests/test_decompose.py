@@ -1,21 +1,11 @@
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
 from deft._jacobi import jacobi_svd
-from deft.decompose import (
-    Backend,
-    KINDS,
-    decompose,
-    eig_project,
-    lrmf_decompose,
-    nmf_decompose,
-    qr_decompose,
-    reconstruct,
-    relax,
-    truncated_svd,
-)
+from deft.decompose import Backend, KINDS, decompose, reconstruct
 from deft.matcore import ShapeError, frobenius_norm, make_rng, rel_error
 
 
@@ -38,18 +28,18 @@ def mgs_qr(b):
 class TestQr:
     def test_orthonormal_input_gives_signed_identity_r(self):
         basis, _ = np.linalg.qr(make_rng(0).normal(size=(8, 3)))
-        res = qr_decompose(basis)
+        res = decompose(basis, Backend("qr"))
         assert np.abs(np.abs(res.aux["r_tri"]) - np.eye(3)).max() < 1e-12
         assert np.abs(np.abs(res.p_factor) - np.abs(basis)).max() < 1e-12
 
     def test_axis_aligned(self):
-        res = qr_decompose(np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 3.0]]))
+        res = decompose(np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 3.0]]), Backend("qr"))
         assert np.abs(res.p_factor - np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])).max() < 1e-15
         assert np.abs(res.aux["r_tri"] - np.diag([2.0, 3.0])).max() < 1e-15
 
     def test_against_gram_schmidt(self):
         b = make_rng(1).normal(size=(16, 4))
-        res = qr_decompose(b)
+        res = decompose(b, Backend("qr"))
         assert rel_error(res.p_factor @ res.aux["r_tri"], b) < 1e-12
         q_ref, _ = mgs_qr(b)
         # same column space: the two projectors agree
@@ -58,7 +48,7 @@ class TestQr:
     def test_orthonormal_columns(self):
         rng = make_rng(2)
         for _ in range(10):
-            res = qr_decompose(rng.normal(size=(9, 4)))
+            res = decompose(rng.normal(size=(9, 4)), Backend("qr"))
             assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(4)) < 1e-10
             assert np.abs(np.tril(res.aux["r_tri"], -1)).max() == 0.0
 
@@ -66,19 +56,19 @@ class TestQr:
         rng = make_rng(3)
         col = rng.normal(size=(7, 1))
         b = np.hstack([col, 2.0 * col, rng.normal(size=(7, 1))])
-        res = qr_decompose(b)
+        res = decompose(b, Backend("qr"))
         assert "degenerate_columns" in res.notes
         assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(3)) < 1e-10
         assert rel_error(res.p_factor @ res.aux["r_tri"], b) < 1e-12
 
     def test_zero_latent(self):
-        res = qr_decompose(np.zeros((5, 2)))
+        res = decompose(np.zeros((5, 2)), Backend("qr"))
         assert "degenerate_columns" in res.notes
         assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(2)) < 1e-12
 
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):
-            qr_decompose(np.ones((2, 5)))
+            decompose(np.ones((2, 5)), Backend("qr"))
 
 
 class TestFullSvdOracle:
@@ -111,18 +101,18 @@ class TestFullSvdOracle:
 
 class TestTruncatedSvd:
     def test_diagonal_case(self):
-        res = truncated_svd(np.diag([5.0, 3.0, 1.0]), 2)
+        res = decompose(np.diag([5.0, 3.0, 1.0]), Backend("tsvd"), 2)
         err = frobenius_norm(np.diag([5.0, 3.0, 1.0]) - reconstruct(res, None))
         assert abs(err - 1.0) < 1e-12
 
     def test_full_rank_exact(self):
         a = make_rng(7).normal(size=(6, 4))
-        res = truncated_svd(a, 4)
+        res = decompose(a, Backend("tsvd"), 4)
         assert rel_error(reconstruct(res, None), a) < 1e-10
 
     def test_against_lapack_truncation(self):
         a = make_rng(8).normal(size=(12, 8))
-        res = truncated_svd(a, 3)
+        res = decompose(a, Backend("tsvd"), 3)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         ref = u[:, :3] @ np.diag(s[:3]) @ vt[:3]
         err = frobenius_norm(a - reconstruct(res, None))
@@ -130,14 +120,14 @@ class TestTruncatedSvd:
         assert abs(err - ref_err) < 1e-9
 
     def test_aux_singular_values_sorted(self):
-        res = truncated_svd(make_rng(9).normal(size=(10, 6)), 4)
+        res = decompose(make_rng(9).normal(size=(10, 6)), Backend("tsvd"), 4)
         s = res.aux["s"]
         assert (np.diff(s) <= 0).all() and (s >= 0).all()
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_whole_matrix_scale(self, scale):
         b = scale * make_rng(9).normal(size=(10, 6))
-        res = truncated_svd(b, 4)
+        res = decompose(b, Backend("tsvd"), 4)
         ref = np.linalg.svd(b, compute_uv=False)
         assert np.abs(res.aux["s"] - ref[:4]).max() <= 1e-13 * ref[0]
         assert np.abs(res.p_factor.T @ res.p_factor - np.eye(4)).max() < 1e-13
@@ -145,25 +135,25 @@ class TestTruncatedSvd:
 
 class TestLrmf:
     def test_scalar_case(self):
-        res = lrmf_decompose(np.array([[4.0]]), 1)
+        res = decompose(np.array([[4.0]]), Backend("lrmf"), 1)
         assert abs(np.linalg.norm(res.p_factor[:, 0]) - 2.0) < 1e-12
 
     def test_orthonormal_input_unit_columns(self):
         basis, _ = np.linalg.qr(make_rng(10).normal(size=(7, 3)))
-        res = lrmf_decompose(basis, 3)
+        res = decompose(basis, Backend("lrmf"), 3)
         norms = np.linalg.norm(res.p_factor, axis=0)
         assert np.abs(norms - 1.0).max() < 1e-10
 
     def test_gram_matches_oracle(self):
         a = make_rng(11).normal(size=(10, 6))
-        res = lrmf_decompose(a, 2)
+        res = decompose(a, Backend("lrmf"), 2)
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         ref = u[:, :2] @ np.diag(s[:2]) @ u[:, :2].T
         assert np.abs(res.p_factor @ res.p_factor.T - ref).max() < 1e-10
 
     def test_zero_singular_flagged(self):
         a = np.outer(make_rng(12).normal(size=6), make_rng(13).normal(size=6))
-        res = lrmf_decompose(a, 3)  # ranks 2 and 3 of a rank-1 matrix are zero
+        res = decompose(a, Backend("lrmf"), 3)  # ranks 2 and 3 of a rank-1 matrix are zero
         assert "zero_singular_columns" in res.notes
         assert np.abs(res.p_factor[:, 1:]).max() < 1e-6
 
@@ -172,18 +162,18 @@ class TestNmf:
     def test_rank_one_recovery(self):
         rng = make_rng(14)
         b = np.outer(rng.uniform(0.5, 2.0, size=6), rng.uniform(0.5, 2.0, size=5))
-        res = nmf_decompose(b, 1, iters=20_000, tol=0.0)
+        res = decompose(b, Backend("nmf", nmf_iters=20_000, nmf_tol=0.0), 1)
         assert frobenius_norm(b - res.p_factor @ res.aux["h"]) < 1e-6
 
     def test_all_zero(self):
-        res = nmf_decompose(np.zeros((4, 4)), 2)
+        res = decompose(np.zeros((4, 4)), Backend("nmf", nmf_iters=200), 2)
         assert np.array_equal(res.p_factor, np.zeros((4, 2)))
         assert np.array_equal(res.aux["h"], np.zeros((2, 4)))
         assert res.aux["err_trace"][-1] == 0.0
 
     def test_monotone_error(self):
         b = make_rng(15).uniform(0.0, 1.0, size=(8, 8))
-        res = nmf_decompose(b, 8, iters=200, tol=0.0)
+        res = decompose(b, Backend("nmf", nmf_iters=200, nmf_tol=0.0), 8)
         trace = res.aux["err_trace"]
         assert len(trace) >= 2
         for prev, cur in zip(trace, trace[1:]):
@@ -191,13 +181,13 @@ class TestNmf:
 
     def test_factors_nonnegative(self):
         b = make_rng(16).uniform(0.0, 2.0, size=(6, 7))
-        res = nmf_decompose(b, 3, iters=50)
+        res = decompose(b, Backend("nmf", nmf_iters=50), 3)
         assert (res.p_factor >= 0).all() and (res.aux["h"] >= 0).all()
 
     def test_clamp_warning_on_signed_input(self):
         b = make_rng(17).normal(size=(5, 5))
         with pytest.warns(UserWarning, match="clamping"):
-            res = nmf_decompose(b, 2, iters=10)
+            res = decompose(b, Backend("nmf", nmf_iters=10), 2)
         assert "clamped_negative_input" in res.notes
         # factorizes the clamped matrix, not the signed one
         clamped = np.maximum(b, 0.0)
@@ -209,8 +199,8 @@ class TestNmf:
         # an absolute guard in the updates used to swamp inputs below ~1e-8,
         # and the input's squared norm overflowed from ~1e154 on
         b = np.abs(make_rng(19).normal(size=(12, 8)))
-        ref = nmf_decompose(b, 3)
-        res = nmf_decompose(scale * b, 3)
+        ref = decompose(b, Backend("nmf", nmf_iters=200), 3)
+        res = decompose(scale * b, Backend("nmf", nmf_iters=200), 3)
         assert len(res.aux["err_trace"]) == len(ref.aux["err_trace"])
         np.testing.assert_allclose(res.aux["err_trace"] / scale, ref.aux["err_trace"], rtol=1e-8)
         np.testing.assert_allclose(res.p_factor @ res.aux["h"] / scale,
@@ -218,8 +208,8 @@ class TestNmf:
 
     def test_determinism(self):
         b = make_rng(18).uniform(0.0, 1.0, size=(7, 6))
-        r1 = nmf_decompose(b, 3, iters=40, seed=5)
-        r2 = nmf_decompose(b, 3, iters=40, seed=5)
+        r1 = decompose(b, Backend("nmf", nmf_iters=40), 3, seed=5)
+        r2 = decompose(b, Backend("nmf", nmf_iters=40), 3, seed=5)
         assert np.array_equal(r1.p_factor, r2.p_factor)
         assert np.array_equal(r1.aux["h"], r2.aux["h"])
 
@@ -227,30 +217,30 @@ class TestNmf:
 class TestEig:
     def test_orthogonal_columns_align(self):
         cols = np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        res = eig_project(cols, 2)
+        res = decompose(cols, Backend("eig"), 2)
         expected = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         assert np.abs(res.p_factor - expected).max() < 1e-12
 
     def test_eigenvalues_are_squared_singular_values(self):
         b = make_rng(19).normal(size=(8, 5))
-        res = eig_project(b, 5)
+        res = decompose(b, Backend("eig"), 5)
         s = np.linalg.svd(b, compute_uv=False)
         assert np.abs(res.aux["lambda"] - s**2).max() < 1e-9
 
     def test_full_rank_complete_basis(self):
         b = make_rng(20).normal(size=(5, 5))
-        res = eig_project(b, 5)
+        res = decompose(b, Backend("eig"), 5)
         v = res.p_factor
         assert np.abs(v @ v.T - np.eye(5)).max() < 1e-9
 
     def test_orthonormal_columns(self):
-        res = eig_project(make_rng(21).normal(size=(9, 4)), 3)
+        res = decompose(make_rng(21).normal(size=(9, 4)), Backend("eig"), 3)
         assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(3)) < 1e-10
 
     def test_matches_eigh_of_gram(self):
         for seed in range(20):
             b = make_rng(seed).normal(size=(12, 4))
-            res = eig_project(b, 4)
+            res = decompose(b, Backend("eig"), 4)
             lam, vec = np.linalg.eigh(b @ b.T)
             p = vec[:, ::-1][:, :4]
             assert np.abs(res.p_factor @ res.p_factor.T - p @ p.T).max() < 1e-12
@@ -258,26 +248,26 @@ class TestEig:
 
     def test_rank_bounded_by_columns(self):
         with pytest.raises(ShapeError):
-            eig_project(make_rng(22).normal(size=(9, 4)), 5)
+            decompose(make_rng(22).normal(size=(9, 4)), Backend("eig"), 5)
 
 
 class TestRelax:
     def test_identity_on_nonneg(self):
         b = make_rng(22).uniform(0.0, 1.0, size=(4, 3))
-        assert np.array_equal(relax(b, nonneg=True).p_factor, b)
+        assert np.array_equal(decompose(b, Backend("relax_nmf")).p_factor, b)
 
     def test_all_negative_becomes_zero(self):
         b = -make_rng(23).uniform(0.1, 1.0, size=(4, 3))
-        assert np.array_equal(relax(b, nonneg=True).p_factor, np.zeros((4, 3)))
+        assert np.array_equal(decompose(b, Backend("relax_nmf")).p_factor, np.zeros((4, 3)))
 
     def test_mixed_signs_elementwise(self):
         b = make_rng(24).normal(size=(6, 2))
-        out = relax(b, nonneg=True).p_factor
+        out = decompose(b, Backend("relax_nmf")).p_factor
         assert np.array_equal(out, np.maximum(b, 0.0))
 
     def test_plain_relax_is_a_copy(self):
         b = make_rng(25).normal(size=(3, 2))
-        out = relax(b).p_factor
+        out = decompose(b, Backend("relax")).p_factor
         assert np.array_equal(out, b) and out is not b
 
 
@@ -285,7 +275,7 @@ def backend_error(b, kind, rank, seed=0):
     """Frobenius error of a backend's rank-`rank` approximation of b."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # nmf clamps signed latents, expected here
-        res = decompose(b, Backend(kind, rank), seed=seed)
+        res = decompose(b, Backend(kind), rank, seed=seed)
     return frobenius_norm(b - reconstruct(res, b))
 
 
@@ -295,7 +285,7 @@ class TestDispatcherAndProperties:
         for kind in KINDS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = decompose(b, Backend(kind, 4), seed=1)
+                res = decompose(b, Backend(kind), 4, seed=1)
             assert res.p_factor.shape == (9, 4), kind
 
     def test_determinism_bit_identical(self):
@@ -303,8 +293,8 @@ class TestDispatcherAndProperties:
         for kind in KINDS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                r1 = decompose(b, Backend(kind, 3), seed=9)
-                r2 = decompose(b.copy(), Backend(kind, 3), seed=9)
+                r1 = decompose(b, Backend(kind), 3, seed=9)
+                r2 = decompose(b.copy(), Backend(kind), 3, seed=9)
             assert np.array_equal(r1.p_factor, r2.p_factor), kind
             for key in r1.aux:
                 assert np.array_equal(r1.aux[key], r2.aux[key]), (kind, key)
@@ -312,7 +302,7 @@ class TestDispatcherAndProperties:
     def test_orthonormal_trio(self):
         b = make_rng(28).normal(size=(10, 4))
         for kind in ("qr", "tsvd", "eig"):
-            res = decompose(b, Backend(kind, 4))
+            res = decompose(b, Backend(kind), 4)
             gram = res.p_factor.T @ res.p_factor
             assert frobenius_norm(gram - np.eye(4)) < 1e-10, kind
 
@@ -320,7 +310,7 @@ class TestDispatcherAndProperties:
         b = np.ones((6, 3))
         for kind in ("qr", "relax", "relax_nmf"):
             with pytest.raises(ShapeError):
-                decompose(b, Backend(kind, 2))
+                decompose(b, Backend(kind), 2)
 
     def test_truncated_svd_is_optimal_on_latents(self):
         rng = make_rng(29)
@@ -343,12 +333,43 @@ class TestDispatcherAndProperties:
 
     def test_reconstruct_needs_matrix_only_for_eig(self):
         b = make_rng(31).normal(size=(5, 3))
-        res = decompose(b, Backend("eig", 3))
+        res = decompose(b, Backend("eig"), 3)
         with pytest.raises(ValueError):
             reconstruct(res, None)
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
-            Backend("cholesky", 2)
+            Backend("cholesky")
         with pytest.raises(ValueError):
-            Backend("qr", 0)
+            decompose(np.ones((3, 2)), Backend("tsvd"), 0)
+
+    def test_backend_knobs_are_keyword_only(self):
+        # a positional second argument once meant the rank; it must not become nmf_iters
+        with pytest.raises(TypeError):
+            Backend("tsvd", 4)
+
+    def test_rank_defaults_to_the_largest_the_kind_allows(self):
+        for shape in ((9, 4), (4, 9)):
+            b = make_rng(32).uniform(0.0, 1.0, size=shape)
+            for kind in KINDS:
+                if kind == "qr" and shape[0] < shape[1]:
+                    continue  # qr rejects a wide latent
+                res = decompose(b, Backend(kind))
+                full = shape[1] if kind in ("qr", "relax", "relax_nmf") else min(shape)
+                assert res.p_factor.shape == (shape[0], full), (kind, shape)
+
+    def test_one_matrix_check_per_call(self, monkeypatch):
+        module = importlib.import_module("deft.decompose")  # deft.decompose is the function
+        calls = []
+        real = module.as_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "as_matrix", counting)
+        b = make_rng(33).uniform(0.0, 1.0, size=(8, 3))
+        for kind in KINDS:
+            calls.clear()
+            decompose(b, Backend(kind), 3)
+            assert len(calls) == 1, kind

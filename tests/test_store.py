@@ -164,7 +164,7 @@ class TestHashDigestsPinned:
         path = tmp_path / "pinned.adpt"
         path.write_bytes(PINNED_PARA_ADPT1)
         state = load_adapter(path, w0)
-        assert state.cfg == AdapterConfig("para", 1, backend=Backend("relax", 1),
+        assert state.cfg == AdapterConfig("para", 1, backend=Backend("relax"),
                                           init_stddev=0.5, seed=71)
         fresh = init_adapter(w0, state.cfg)
         assert np.array_equal(state.q_latent, fresh.q_latent)
@@ -175,7 +175,7 @@ class TestHashDigestsPinned:
 def trained_state(method, seed, m=8, n=6, backend_kind="qr"):
     rng = make_rng(seed)
     w0 = rng.normal(size=(m, n))
-    backend = None if method == "lora" else Backend(backend_kind, 2)
+    backend = None if method == "lora" else Backend(backend_kind)
     cfg = AdapterConfig(method, 2, backend=backend, init_stddev=0.4, seed=seed)
     state = init_adapter(w0, cfg)
     # scribble on the zero-initialized parts so the files carry real data
@@ -311,7 +311,23 @@ class TestLiteralTags:
         mats = [("p_latent", rng.normal(size=(5, 2))), ("r", rng.normal(size=(2, 4)))]
         path = tmp_path / "b.adpt"
         path.write_bytes(hand_built_adpt1(self.w0, 2, tag, mats))
-        assert load_adapter(path, self.w0).cfg.backend == Backend(kind, 2)
+        assert load_adapter(path, self.w0).cfg.backend == Backend(kind)
+
+    @pytest.mark.parametrize("sections, message", [
+        ([("p_latent", (5, 2))], "holds 1 sections, expected 2: ('p_latent', 'r')"),
+        ([("p_latent", (5, 2)), ("r", (2, 4)), ("r", (2, 4))],
+         "holds 3 sections, expected 2: ('p_latent', 'r')"),
+        ([("q_latent", (5, 2)), ("r", (2, 4))], "section 0 is missing or misnamed, expected 'p_latent'"),
+        ([("p_latent", (5, 2)), ("R", (2, 4))], "section 1 is missing or misnamed, expected 'r'"),
+        ([("r", (2, 4)), ("p_latent", (5, 2))], "section 0 is missing or misnamed, expected 'p_latent'"),
+    ], ids=["too_few", "too_many", "misnamed_p", "misnamed_r", "swapped"])
+    def test_sections_must_be_those_the_header_implies(self, tmp_path, sections, message):
+        mats = [(name, make_rng(34).normal(size=shape)) for name, shape in sections]
+        path = tmp_path / "s.adpt"
+        path.write_bytes(hand_built_adpt1(self.w0, 2, 0, mats))
+        with pytest.raises(FormatError) as info:
+            load_adapter(path, self.w0)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_nan_alpha_rejected(self, tmp_path):
         mats = [("q_latent", make_rng(33).normal(size=(5, 2)))]
@@ -325,7 +341,7 @@ class TestConfigText:
     def test_minimal(self):
         cfg = parse_config("method = deft\nrank = 4\n")
         assert cfg.method == "deft" and cfg.rank == 4
-        assert cfg.backend == Backend("qr", 4)
+        assert cfg.backend == Backend("qr")
         assert cfg.alpha == 4.0
 
     def test_full(self):

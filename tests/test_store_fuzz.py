@@ -70,7 +70,7 @@ def adapter_dir(tmp_path_factory):
     """A directory holding one valid checkpoint per method over W0."""
     out = tmp_path_factory.mktemp("adapters")
     for i, (method, kind) in enumerate((("lora", None), ("para", "nmf"), ("deft", "relax"))):
-        backend = None if kind is None else Backend(kind, 2)
+        backend = None if kind is None else Backend(kind)
         state = init_adapter(W0, AdapterConfig(method, 2, backend=backend, init_stddev=0.3, seed=i))
         for mat in list(trainables(state).values())[1:]:
             mat[...] = make_rng(10 + i).normal(size=mat.shape)

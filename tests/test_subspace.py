@@ -66,7 +66,7 @@ class TestContainment:
         for kind in ("qr", "tsvd", "relax"):
             w0 = rng.normal(size=(12, 8))
             state = init_adapter(
-                w0, AdapterConfig("deft", 3, backend=Backend(kind, 3), init_stddev=0.4, seed=6)
+                w0, AdapterConfig("deft", 3, backend=Backend(kind), init_stddev=0.4, seed=6)
             )
             state.r = rng.normal(size=(3, 8))
             from deft.adapters import projection_factor
@@ -186,7 +186,7 @@ class TestGridAndField:
     def _scaled_probe_summary(k):
         """field_summary of a seeded 2 x 2 deft/relax state whose W0 and R are scaled by 2**k."""
         rng = make_rng(21)
-        cfg = AdapterConfig("deft", 1, backend=Backend("relax", 1), init_stddev=0.5, seed=21)
+        cfg = AdapterConfig("deft", 1, backend=Backend("relax"), init_stddev=0.5, seed=21)
         state = init_adapter(np.ldexp(rng.normal(size=(2, 2)), k), cfg)
         state.r = np.ldexp(rng.normal(size=(1, 2)), k)
         return field_summary(displacement_field(state))

@@ -57,7 +57,7 @@ class TestGradients:
     def test_deft_relax_matches_finite_differences(self):
         w0, task = small_task(0)
         state = init_adapter(
-            w0, AdapterConfig("deft", 2, backend=Backend("relax", 2), init_stddev=0.5, seed=1)
+            w0, AdapterConfig("deft", 2, backend=Backend("relax"), init_stddev=0.5, seed=1)
         )
         state.r = make_rng(2).normal(size=(2, 4))
         g = grad(state, task)
@@ -67,7 +67,7 @@ class TestGradients:
     def test_para_relax_matches_finite_differences(self):
         w0, task = small_task(3)
         state = init_adapter(
-            w0, AdapterConfig("para", 2, backend=Backend("relax", 2), init_stddev=0.5, seed=4)
+            w0, AdapterConfig("para", 2, backend=Backend("relax"), init_stddev=0.5, seed=4)
         )
         g = grad(state, task)
         assert rel_dev(g["q_latent"], fd_grad(state, task, "q_latent")) < 1e-5
@@ -83,7 +83,7 @@ class TestGradients:
     def test_relax_nmf_masks_clipped_entries(self):
         w0, task = small_task(8)
         state = init_adapter(
-            w0, AdapterConfig("deft", 2, backend=Backend("relax_nmf", 2), init_stddev=0.5, seed=9)
+            w0, AdapterConfig("deft", 2, backend=Backend("relax_nmf"), init_stddev=0.5, seed=9)
         )
         # keep every entry well away from the max(., 0) kink
         latent = state.p_latent
@@ -102,14 +102,14 @@ class TestGradients:
     def test_grad_keys_match_trainables(self):
         w0, task = small_task(12)
         for method in ("lora", "para", "deft"):
-            backend = None if method == "lora" else Backend("relax", 2)
+            backend = None if method == "lora" else Backend("relax")
             state = init_adapter(w0, AdapterConfig(method, 2, backend=backend, init_stddev=0.3))
             assert list(grad(state, task)) == list(trainables(state)), method
 
     def test_descent_direction(self):
         w0, task = small_task(13)
         cfg = AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2), lr_p=1e-3, lr_r=1e-3, init_stddev=0.5, seed=14
+            "deft", 2, backend=Backend("relax"), lr_p=1e-3, lr_r=1e-3, init_stddev=0.5, seed=14
         )
         state = init_adapter(w0, cfg)
         before = loss_mse(state, task)
@@ -152,7 +152,7 @@ def rect_state(method, kind, seed, m=40, n=24, k=16, rank=3):
     w0 = rng.normal(size=(m, n))
     teacher = w0 + rng.normal(size=(m, n))
     inputs = rng.normal(size=(n, k))
-    backend = None if method == "lora" else Backend(kind, rank)
+    backend = None if method == "lora" else Backend(kind)
     state = init_adapter(w0, AdapterConfig(method, rank, backend=backend, init_stddev=0.5, seed=seed))
     for name, mat in list(trainables(state).items())[1:]:
         mat[...] = rng.normal(size=mat.shape)
@@ -226,7 +226,7 @@ def test_run_finetune_peak_memory(method, kind):
     m = n = k = 256
     w0 = make_rng(58).normal(size=(m, n))
     task = make_teacher_shift_task(w0, seed=59, batch=k)
-    backend = None if kind is None else Backend(kind, 8)
+    backend = None if kind is None else Backend(kind)
     cfg = AdapterConfig(method, 8, backend=backend, seed=60)
     tracemalloc.start()
     try:
@@ -243,7 +243,7 @@ class TestSgdStep:
     def test_rate_mapping(self):
         w0, task = small_task(15)
         cfg = AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2), lr_p=0.5, lr_r=2.0, init_stddev=0.3, seed=16
+            "deft", 2, backend=Backend("relax"), lr_p=0.5, lr_r=2.0, init_stddev=0.3, seed=16
         )
         state = init_adapter(w0, cfg)
         state.r = make_rng(17).normal(size=(2, 4))
@@ -312,7 +312,7 @@ class TestRunFinetune:
     def test_loss_drops_and_w0_frozen(self):
         w0 = make_rng(29).normal(size=(8, 8))
         cfg = AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2),
+            "deft", 2, backend=Backend("relax"),
             lr_p=1e-3, lr_r=1e-2, init_stddev=0.1, seed=30,
         )
         task = make_teacher_shift_task(w0, seed=31, input_scale=32.0)
@@ -325,7 +325,7 @@ class TestRunFinetune:
     def test_deterministic_runs(self):
         w0 = make_rng(32).normal(size=(6, 6))
         cfg = AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2),
+            "deft", 2, backend=Backend("relax"),
             lr_p=1e-3, lr_r=1e-2, init_stddev=0.1, seed=33,
         )
         task = make_teacher_shift_task(w0, seed=34, input_scale=16.0)
@@ -338,7 +338,7 @@ class TestRunFinetune:
     def test_divergence_raises(self):
         w0 = make_rng(35).normal(size=(6, 6))
         cfg = AdapterConfig(
-            "deft", 2, backend=Backend("relax", 2),
+            "deft", 2, backend=Backend("relax"),
             lr_p=1e6, lr_r=1e6, init_stddev=0.5, seed=36,
         )
         task = make_teacher_shift_task(w0, seed=37, input_scale=64.0)
@@ -350,7 +350,7 @@ class TestRunFinetune:
 
     def test_bad_steps(self):
         w0 = make_rng(38).normal(size=(4, 4))
-        cfg = AdapterConfig("deft", 1, backend=Backend("relax", 1))
+        cfg = AdapterConfig("deft", 1, backend=Backend("relax"))
         task = make_teacher_shift_task(w0, seed=39)
         with pytest.raises(ValueError):
             run_finetune(w0, cfg, task, steps=0)
@@ -367,7 +367,7 @@ class TestReporting:
     def make_report(self):
         w0 = make_rng(43).normal(size=(5, 5))
         cfg = AdapterConfig(
-            "deft", 1, backend=Backend("relax", 1),
+            "deft", 1, backend=Backend("relax"),
             lr_p=1e-3, lr_r=1e-2, init_stddev=0.1, seed=44,
         )
         task = make_teacher_shift_task(w0, seed=45, input_scale=8.0)
