@@ -11,12 +11,16 @@ output, of which no file is written, and a verify W0 so large that its
 norm or the merged weight overflows float64), 2 usage error, 3 I/O or
 file-format error. A warning raised while a subcommand runs is printed
 to stderr once, as a `warning: <message>` line.
+
+The argument parser is built once per process, on the first `main()` call,
+and reused by every later call; `import deft.cli` does not build it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import statistics
@@ -168,8 +172,9 @@ def _extension_witness_ok():
     w0 = np.diag([2.0, 3.0, 0.0, 0.0])
     q = np.array([[0.0], [0.0], [1.0], [0.0]])
     w_total = w0 - q @ (q.T @ w0) + q @ np.ones((1, 4))
+    rank_w0, rank_w0_total = subspace.extension_ranks(w0, w_total)
     report = subspace.check_containment(w0, q, w_total)
-    return report.extension_holds and report.containment_holds
+    return rank_w0_total > rank_w0 and report.containment_holds
 
 
 def cmd_verify(args):
@@ -177,6 +182,9 @@ def cmd_verify(args):
     if seed + args.trials - 1 >= 2**64:  # trial t's adapter config takes seed + t
         raise UsageError(f"--seed (or DEFT_SEED) plus --trials - 1 must be below 2**64, got "
                          f"seed {seed} with {args.trials} trials")
+    # the CSV and any failure dumps go beside --out: check its directory before any trial
+    if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
+        raise OSError(f"--out {args.out!r} is not a file path in an existing directory")
     w0_fixed = store.load_matrix(args.w0) if args.w0 is not None else None
     witness_ok = _extension_witness_ok()  # a fixed instance: one check serves every trial
 
@@ -301,6 +309,7 @@ def cmd_param_count(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="deft",

@@ -231,12 +231,13 @@ def load_adapter(path, w0):
         raise FormatError(f"{label}: bad magic {magic!r}, expected {ADPT_MAGIC!r}")
     if method_tag >= len(METHODS):
         raise FormatError(f"{label}: unsupported method tag {method_tag}")
-    if backend_tag >= len(KINDS):
-        raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
 
     method = METHODS[method_tag]
-    backend = {} if method == "lora" else dict(  # lora stores zero backend fields
-        backend=KINDS[backend_tag], nmf_iters=nmf_iters, nmf_tol=nmf_tol)
+    backend = {}  # lora's backend fields are ignored, whatever they hold
+    if method != "lora":
+        if backend_tag >= len(KINDS):
+            raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
+        backend = dict(backend=KINDS[backend_tag], nmf_iters=nmf_iters, nmf_tol=nmf_tol)
     try:
         cfg = config_from_fields(method, rank, alpha=alpha, lr_p=lr_p, lr_r=lr_r,
                                  init_stddev=init_stddev, seed=seed, **backend)

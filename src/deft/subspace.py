@@ -9,6 +9,11 @@ The three facts these helpers make executable:
 3. With a q direction outside col(w0) and a nonzero replacement term, the
    merged weight's column space strictly extends col(w0).
 
+check_containment gives the rank evidence for fact 2, the property every
+adapter output must have; extension_ranks gives it for fact 3, which holds
+only for a suitable instance (the CLI's fixed witness), so a containment
+check does not pay for its rank SVD.
+
 Rank comparisons run at a caller-chosen relative tolerance; test matrices
 are constructed with singular-value gaps far above it so the integer rank
 answers are unambiguous.
@@ -31,7 +36,6 @@ class SubspaceReport:
     rank_total: int
     rank_union: int
     containment_holds: bool
-    extension_holds: bool
     residuals: dict
 
 
@@ -73,9 +77,9 @@ def check_containment(w0, q, w_total, tol=1e-8):
     """Rank evidence that w_total stays inside col(w0) + col(q).
 
     containment_holds compares rank([w0 | q]) with rank([w0 | q | w_total]);
-    the theorem says they are equal for any adapter output. extension_holds
-    reports whether col(w_total) strictly extends col(w0), which needs a q
-    direction outside col(w0) and a nonzero replacement term.
+    the theorem says they are equal for any adapter output. Five rank SVDs
+    in all; whether col(w_total) strictly extends col(w0) is
+    extension_ranks's question.
 
     q may be any m x r matrix (orthonormality is not assumed; relax-style
     factors are legal). The residuals map carries the raw rank of the
@@ -97,7 +101,6 @@ def check_containment(w0, q, w_total, tol=1e-8):
     w0_u, q_u, total_u = (np.ldexp(a, -unit_exponent(a)) for a in (w0, q, w_total))
     rank_union = numerical_rank(np.hstack([w0_u, q_u]), tol)
     rank_union_total = numerical_rank(np.hstack([w0_u, q_u, total_u]), tol)
-    rank_w0_total = numerical_rank(np.hstack([w0_u, total_u]), tol)
 
     return SubspaceReport(
         rank_w0=rank_w0,
@@ -105,13 +108,24 @@ def check_containment(w0, q, w_total, tol=1e-8):
         rank_total=rank_total,
         rank_union=rank_union,
         containment_holds=rank_union_total == rank_union,
-        extension_holds=rank_w0_total > rank_w0,
         residuals={
             "rank_union_with_total": float(rank_union_total),
-            "rank_w0_with_total": float(rank_w0_total),
             "containment_rank_gap": float(rank_union_total - rank_union),
         },
     )
+
+
+def extension_ranks(w0, w_total, tol=1e-8):
+    """(rank(w0), rank([w0 | w_total])): fact 3 holds when the second is larger.
+
+    col(w_total) strictly extends col(w0) only with a q direction outside
+    col(w0) and a nonzero replacement term. Both blocks are stacked at unit
+    scale, as in check_containment.
+    """
+    w0 = as_matrix(w0, "w0")
+    w_total = as_matrix(w_total, "w_total")
+    w0_u, total_u = (np.ldexp(a, -unit_exponent(a)) for a in (w0, w_total))
+    return numerical_rank(w0, tol), numerical_rank(np.hstack([w0_u, total_u]), tol)
 
 
 def make_grid(lo=-1.0, hi=1.0, n=21):

@@ -1,11 +1,15 @@
 import dataclasses
 import functools
+import os
 import struct
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import deft.cli
 from deft import store, subspace
 from deft._jacobi import jacobi_svd
 from deft.cli import main
@@ -369,6 +373,16 @@ class TestVerify:
         assert sorted(p.name for p in (in_tmp / "reports").iterdir()) == ["v.csv", *(
             f"verify_fail_trial{t}_{name}.mat" for t in (0, 1) for name in ("q", "w0", "w_total"))]
 
+    @pytest.mark.parametrize("out", ["nodir/v.csv", "reports"])
+    def test_bad_out_fails_before_any_trial(self, in_tmp, capsys, out):
+        (in_tmp / "reports").mkdir()
+        assert main(["verify", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no trial line
+        assert captured.err == (
+            f"io error: --out {out!r} is not a file path in an existing directory\n")
+        assert sorted(p.name for p in in_tmp.rglob("*")) == ["reports"]
+
     def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)
         assert main(["verify", "--trials", "1", "--out", "v.csv"]) == 1
@@ -441,6 +455,13 @@ class TestMalformedFiles:
         buf[-8:] = struct.pack("<d", np.nan)  # last entry of the last section, r
         assert self._displacement(buf) == 3
         assert "section 'r': contains non-finite entries" in capsys.readouterr().err
+
+    def test_unknown_backend_tag(self, in_tmp, capsys):
+        buf = self._checkpoint()
+        buf[6] = 7  # one past relax_nmf
+        assert self._displacement(buf) == 3
+        assert capsys.readouterr().err == "io error: a.adpt: unsupported backend tag 7\n"
+        assert not (in_tmp / "d.csv").exists()
 
     def test_non_utf8_section_name(self, in_tmp, capsys):
         buf = self._checkpoint()
@@ -544,6 +565,61 @@ class TestFloatFlags:
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_one_parser_per_process(self, tmp_path):
+        # counted in a fresh process: importing builds none, the first main() builds the one
+        script = textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counted(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                built.append(self.prog)
+            argparse.ArgumentParser.__init__ = counted
+            from deft.cli import main
+            print(built.count("deft"))
+            calls = (["nope"], ["--help"], ["verify", "--trials", "1"],
+                     ["param-count", "--method", "deft", "--rank", "1", "--m", "2", "--n", "2"])
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                codes = [main(argv) for argv in calls]
+            print(codes, built.count("deft"))
+        """)
+        src = os.path.dirname(os.path.dirname(deft.cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "DEFT_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["0", "[2, 0, 0, 0] 1"]
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, monkeypatch, capsys):
+        # a usage error, --help, verify, train and verify again, first each with a parser of
+        # its own (as a fresh process would build), then in sequence on the one shared parser
+        monkeypatch.delenv("DEFT_SEED", raising=False)
+        calls = (["verify", "--trials", "0"], ["--help"],
+                 ["verify", "--trials", "2", "--seed", "5", "--out", "v1.csv"],
+                 ["train", "--w0", "w0.mat", "--config", "run.cfg", "--steps", "20",
+                  "--out", "t"],
+                 ["verify", "--trials", "1", "--backend", "relax", "--out", "v2.csv"])
+        runs = {}
+        for mode in ("alone", "shared"):
+            work = tmp_path / mode
+            work.mkdir()
+            monkeypatch.chdir(work)
+            write_mat("w0.mat", seed=23)
+            write_config("run.cfg", ["method = deft", "rank = 2", "backend = relax"])
+            results = []
+            for argv in calls:
+                if mode == "alone":
+                    deft.cli._build_parser.cache_clear()
+                results.append((main(argv), *capsys.readouterr()))
+            files = {p.relative_to(work).as_posix(): p.read_bytes()
+                     for p in sorted(work.rglob("*")) if p.is_file()}
+            runs[mode] = results, files
+        assert [r[0] for r in runs["shared"][0]] == [2, 0, 0, 0, 0]
+        assert "usage: deft" in runs["shared"][0][1][1]
+        assert runs["alone"] == runs["shared"]
 
     @pytest.mark.parametrize("argv", [
         ["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2", "--out", "a.adpt"],

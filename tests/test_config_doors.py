@@ -172,11 +172,12 @@ def test_invalid_fields_fail_closed_at_every_door(workdir, case):
     code, err = run_cli(adapt_init_argv(fields))
     assert code == 2, err
 
-    # an ADPT1 header always holds a backend tag, lora ignores its backend fields, and a
-    # u64 field cannot hold a value past u64
-    lora_nmf_tol = fields["method"] == "lora" and not math.isfinite(fields.get("nmf_tol", 0.0))
+    # an ADPT1 header always holds a backend tag, lora ignores its backend fields (an
+    # unknown tag included), and a u64 field cannot hold a value past u64
+    lora_ignores = fields["method"] == "lora" and (
+        defect == "unknown_kind" or not math.isfinite(fields.get("nmf_tol", 0.0)))
     header_door = defect not in ("knobs_without_backend", "lora_with_backend", "past_u64")
-    if header_door and not lora_nmf_tol:
+    if header_door and not lora_ignores:
         with open("bad.adpt", "wb") as f:
             f.write(header_bytes(fields))
         with pytest.raises(FormatError, match="invalid stored config|unsupported backend tag"):

@@ -241,6 +241,30 @@ class TestAdapterCheckpoints:
         with pytest.raises(FormatError, match="method tag"):
             load_adapter(path, w0)
 
+    @pytest.mark.parametrize("tag", [9, 255])
+    def test_lora_ignores_its_backend_tag(self, tmp_path, tag):
+        w0, state = trained_state("lora", seed=11)
+        path = tmp_path / "lora.adpt"
+        save_adapter(state, path)
+        buf = bytearray(path.read_bytes())
+        assert buf[6] == 0
+        buf[6] = tag
+        path.write_bytes(bytes(buf))
+        back = load_adapter(path, w0)
+        assert back.cfg == state.cfg
+        assert np.array_equal(back.a, state.a) and np.array_equal(back.b_lo, state.b_lo)
+
+    @pytest.mark.parametrize("method", ["para", "deft"])
+    def test_unknown_backend_tag(self, tmp_path, method):
+        w0, state = trained_state(method, seed=12)
+        path = tmp_path / "tag.adpt"
+        save_adapter(state, path)
+        buf = bytearray(path.read_bytes())
+        buf[6] = 7
+        path.write_bytes(bytes(buf))
+        with pytest.raises(FormatError, match="unsupported backend tag 7"):
+            load_adapter(path, w0)
+
     def test_corrupt_config_reported_as_format_error(self, tmp_path):
         w0, state = trained_state("deft", seed=8)
         path = tmp_path / "cfg.adpt"

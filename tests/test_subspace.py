@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from deft import subspace
 from deft.adapters import AdapterConfig, init_adapter, merge
 from deft.decompose import Backend
 from deft.matcore import make_rng
 from deft.subspace import (
     check_containment,
     displacement_field,
+    extension_ranks,
     field_summary,
     field_to_csv,
     make_grid,
@@ -84,10 +86,11 @@ class TestContainment:
         q[2, 0] = 1.0
         w_total = w0 - q @ (q.T @ w0) + q @ np.ones((1, 4))
         rep = check_containment(w0, q, w_total)
-        assert rep.extension_holds
         assert rep.containment_holds
         assert rep.rank_w0 == 2
-        assert rep.residuals["rank_w0_with_total"] == 3.0
+        rank_w0, rank_w0_with_total = extension_ranks(w0, w_total)
+        assert rank_w0_with_total > rank_w0
+        assert rank_w0_with_total == 3
 
     def test_no_extension_when_q_inside_base_span(self):
         # removal along directions already in col(w0) cannot add new ones
@@ -96,7 +99,8 @@ class TestContainment:
         w_total = w0 - q @ (q.T @ w0)
         rep = check_containment(w0, q, w_total)
         assert rep.containment_holds
-        assert not rep.extension_holds
+        rank_w0, rank_w0_with_total = extension_ranks(w0, w_total)
+        assert not rank_w0_with_total > rank_w0
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1e8, 1e300])
     def test_report_does_not_depend_on_w0_scale(self, scale):
@@ -105,9 +109,31 @@ class TestContainment:
         q = orthonormal(13, 20, 3)
         r = make_rng(14).normal(size=(3, 8))
         want = check_containment(w0, q, w0 - q @ (q.T @ w0) + q @ r)
-        assert want.containment_holds and want.extension_holds
+        want_ranks = extension_ranks(w0, w0 - q @ (q.T @ w0) + q @ r)
+        assert want.containment_holds and want_ranks[1] > want_ranks[0]
         w0 = scale * w0
-        assert check_containment(w0, q, w0 - q @ (q.T @ w0) + q @ (scale * r)) == want
+        w_total = w0 - q @ (q.T @ w0) + q @ (scale * r)
+        assert check_containment(w0, q, w_total) == want
+        assert extension_ranks(w0, w_total) == want_ranks
+
+    def test_containment_takes_five_rank_svds(self, monkeypatch):
+        # rank(w0), rank(reduce), rank(total), rank([w0|q]), rank([w0|q|total]); the
+        # extension rank of [w0|total] is extension_ranks's alone
+        calls = []
+        real = subspace.numerical_rank
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subspace, "numerical_rank", counted)
+        w0 = make_rng(9).normal(size=(9, 5))
+        q = orthonormal(10, 9, 2)
+        check_containment(w0, q, w0 - q @ (q.T @ w0) + q @ make_rng(11).normal(size=(2, 5)))
+        assert calls == [(9, 5), (9, 5), (9, 5), (9, 7), (9, 12)]
+        calls.clear()
+        extension_ranks(w0, w0)
+        assert calls == [(9, 5), (9, 10)]
 
     def test_ranks_match_lapack(self):
         w0 = make_rng(9).normal(size=(9, 5))

@@ -1,0 +1,148 @@
+"""Write a BENCH_<name>.json: the benchmark at a parent commit and at this checkout.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_file.py --parent <rev> --out BENCH_<name>.json \
+        [--pairs 10] [--seconds 15] [--seed 0] \
+        [--workloads finetune-1k finetune-32 verify] [--traces 0 1] [--summary TEXT]
+
+The parent is unpacked from git with `git archive` into a temporary directory
+and removed afterwards; "change" is this checkout's working tree, uncommitted
+edits included. For each workload and trace setting the tool runs
+`perfbench/run.py` in --pairs pairs, one run of each side per pair, and
+alternates which side runs first. Each side runs its own perfbench and src.
+
+The file has the layout of the committed BENCH files: `parent` and `change`,
+each workload -> trace0/trace1 -> {correct, attempted, failed, metrics}, plus
+`machine`, `command`, `parent_commit` and `change_summary`. Every number is
+the median over the pairs; `correct` is true only if every run was correct.
+Each trace0 entry also has `throughput_runs`, every run's throughput in
+pair order, so pair i is entry i on both sides. A run that exits non-zero,
+or whose last line is not a JSON result, stops the tool with exit 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("finetune-1k", "finetune-32", "verify")
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def unpack(rev, dest):
+    """Extract the tree of commit `rev` into `dest` and return the commit's full hash."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(root, workload, trace, seed, seconds):
+    """One perfbench run in checkout `root`: (machine dict, JSON result)."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    try:
+        if done.returncode != 0:
+            raise ValueError(f"exit {done.returncode}")
+        result = json.loads(lines[-1])
+        machine = next(json.loads(line[len("machine "):]) for line in lines
+                       if line.startswith("machine "))
+    except (ValueError, IndexError, StopIteration) as exc:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {root} failed ({exc}):\n"
+                           f"{done.stdout}{done.stderr}") from None
+    return machine, result
+
+
+def summarize(results):
+    """The medians of a list of perfbench JSON results, in the same layout."""
+    names = results[0]["metrics"]
+    summary = {
+        "correct": all(r["correct"] for r in results),
+        "attempted": statistics.median(r["attempted"] for r in results),
+        "failed": statistics.median(r["failed"] for r in results),
+        "metrics": {name: {"value": statistics.median(r["metrics"][name]["value"]
+                                                      for r in results),
+                           "unit": names[name]["unit"]} for name in names},
+    }
+    if "throughput" in names:  # the end-to-end run (--trace 0)
+        summary["throughput_runs"] = [r["metrics"]["throughput"]["value"] for r in results]
+    return summary
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(prog="tools/bench_file.py",
+                                description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--out", required=True, help="path of the JSON file to write")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=15.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    p.add_argument("--traces", nargs="+", type=int, choices=(0, 1), default=[0, 1])
+    p.add_argument("--summary", default="", help="one line on what the change does")
+    args = p.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0 or args.seed < 0:
+        p.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    return args
+
+
+def main(argv=None):
+    args = _parse(argv)
+    parent_root = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        parent_sha = unpack(args.parent, parent_root)
+        sides = {"parent": parent_root, "change": ROOT}
+        runs = {side: {} for side in sides}
+        machine = None
+        for workload in args.workloads:
+            for trace in args.traces:
+                for i in range(args.pairs):
+                    for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                        machine, result = run_once(sides[side], workload, trace, args.seed,
+                                                   args.seconds)
+                        runs[side].setdefault(workload, {}).setdefault(
+                            f"trace{trace}", []).append(result)
+                        print(f"{workload} trace{trace} pair {i} {side}: "
+                              f"correct={result['correct']}", file=sys.stderr)
+    except (RuntimeError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.decode() if isinstance(exc, subprocess.CalledProcessError) else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return 1
+    finally:
+        shutil.rmtree(parent_root, ignore_errors=True)
+
+    bench = {side: {w: {t: summarize(rs) for t, rs in by_trace.items()}
+                    for w, by_trace in by_workload.items()}
+             for side, by_workload in runs.items()}
+    bench.update(
+        change_summary=args.summary,
+        command=(f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
+                 f"--seconds {args.seconds:g} --trace <t>; median of {args.pairs} interleaved "
+                 "parent/change pairs (python3 tools/bench_file.py)"),
+        machine=machine,
+        parent_commit=parent_sha,
+    )
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump(bench, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
