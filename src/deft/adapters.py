@@ -16,6 +16,8 @@ trainable latent matrix by a decomposition backend. The factorization is
 cached together with the bytes of the latent it was built from, and it is
 recomputed whenever the latent's bits differ from those, however the
 latent was changed: an optimizer step, an in-place edit or a reassignment.
+The recomputation is cold, a function of the latent's bytes alone, except
+where the training loop asks refresh for a warm one (see refresh).
 lora takes no backend.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
@@ -164,12 +166,19 @@ def trainables(state):
     return {name: getattr(state, name) for name, _, _ in _TRAINABLES[state.cfg.method]}
 
 
-def refresh(state):
+def refresh(state, warm=False):
     """Factorize the p-side latent unless the cache was built from the same bytes.
 
     The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
     a factor. Any change to the latent, in place or by reassignment, is
     seen here; nothing has to mark the cache out of date.
+
+    A refactorization is cold by default: the factor is a function of the
+    latent's bytes alone, as a reloaded checkpoint builds it. warm=True
+    starts it from the cached factor instead (decompose's `start`), which
+    saves tsvd and lrmf Jacobi sweeps when the latent has moved a little,
+    as after an SGD step, and gives a factor equal to the cold one to
+    rounding. Only the training loop asks for it (see deft.train).
     """
     cfg = state.cfg
     if cfg.backend is None:  # lora: nothing to factorize
@@ -177,7 +186,8 @@ def refresh(state):
     latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
     key = latent.tobytes()
     if state.cache is None or state.cache[0] != key:
-        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed))
+        start = state.cache[1] if warm and state.cache is not None else None
+        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed, start=start))
     return state
 
 

@@ -47,6 +47,9 @@ class UsageError(ValueError):
     pass
 
 
+_VERIFY_W0_SHAPE = (64, 48)  # the seeded W0 of a verify trial without --w0
+
+
 def _number(convert, low=-math.inf):
     """An argparse type: the text through `convert` (int or float), then finite and >= low."""
     bound = "" if low == -math.inf else f" and >= {low}"
@@ -162,12 +165,14 @@ def cmd_train(args):
     return 0
 
 
+@functools.cache
 def _extension_witness_ok():
     """Check a fixed integer instance where the update provably adds one rank.
 
     w0 is rank 2 with zero third row; the projector direction e3 lies
     outside col(w0), so a nonzero replacement row extends the column
-    space by exactly one dimension.
+    space by exactly one dimension. The answer never changes, so it is
+    computed once per process, on the first `deft verify` call.
     """
     w0 = np.diag([2.0, 3.0, 0.0, 0.0])
     q = np.array([[0.0], [0.0], [1.0], [0.0]])
@@ -186,16 +191,19 @@ def cmd_verify(args):
     if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
         raise OSError(f"--out {args.out!r} is not a file path in an existing directory")
     w0_fixed = store.load_matrix(args.w0) if args.w0 is not None else None
-    witness_ok = _extension_witness_ok()  # a fixed instance: one check serves every trial
+    m, n = _VERIFY_W0_SHAPE if w0_fixed is None else w0_fixed.shape
+    if args.rank > min(m, n):  # before any draw, however large --rank is
+        raise UsageError(f"--rank {args.rank} exceeds min(m, n) = {min(m, n)} for W0's shape "
+                         f"({m}, {n})")
+    witness_ok = _extension_witness_ok()
 
     rows = []
     failures = []
     for t in range(args.trials):
         trial_seed = seed + t
         rng = make_rng(trial_seed)
-        w0 = w0_fixed if w0_fixed is not None else gaussian(rng, 64, 48, 1.0)
-        m, n = w0.shape
-        rank = args.rank  # init_adapter rejects one above min(m, n) (ConfigError, exit 2)
+        w0 = w0_fixed if w0_fixed is not None else gaussian(rng, *_VERIFY_W0_SHAPE, 1.0)
+        rank = args.rank
         q_orth, _ = np.linalg.qr(gaussian(rng, m, rank, 1.0))
 
         # a freshly trained-looking adapter state
@@ -266,7 +274,12 @@ def cmd_displacement(args):
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, 1, 2, 1.0)
 
-    field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi, n=args.grid_n)
+    try:
+        field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi,
+                                            n=args.grid_n)
+    except MemoryError:
+        raise UsageError(f"--grid-n {args.grid_n}: a {args.grid_n} x {args.grid_n} grid is too "
+                         "large to allocate") from None
     subspace.field_to_csv(field, args.out)
     _wrote(args.out)
     summary = subspace.field_summary(field)
@@ -281,7 +294,11 @@ def cmd_bench(args):
         raise UsageError(f"--backends names no backend kind, got {args.backends!r}")
     backends = [Backend(k) for k in kinds]  # an unknown kind exits 2 before any timing
     rng = make_rng(seed)
-    latent = gaussian(rng, args.dim, args.rank, 1.0)
+    try:
+        latent = gaussian(rng, args.dim, args.rank, 1.0)
+    except MemoryError:
+        raise UsageError(f"--dim {args.dim} by --rank {args.rank}: the latent is too large to "
+                         "allocate") from None
 
     results = []
     for k, backend in zip(kinds, backends):

@@ -24,7 +24,9 @@ deliberately do not, and nothing downstream may assume it for them.
 ``_KINDS`` is the single source of each kind's rules (see ``_Kind``); the
 dispatch, reconstruction, CLI output files and training gradient read it.
 ``decompose`` validates the matrix and the rank once, so a kind's factor
-rule receives a checked float64 matrix and a rank in range.
+rule receives a checked float64 matrix and a rank in range. Its `start`
+lets tsvd and lrmf begin from an earlier result's v (a warm start, used by
+training); without it a result depends on the matrix's bytes alone.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
 ``deft._jacobi``, not LAPACK's; its docstring says why. It is also what
@@ -81,13 +83,22 @@ class Backend:
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """A kind's factor, the aux factors that rebuild the input, notes and stats.
+
+    notes name conditions the factor met (e.g. ``"degenerate_columns"``).
+    stats holds counts of how it was reached, not factors, so neither
+    ``reconstruct`` nor ``deft decompose`` reads them: tsvd and lrmf report
+    ``"sweeps"``, the Jacobi sweeps of the converged run.
+    """
+
     kind: str
     p_factor: np.ndarray
     aux: dict = field(default_factory=dict)
     notes: tuple = ()
+    stats: dict = field(default_factory=dict)
 
 
-def _qr(b, r, backend, seed):
+def _qr(b, r, backend, seed, start):
     """Thin QR of an m x r latent, b = Q @ r_tri.
 
     Q always comes back with r orthonormal columns. When b is (numerically)
@@ -109,26 +120,41 @@ def _qr(b, r, backend, seed):
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
-def _tsvd(b, r, backend, seed):
+def _svd(b, start):
+    """jacobi_svd of b and its stats, started from `start`'s v when it is b's whole v.
+
+    That is the case when start factored a matrix of b's shape at full
+    rank, as training's refresh does; a truncated v is no start.
+    """
+    v0 = None
+    if start is not None and start.aux["v"].shape == (b.shape[1], b.shape[1]):
+        v0 = start.aux["v"]
+    stats = {}
+    u, s, v = jacobi_svd(b, start=v0, stats=stats)
+    return u, s, v, stats
+
+
+def _tsvd(b, r, backend, seed, start):
     """Best rank-r approximation factors of `b` via the Jacobi SVD."""
-    u, s, v = jacobi_svd(b)
-    return DecompositionResult("tsvd", u[:, :r].copy(), {"s": s[:r].copy(), "v": v[:, :r].copy()})
+    u, s, v, stats = _svd(b, start)
+    aux = {"s": s[:r].copy(), "v": v[:, :r].copy()}
+    return DecompositionResult("tsvd", u[:, :r].copy(), aux, stats=stats)
 
 
-def _lrmf(b, r, backend, seed):
+def _lrmf(b, r, backend, seed, start):
     """Scaled-basis factorization: p_factor = U_r * sqrt(s_r).
 
     A zero singular value among the top r produces a zero column; that is
     allowed and flagged with a ``"zero_singular_columns"`` note.
     """
-    u, s, v = jacobi_svd(b)
+    u, s, v, stats = _svd(b, start)
     s_r = s[:r]
     p = u[:, :r] * np.sqrt(s_r)
     notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s[0]).any() else ()
-    return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes)
+    return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes, stats)
 
 
-def _nmf(b, r, backend, seed):
+def _nmf(b, r, backend, seed, start):
     """Non-negative factorization b ~ W @ H by multiplicative updates.
 
     Negative entries of `b` are clamped to zero first (with a warning);
@@ -196,7 +222,7 @@ def _nmf(b, r, backend, seed):
     return DecompositionResult("nmf", w, aux, notes)
 
 
-def _eig(b, r, backend, seed):
+def _eig(b, r, backend, seed, start):
     """Top-r eigenvectors of b @ b.T as the projection factor.
 
     They are b's top-r left singular vectors, taken from its thin LAPACK SVD
@@ -213,7 +239,7 @@ def _eig(b, r, backend, seed):
 class _Kind:
     """The rules of one backend kind; see ``_KINDS``."""
 
-    factor: Callable  # (b, r, backend, seed) -> DecompositionResult
+    factor: Callable  # (b, r, backend, seed, start) -> DecompositionResult
     rebuild: Callable  # (result, b) -> the rank-r approximation of b
     aux_stems: dict  # aux key -> file stem in `deft decompose` output
     intrinsic_rank: bool = False  # rank is b's column count, not a truncation
@@ -241,16 +267,17 @@ _KINDS = {
     "nmf": _Kind(_nmf, lambda res, b: res.p_factor @ res.aux["h"],
                  {"h": "h", "err_trace": "errtrace"}),
     "eig": _Kind(_eig, _rebuild_eig, {"lambda": "lam"}),
-    "relax": _Kind(lambda b, r, bk, seed: DecompositionResult("relax", b.copy()),
+    "relax": _Kind(lambda b, r, bk, seed, start: DecompositionResult("relax", b.copy()),
                    lambda res, b: res.p_factor.copy(), {}, intrinsic_rank=True),
-    "relax_nmf": _Kind(lambda b, r, bk, seed: DecompositionResult("relax_nmf", np.maximum(b, 0.0)),
+    "relax_nmf": _Kind(lambda b, r, bk, seed, start:
+                       DecompositionResult("relax_nmf", np.maximum(b, 0.0)),
                        lambda res, b: res.p_factor.copy(), {},
                        intrinsic_rank=True, ste_mask=lambda latent: latent > 0.0),
 }
 KINDS = tuple(_KINDS)
 
 
-def decompose(b, backend, rank=None, seed=0):
+def decompose(b, backend, rank=None, seed=0, start=None):
     """Factor `b` with `backend` into a rank-`rank` factor. Deterministic in its arguments.
 
     A kind with an intrinsic rank (qr, relax, relax_nmf) takes b's column
@@ -258,6 +285,13 @@ def decompose(b, backend, rank=None, seed=0):
     `rank`, which must lie in [1, min(b.shape)]. rank=None takes the
     largest rank the kind allows: the column count for an intrinsic kind,
     min(b.shape) otherwise. `seed` draws nmf's initial factors.
+
+    `start` is an earlier result, typically of a nearby matrix. tsvd and
+    lrmf start their Jacobi SVD from its v when it is of the same kind and
+    holds b's whole v (see deft._jacobi.jacobi_svd): fewer sweeps, a factor
+    equal to the cold one to rounding, but bits that depend on `start`.
+    Every other kind, and every other start, is ignored. Without `start`
+    the result is a function of b's bytes alone.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]
@@ -270,7 +304,9 @@ def decompose(b, backend, rank=None, seed=0):
         rank = min(b.shape) if rank is None else rank
         if not 1 <= rank <= min(b.shape):
             raise ShapeError(f"rank {rank} out of range for shape {b.shape}")
-    return kind.factor(b, rank, backend, seed)
+    if start is not None and start.kind != backend.kind:
+        start = None
+    return kind.factor(b, rank, backend, seed, start)
 
 
 def reconstruct(result, b=None):

@@ -13,6 +13,8 @@ SIMD width, so one seed gives one stream everywhere.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative cutoff for numerical_rank: well above float64 SVD noise,
@@ -58,12 +60,12 @@ def frobenius_norm(a):
     anywhere in float64 range.
     """
     a = np.asarray(a, dtype=np.float64)
-    total = np.einsum("ij,ij->", a, a)
+    total = float(np.einsum("ij,ij->", a, a))
     if not 1e-280 < total < 1e280:
         shift = unit_exponent(a)
         a = np.ldexp(a, -shift)
         return float(np.ldexp(np.sqrt(np.einsum("ij,ij->", a, a)), shift))
-    return float(np.sqrt(total))
+    return math.sqrt(total)  # correctly rounded, as np.sqrt is: the same bits
 
 
 def rel_error(approx, exact):

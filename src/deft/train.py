@@ -25,6 +25,14 @@ targets subtracted in place, and the loss scale 2 / (m k) is applied to
 rank-sized products, never to the residual. And the gradient products are
 associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
 rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
+
+Each step of run_finetune first refreshes the factor warm
+(deft.adapters.refresh): tsvd and lrmf start the moved latent's Jacobi SVD
+from the previous factor's v, which saves about a quarter of the sweeps,
+and the step's forward pass and gradient then read that factor from the
+cache. The final loss drops the cache and refactorizes the last latent
+cold, as load_adapter's state does, so a trained state and its reload give
+the same forward pass and loss bit for bit. grad and loss_mse are cold.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from itertools import zip_longest
 import numpy as np
 
 from deft import store
-from deft.adapters import check_inputs, forward, init_adapter, projection_factor, trainables
+from deft.adapters import (_TRAINABLES, check_inputs, forward, init_adapter, projection_factor,
+                           refresh)
 from deft.decompose import _KINDS
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
@@ -166,7 +175,7 @@ def _loss_and_grads(state, x, y, targets):
         db = scale * (diff @ (x.T @ state.a.T))
         return loss, {"a": da, "b_lo": db}
 
-    (p_name, latent), *_ = trainables(state).items()
+    p_name = _TRAINABLES[cfg.method][0][0]
     p = projection_factor(state)
     pg = scale * (p.T @ diff)
     # dP = -g z^T - y g^T P with g = dL/dh and z = P^T y - R x (R absent for
@@ -179,7 +188,7 @@ def _loss_and_grads(state, x, y, targets):
     dp = -scale * (diff @ z.T) - y @ pg.T
     mask = _KINDS[cfg.backend.kind].ste_mask
     if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
-        dp = dp * mask(latent)
+        dp = dp * mask(getattr(state, p_name))
     return loss, {p_name: dp, **dr}
 
 
@@ -199,7 +208,8 @@ def sgd_step(state, grads, cfg):
     The next forward pass refactorizes the moved latent on its own: the
     factor cache is keyed on the latent's bits (see deft.adapters.refresh).
     """
-    for (name, mat), lr in zip(trainables(state).items(), (cfg.lr_p, cfg.lr_r)):
+    for (name, _, _), lr in zip(_TRAINABLES[state.cfg.method], (cfg.lr_p, cfg.lr_r)):
+        mat = getattr(state, name)
         mat -= lr * grads[name]
     return state
 
@@ -220,6 +230,7 @@ def run_finetune(w0, cfg, task, steps):
 
     last_finite = None
     for i in range(steps):
+        refresh(state, warm=True)  # the moved latent's factorization starts from the last one
         loss, grads = _loss_and_grads(state, x, y, task.targets)
         if not np.isfinite(loss):
             raise DivergenceError(i, last_finite)
@@ -230,6 +241,9 @@ def run_finetune(w0, cfg, task, steps):
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
 
+    # the final loss and the returned state use the cold factor a reload builds, even where
+    # the last step left the latent as it was
+    state.cache = None
     final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
     if not np.isfinite(final):
         raise DivergenceError(steps, last_finite)

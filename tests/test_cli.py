@@ -302,6 +302,40 @@ class TestVerify:
         write_mat("w0.mat", seed=20, m=6, n=4)
         assert main(["verify", "--w0", "w0.mat", "--rank", "5", "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize("rank", ["49", "100000000000"])
+    def test_rank_checked_against_w0_before_any_draw(self, in_tmp, capsys, monkeypatch, rank):
+        def no_draw(*args):
+            raise AssertionError("verify drew before checking --rank")
+
+        monkeypatch.setattr(deft.cli, "gaussian", no_draw)
+        assert main(["verify", "--rank", rank, "--out", "v.csv"]) == 2
+        assert capsys.readouterr() == ("", f"usage error: --rank {rank} exceeds min(m, n) = 48 "
+                                           "for W0's shape (64, 48)\n")
+        assert list(in_tmp.iterdir()) == []
+
+    def test_extension_witness_is_checked_once_per_process(self, tmp_path):
+        # counted in a fresh process, since an earlier verify in this one may have run it
+        script = textwrap.dedent("""
+            import contextlib, io
+            from deft import subspace
+            calls = []
+            ranks = subspace.extension_ranks
+            subspace.extension_ranks = lambda *a, **k: calls.append(1) or ranks(*a, **k)
+            from deft.cli import main
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                codes = [main(["verify", "--trials", "1", "--seed", str(s), "--out", f"v{s}.csv"])
+                         for s in range(3)]
+            print(codes, len(calls), sink.getvalue().count("witness=true"))
+        """)
+        src = os.path.dirname(os.path.dirname(deft.cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "DEFT_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[0, 0, 0] 1 3"]
+
     def test_tiny_w0_keeps_its_rank(self, in_tmp, capsys):
         store.save_matrix(1e-300 * make_rng(22).normal(size=(64, 48)), "w0.mat")
         assert main(["verify", "--w0", "w0.mat", "--trials", "1", "--out", "v.csv"]) == 0
@@ -506,6 +540,21 @@ class TestBench:
                      "--out", "b.csv"]) == 2
         assert capsys.readouterr().err == "usage error: rank 4 out of range for shape (2, 4)\n"
         assert list(in_tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    # sizes whose arrays numpy refuses at once (terabytes), so no test allocates them
+    (["displacement", "--grid-n", "1000000"],
+     "--grid-n 1000000: a 1000000 x 1000000 grid is too large to allocate"),
+    (["bench", "--dim", "100000000000"],
+     "--dim 100000000000 by --rank 8: the latent is too large to allocate"),
+    (["verify", "--rank", "100000000000"],
+     "--rank 100000000000 exceeds min(m, n) = 48 for W0's shape (64, 48)"),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_unallocatable_size_is_a_usage_error(in_tmp, capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {err}\n")
+    assert list(in_tmp.iterdir()) == []
 
 
 class TestParamCount:

@@ -373,3 +373,51 @@ class TestDispatcherAndProperties:
             calls.clear()
             decompose(b, Backend(kind), 3)
             assert len(calls) == 1, kind
+
+
+def _same_bits(r1, r2):
+    return (r1.p_factor.tobytes() == r2.p_factor.tobytes() and r1.aux.keys() == r2.aux.keys()
+            and all(r1.aux[k].tobytes() == r2.aux[k].tobytes() for k in r1.aux))
+
+
+class TestWarmStart:
+    """decompose's `start`: an earlier result that the Jacobi kinds start their SVD from."""
+
+    def latents(self):
+        b0 = make_rng(34).normal(size=(24, 4))
+        return b0, b0 + 1e-3 * make_rng(35).normal(size=b0.shape)
+
+    def test_stats_report_the_jacobi_sweeps(self):
+        b = make_rng(36).uniform(0.0, 1.0, size=(9, 3))
+        for kind in KINDS:
+            res = decompose(b, Backend(kind), 3)
+            if kind in ("tsvd", "lrmf"):
+                assert set(res.stats) == {"sweeps"} and res.stats["sweeps"] >= 1, kind
+            else:
+                assert res.stats == {}, kind
+
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_warm_factor_matches_the_cold_one(self, kind):
+        b0, b1 = self.latents()
+        cold = decompose(b1, Backend(kind))
+        warm = decompose(b1, Backend(kind), start=decompose(b0, Backend(kind)))
+        assert not _same_bits(warm, cold)  # the start was used ...
+        assert np.abs(warm.p_factor - cold.p_factor).max() <= 1e-12  # ... to rounding
+        for key in cold.aux:
+            assert np.abs(warm.aux[key] - cold.aux[key]).max() <= 1e-12, key
+        assert warm.notes == cold.notes
+
+    def test_other_kinds_and_other_starts_are_ignored(self):
+        b0, b1 = self.latents()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nmf's clamp of the signed latent
+            for kind in KINDS:
+                start = decompose(b0, Backend(kind), 4, seed=2)
+                assert _same_bits(decompose(b1, Backend(kind), 4, seed=2, start=start),
+                                  decompose(b1, Backend(kind), 4, seed=2)) == (
+                    kind not in ("tsvd", "lrmf")), kind
+            # a start of another kind, or one whose v is truncated, is no start
+            cold = decompose(b1, Backend("tsvd"))
+            for start in (decompose(b0, Backend("lrmf")), decompose(b0, Backend("tsvd"), 3),
+                          decompose(b0, Backend("qr"))):
+                assert _same_bits(decompose(b1, Backend("tsvd"), start=start), cold)

@@ -216,3 +216,57 @@ def test_schedule_is_built_once_per_column_count(monkeypatch):
     second = jacobi_svd(a)
     assert calls == [5]
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
+def _sgd_walk(seed, shape, steps, size=1e-3):
+    """A seeded matrix and `steps` small random moves of it, like a latent under SGD."""
+    rng = make_rng(seed)
+    return rng.normal(size=shape), size * rng.normal(size=(steps, *shape))
+
+
+@pytest.mark.parametrize("shape", [(32, 4), (12, 5), (4, 9)])
+def test_warm_start_matches_cold(shape):
+    a, moves = _sgd_walk(13, shape, 30)
+    v = jacobi_svd(a)[2 if shape[0] >= shape[1] else 0]
+    for move in moves:
+        a += move
+        cold_stats, warm_stats = {}, {}
+        cold = jacobi_svd(a, stats=cold_stats)
+        warm = jacobi_svd(a, start=v, stats=warm_stats)
+        for c, w in zip(cold, warm):  # entrywise: the same order and sign convention
+            assert np.abs(c - w).max() <= 1e-12
+        assert warm_stats["sweeps"] <= cold_stats["sweeps"]
+        v = warm[2 if shape[0] >= shape[1] else 0]
+
+
+def test_chained_warm_starts_stay_orthonormal():
+    # each call's v starts the next; the Newton-Schulz step keeps the chain from drifting
+    # (without it, this chain ends 1.4e-13 from orthonormal)
+    a, moves = _sgd_walk(14, (5, 2), 20000)
+    v = jacobi_svd(a)[2]
+    for move in moves:
+        a += move
+        v = jacobi_svd(a, start=v)[2]
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-14
+
+
+def test_stats_count_the_sweeps_of_the_run():
+    a = make_rng(15).normal(size=(20, 6))
+    stats = {}
+    jacobi_svd(a, stats=stats)
+    with pytest.raises(ConvergenceError):
+        jacobi_svd(a, max_sweeps=stats["sweeps"] - 1)  # the last sweep only confirms
+    jacobi_svd(a, max_sweeps=stats["sweeps"])
+    one_column = {}
+    jacobi_svd(a[:, :1], stats=one_column)
+    assert one_column == {"sweeps": 0}
+
+
+@pytest.mark.parametrize("start, match", [
+    (np.eye(3), "start has shape"),
+    (np.eye(4)[::-1] * 1.001, "start is not orthogonal"),
+    (np.full((4, 4), np.nan), "start is not orthogonal"),
+])
+def test_bad_start_is_rejected(start, match):
+    with pytest.raises(ValueError, match=match):
+        jacobi_svd(make_rng(16).normal(size=(9, 4)), start=start)

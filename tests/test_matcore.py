@@ -48,6 +48,15 @@ class TestFrobeniusNorm:
                 total += v * v
         assert abs(frobenius_norm(m) ** 2 - total) < 1e-12
 
+    def test_bits_of_numpy_sqrt(self):
+        # math.sqrt and np.sqrt are both correctly rounded, so either gives these bits
+        rng = make_rng(6)
+        for _ in range(200):
+            m = rng.normal(size=(5, 3)) * 10.0 ** rng.uniform(-100.0, 100.0)
+            norm = frobenius_norm(m)
+            assert type(norm) is float
+            assert norm == float(np.sqrt(np.einsum("ij,ij->", m, m)))
+
     def test_extreme_scale(self):
         # the plain sum of squares would overflow to inf or underflow to 0
         assert frobenius_norm(np.array([[3e300, 4e300]])) == pytest.approx(5e300, rel=1e-15)

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from deft import adapters, store, train
 from deft.adapters import (
-    AdapterConfig, forward, init_adapter, merge, projection_factor, trainables,
+    AdapterConfig, forward, init_adapter, merge, projection_factor, refresh, trainables,
 )
-from deft.decompose import KINDS, Backend
+from deft.decompose import KINDS, Backend, decompose
 from deft.matcore import ShapeError, make_rng
 from deft.train import (
     DivergenceError,
@@ -388,3 +389,73 @@ class TestReporting:
         assert "steps=3" in line
         assert "w0_frozen=true" in line
         assert "final_loss=" in line
+
+
+class TestWarmRefresh:
+    """run_finetune starts each step's tsvd/lrmf refactorization from the last factor."""
+
+    def job(self, kind):
+        """w0, config and task of a small deft run with backend `kind`."""
+        w0 = make_rng(61).normal(size=(12, 8))
+        cfg = AdapterConfig("deft", 3, backend=Backend(kind), lr_p=1e-4, init_stddev=0.1, seed=62)
+        task = make_teacher_shift_task(w0, seed=63, input_scale=4.0)  # lrmf converges here
+        return w0, cfg, task
+
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_warm_call_after_an_sgd_step_takes_fewer_sweeps(self, kind):
+        w0, cfg, task = self.job(kind)
+        state = init_adapter(w0, cfg)
+        refresh(state)  # the factor the warm call starts from
+        sgd_step(state, grad(state, task), cfg)
+        cold = decompose(state.p_latent, cfg.backend, cfg.rank)
+        warm = refresh(state, warm=True).cache[1]
+        assert warm.stats["sweeps"] < cold.stats["sweeps"]
+        assert refresh(state).cache[1] is warm  # a cold reader of the same bytes reuses it
+        assert np.abs(warm.p_factor - cold.p_factor).max() <= 1e-12
+
+    def test_loop_starts_warm_and_the_final_loss_cold(self, monkeypatch):
+        starts = []
+        real = adapters.decompose
+
+        def recording(b, backend, rank=None, seed=0, start=None):
+            starts.append(start)
+            return real(b, backend, rank, seed=seed, start=start)
+
+        monkeypatch.setattr(adapters, "decompose", recording)
+        w0, cfg, task = self.job("tsvd")
+        run_finetune(w0, cfg, task, steps=5)
+        assert len(starts) == 6
+        assert starts[0] is None and starts[-1] is None  # nothing cached yet; the final loss
+        assert all(s is not None and s.kind == "tsvd" for s in starts[1:-1])
+
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_trained_state_and_its_reload_agree_bit_for_bit(self, kind, tmp_path):
+        w0, cfg, task = self.job(kind)
+        report, state = run_finetune(w0, cfg, task, steps=60)
+        assert report.losses[-1] < report.losses[0]
+        store.save_adapter(state, tmp_path / "a.adpt")
+        loaded = store.load_adapter(tmp_path / "a.adpt", w0)
+        assert loaded.cache is None
+        assert forward(loaded, task.inputs).tobytes() == forward(state, task.inputs).tobytes()
+        assert loss_mse(loaded, task) == loss_mse(state, task) == report.losses[-1]
+
+    def test_final_factor_is_cold_when_the_last_step_moves_nothing(self, monkeypatch):
+        steps = []
+
+        def all_but_the_last(state, grads, cfg):
+            steps.append(None)
+            return state if len(steps) == 3 else sgd_step(state, grads, cfg)
+
+        monkeypatch.setattr(train, "sgd_step", all_but_the_last)
+        w0, cfg, task = self.job("tsvd")
+        _, state = run_finetune(w0, cfg, task, steps=3)  # step 2 factors warm, step 3 is void
+        cold = decompose(state.p_latent, cfg.backend, cfg.rank)
+        assert projection_factor(state).tobytes() == cold.p_factor.tobytes()
+
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_fixed_seed_reproduces_its_bytes(self, kind):
+        w0, cfg, task = self.job(kind)
+        (r1, s1), (r2, s2) = (run_finetune(w0, cfg, task, steps=40) for _ in range(2))
+        assert r1.losses == r2.losses and r1.grad_norm_p == r2.grad_norm_p
+        assert r1.final_state_hash == r2.final_state_hash
+        assert merge(s1).tobytes() == merge(s2).tobytes()
