@@ -289,9 +289,9 @@ def decompose(b, backend, rank=None, seed=0, start=None):
     `start` is an earlier result, typically of a nearby matrix. tsvd and
     lrmf start their Jacobi SVD from its v when it is of the same kind and
     holds b's whole v (see deft._jacobi.jacobi_svd): fewer sweeps, a factor
-    equal to the cold one to rounding, but bits that depend on `start`.
-    Every other kind, and every other start, is ignored. Without `start`
-    the result is a function of b's bytes alone.
+    equal to the cold one to rounding, but bits that depend on `start` and
+    on the BLAS library. Every other kind, and every other start, is
+    ignored. Without `start` the result is a function of b's bytes alone.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]

@@ -28,11 +28,14 @@ rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
 
 Each step of run_finetune first refreshes the factor warm
 (deft.adapters.refresh): tsvd and lrmf start the moved latent's Jacobi SVD
-from the previous factor's v, which saves about a quarter of the sweeps,
-and the step's forward pass and gradient then read that factor from the
-cache. The final loss drops the cache and refactorizes the last latent
-cold, as load_adapter's state does, so a trained state and its reload give
-the same forward pass and loss bit for bit. grad and loss_mse are cold.
+from the previous factor's v, and the warm loop then needs 2.3 sweeps of
+one Gram product and one matrix product a round instead of a cold call's
+4, about a third of the time on the 32 x 32 reference task (see
+deft._jacobi). The step's forward pass reads that factor from the cache,
+and the gradient uses the factor forward read. The final loss drops the
+cache and refactorizes the last latent cold, as load_adapter's state does,
+so a trained state and its reload give the same forward pass and loss bit
+for bit. grad and loss_mse are cold.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from itertools import zip_longest
 import numpy as np
 
 from deft import store
-from deft.adapters import (_TRAINABLES, check_inputs, forward, init_adapter, projection_factor,
-                           refresh)
+from deft.adapters import _TRAINABLES, check_inputs, forward, init_adapter, refresh
 from deft.decompose import _KINDS
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
@@ -176,7 +178,7 @@ def _loss_and_grads(state, x, y, targets):
         return loss, {"a": da, "b_lo": db}
 
     p_name = _TRAINABLES[cfg.method][0][0]
-    p = projection_factor(state)
+    p = state.cache[1].p_factor  # the factor _residual's forward pass just refreshed and used
     pg = scale * (p.T @ diff)
     # dP = -g z^T - y g^T P with g = dL/dh and z = P^T y - R x (R absent for
     # para), the coefficient forward applies P to

@@ -270,3 +270,70 @@ def test_stats_count_the_sweeps_of_the_run():
 def test_bad_start_is_rejected(start, match):
     with pytest.raises(ValueError, match=match):
         jacobi_svd(make_rng(16).normal(size=(9, 4)), start=start)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+@pytest.mark.parametrize("warm", [False, True])
+def test_sweep_cap_below_one_is_rejected_before_any_work(max_sweeps, warm):
+    # a start of the wrong shape would raise too, but only after the cap is checked
+    start = np.eye(3) if warm else None
+    with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+        jacobi_svd(make_rng(18).normal(size=(9, 4)), max_sweeps=max_sweeps, start=start)
+
+
+def _degenerate_latents():
+    rng = make_rng(19)
+    zero = rng.normal(size=(12, 5))
+    zero[:, 2] = 0.0
+    equal = rng.normal(size=(12, 5))
+    equal[:, 3] = equal[:, 1]
+    q1 = np.linalg.qr(rng.normal(size=(12, 5)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    graded = (q1 * np.logspace(0.0, -12.0, 5)) @ q2.T
+    wide = rng.normal(size=(4, 9))
+    return {"zero column": zero, "equal columns": equal, "graded": graded, "wide": wide}
+
+
+@pytest.mark.parametrize("name", ["zero column", "equal columns", "graded", "wide"])
+@pytest.mark.parametrize("start_from", ["nearby matrix", "random rotation"])
+def test_warm_start_on_degenerate_latents(name, start_from):
+    a = _degenerate_latents()[name]
+    side = 2 if a.shape[0] >= a.shape[1] else 0  # a wide input takes a guess of u
+    k = min(a.shape)
+    rng = make_rng(20)
+    if start_from == "nearby matrix":
+        start = jacobi_svd(a + 1e-3 * rng.normal(size=a.shape))[side]
+    else:
+        start = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    cold = jacobi_svd(a)
+    u, s, v = jacobi_svd(a, start=start)
+    assert np.abs(s - cold[1]).max() <= 1e-12 * cold[1][0]
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * cold[1][0]
+    # the dependent directions are filled: u and v are whole orthonormal bases
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+
+
+def test_warm_sweep_cap_raises():
+    rng = make_rng(21)
+    a = rng.normal(size=(40, 30))
+    start = np.linalg.qr(rng.normal(size=(30, 30)))[0]
+    with pytest.raises(ConvergenceError, match="in 1 sweeps") as exc:
+        jacobi_svd(a, max_sweeps=1, start=start)
+    assert exc.value.sweeps == 1
+    assert exc.value.worst > 1e-13
+
+
+def test_warm_start_from_the_own_v_stops_in_the_first_sweep_without_rotating(monkeypatch):
+    a = make_rng(22).normal(size=(20, 6))
+    cold = jacobi_svd(a)
+
+    def no_rotation(tau, h):
+        raise AssertionError("a pair was rotated")
+
+    monkeypatch.setattr(_jacobi, "_rotation", no_rotation)
+    stats = {}
+    u, s, v = jacobi_svd(a, start=cold[2], stats=stats)
+    assert stats == {"sweeps": 1}
+    assert np.array_equal(v, _jacobi._newton_schulz(cold[2]))
+    assert np.abs(s - cold[1]).max() <= 1e-13 * cold[1][0]
