@@ -50,8 +50,9 @@ different matrix (training refactorizes a latent that each SGD step moves
 a little). The working copy is then a @ v, nearly column-orthogonal, so the
 quadratic tail of the convergence starts at once. One Newton-Schulz step
 re-orthonormalizes the guess first, so a chain of warm starts does not
-drift from orthogonality. A warm call runs its own loop, which reads all
-of a round's dots from one product instead of a gather and two einsums
+drift from orthogonality. A warm call with at most `_GRAM_MAX_COLS` (24)
+columns, after the swap for a wide input, runs its own loop, which reads
+all of a round's dots from one product instead of a gather and two einsums
 (the cosines that decide convergence are those of the current columns, as
 one-sided Jacobi needs; Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
 1992):
@@ -61,16 +62,33 @@ one-sided Jacobi needs; Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
   same formulas as the cold loop (hypot from ``math``). A round whose pairs
   are all within `tol` checks every other pair in the same Gram, and the
   call stops there when they are within `tol` too, so the sweep that
-  confirms convergence costs one product, not a full sweep of rounds.
+  confirms convergence costs one product, not a full sweep of rounds;
+  when they are not, the next round reuses that Gram.
 - The rotations apply to the whole of [g; v] as one product with J, the
   identity carrying the round's 2 x 2 rotations. Pairs of the round within
   `tol`, and columns outside it, are multiplied by the identity, which may
   turn a -0.0 into 0.0. That is acceptable only because warm bits already
   depend on the start and on the BLAS library, and nothing stores them.
 
-On the 32 x 32 reference training task (rank 4) a warm call takes 2.3
-sweeps, counting the confirming one; run from the same starts, the einsum
-loop above takes 3.1. A warm 32 x 4 call costs about 55 us instead of 110
+This loop relies on a small column count. Its Gram and J products cost
+about 4 m n^2 flops a round, where the einsum loop's gathers cost O(m n),
+so it wins only while the fixed cost of a round's numpy calls dominates.
+Time of a warm call from a nearby matrix's v, warm loop over einsum loop
+from the same start (best of 5, one BLAS thread, 2 vCPUs):
+
+    columns n     n x n     4n x n    1024 x n   4096 x n
+        4         0.52      0.55      0.54       0.62
+        8         0.49      0.40      0.44       0.49
+       16         0.64      0.54      0.43       0.54
+       24         0.77      0.84      0.57       0.60
+       32         1.41      1.16      0.72       0.50
+       40         1.26      1.42      0.95       0.83
+       56         2.05      1.72      1.32       1.11
+
+Above 24 columns a warm call therefore runs the einsum loop from its
+start. On the 32 x 32 reference training task (rank 4) a warm call takes
+2.3 sweeps, counting the confirming one; run from the same starts, the
+einsum loop takes 3.1. A warm 32 x 4 call costs about 55 us instead of 110
 (2 vCPUs, OpenBLAS 0.3).
 """
 
@@ -82,6 +100,10 @@ import math
 import numpy as np
 
 from deft.matcore import unit_exponent
+
+
+# Widest column count that runs the warm loop (module docstring: the loop needs few columns).
+_GRAM_MAX_COLS = 24
 
 
 class ConvergenceError(RuntimeError):
@@ -260,7 +282,7 @@ def _gram_schedule(n):
 
     The read-only index array holds the flat positions in an n x n J of
     the pairs' (i, i) entries, then (j, j), (i, j) and (j, i): where c, c,
-    s and -s go.
+    s and -s go. The tuple after it holds the identity's entries there.
     """
     rounds = []
     for ia, ja in _round_robin_rounds(n):
@@ -268,7 +290,7 @@ def _gram_schedule(n):
         flat = np.array([i * n + i for i in ia] + [j * n + j for j in ja]
                         + [i * n + j for i, j in zip(ia, ja)] + [j * n + i for i, j in zip(ia, ja)])
         flat.flags.writeable = False
-        rounds.append((tuple(zip(ia, ja)), flat))
+        rounds.append((tuple(zip(ia, ja)), flat, (1.0,) * (2 * len(ia)) + (0.0,) * (2 * len(ia))))
     return tuple(rounds)
 
 
@@ -280,24 +302,30 @@ def _worst(gram):
 
 
 def _gram_sweeps(w, m, tol, max_sweeps):
-    """Rotate w = [g; v] round by round, reading every dot from one fresh Gram product a round.
+    """Rotate w = [g; v] round by round, reading every dot from one Gram product of the current columns.
 
-    Returns (w, sweeps, worst) as _cold_sweeps does, but w is a new array:
-    each round multiplies the whole block by J. A round whose own pairs
-    are all within `tol` checks all the others in its Gram and stops the
-    run if they are too.
+    Returns (w, sweeps, worst) as _cold_sweeps does, but w may be a new
+    array: each round multiplies the whole block by J. A round whose own
+    pairs are all within `tol` checks all the others in its Gram and stops
+    the run if they are too; otherwise the next round reuses that Gram,
+    since nothing moved.
     """
     n = w.shape[1]
-    eye = np.eye(n)
+    prod = np.empty((n, n))
+    j = np.eye(n)
     spare = np.empty_like(w)
+    stale = True
     for sweeps in range(1, max_sweeps + 1):
-        for pairs, flat in _gram_schedule(n):
-            g = w[:m]
-            gram = (g.T @ g).tolist()
+        for pairs, flat, identity in _gram_schedule(n):
+            if stale:
+                g = w[:m]
+                np.matmul(g.T, g, out=prod)
+                gram = prod.tolist()
+                stale = False
             rotate = False
             cs, ss = [], []
-            for i, j in pairs:
-                alpha, gamma, beta = gram[i][i], gram[j][j], gram[i][j]
+            for i, k in pairs:
+                alpha, gamma, beta = gram[i][i], gram[k][k], gram[i][k]
                 c, s = 1.0, 0.0  # a pair within tol keeps the identity
                 if _cosine(alpha, gamma, beta) > tol:
                     tau = (gamma - alpha) / (2.0 * beta)
@@ -310,10 +338,11 @@ def _gram_sweeps(w, m, tol, max_sweeps):
                 if worst <= tol:
                     return w, sweeps, worst
                 continue
-            j = eye.copy()
             j.put(flat, cs + cs + ss + [-s for s in ss])
             np.matmul(w, j, out=spare)
+            j.put(flat, identity)  # J is the identity again for the next round
             w, spare = spare, w
+            stale = True
     return w, max_sweeps, _worst(gram)
 
 
@@ -334,10 +363,11 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
         A guess of v, such as the v of a nearby matrix; it must be
         orthogonal to 1e-8 (ValueError otherwise). The rotations then
         start from ``a @ start``, re-orthonormalized by one Newton-Schulz
-        step, instead of from `a` and the identity, and run the warm loop
-        (module docstring): every round reads its dots from one fresh
-        Gram product and applies its rotations as one matrix product.
-        Near a's v that start is nearly column-orthogonal, so the
+        step, instead of from `a` and the identity. Up to 24 columns
+        they run the warm loop (module docstring): every round reads its
+        dots from one Gram product of the current columns and applies its
+        rotations as one matrix product; wider inputs run the einsum
+        loop. Near a's v that start is nearly column-orthogonal, so the
         quadratic tail begins at once and fewer rounds run. The result
         agrees with the cold one to rounding, in the same order and sign
         convention, but its bits depend on `start` and on the BLAS
@@ -376,7 +406,7 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
         np.matmul(np.ldexp(a, -shift), w[m:], out=w[:m])
     sweeps = 0
     if n > 1:
-        sweep_loop = _cold_sweeps if start is None else _gram_sweeps
+        sweep_loop = _gram_sweeps if start is not None and n <= _GRAM_MAX_COLS else _cold_sweeps
         w, sweeps, worst = sweep_loop(w, m, tol, max_sweeps)
         if not worst <= tol:
             raise ConvergenceError(max_sweeps, worst, tol)

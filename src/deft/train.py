@@ -28,14 +28,14 @@ rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
 
 Each step of run_finetune first refreshes the factor warm
 (deft.adapters.refresh): tsvd and lrmf start the moved latent's Jacobi SVD
-from the previous factor's v, and the warm loop then needs 2.3 sweeps of
-one Gram product and one matrix product a round instead of a cold call's
-4, about a third of the time on the 32 x 32 reference task (see
-deft._jacobi). The step's forward pass reads that factor from the cache,
-and the gradient uses the factor forward read. The final loss drops the
-cache and refactorizes the last latent cold, as load_adapter's state does,
-so a trained state and its reload give the same forward pass and loss bit
-for bit. grad and loss_mse are cold.
+from the previous factor's v, and at rank 24 or less the warm loop then
+needs 2.3 sweeps of one Gram product and one matrix product a round
+instead of a cold call's 4, about a third of the time on the 32 x 32
+reference task (see deft._jacobi). The step's forward pass reads that
+factor from the cache, and the gradient uses the factor forward read. The
+final loss drops the cache and refactorizes the last latent cold, as
+load_adapter's state does, so a trained state and its reload give the same
+forward pass and loss bit for bit. grad and loss_mse are cold.
 """
 
 from __future__ import annotations

@@ -314,10 +314,11 @@ def test_warm_start_on_degenerate_latents(name, start_from):
     assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
 
 
-def test_warm_sweep_cap_raises():
+@pytest.mark.parametrize("cols", [20, 30])  # the warm loop, then the einsum loop from a start
+def test_warm_sweep_cap_raises(cols):
     rng = make_rng(21)
-    a = rng.normal(size=(40, 30))
-    start = np.linalg.qr(rng.normal(size=(30, 30)))[0]
+    a = rng.normal(size=(40, cols))
+    start = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
     with pytest.raises(ConvergenceError, match="in 1 sweeps") as exc:
         jacobi_svd(a, max_sweeps=1, start=start)
     assert exc.value.sweeps == 1
@@ -337,3 +338,23 @@ def test_warm_start_from_the_own_v_stops_in_the_first_sweep_without_rotating(mon
     assert stats == {"sweeps": 1}
     assert np.array_equal(v, _jacobi._newton_schulz(cold[2]))
     assert np.abs(s - cold[1]).max() <= 1e-13 * cold[1][0]
+
+
+@pytest.mark.parametrize("shape", [(40, _jacobi._GRAM_MAX_COLS), (40, _jacobi._GRAM_MAX_COLS + 1),
+                                   (_jacobi._GRAM_MAX_COLS + 1, 40)])
+def test_warm_loop_runs_only_up_to_its_column_count(monkeypatch, shape):
+    # the warm loop's products grow as n^2 a round, so wider warm calls run the einsum loop
+    a, moves = _sgd_walk(23, shape, 1)
+    side = 2 if shape[0] >= shape[1] else 0
+    start = jacobi_svd(a)[side]
+    a += moves[0]
+    wide = min(shape) > _jacobi._GRAM_MAX_COLS
+
+    def unexpected(*args):
+        raise AssertionError("the other sweep loop ran")
+
+    cold = jacobi_svd(a)
+    monkeypatch.setattr(_jacobi, "_gram_sweeps" if wide else "_cold_sweeps", unexpected)
+    warm = jacobi_svd(a, start=start)
+    for c, w in zip(cold, warm):  # singular gaps of about 0.05 leave the vectors about 1e-12 apart
+        assert np.abs(c - w).max() <= 1e-11
