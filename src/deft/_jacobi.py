@@ -19,7 +19,7 @@ schedule). Every pair still appears exactly once per sweep, but each round's
 pairs are disjoint, so the rotations of a round vectorize across columns.
 
 On small inputs the cost is per round, not per flop, so a round does as few
-numpy calls as it can. A cold call (no guess of v, below) runs this loop:
+numpy calls as it can:
 
 - The schedule is built once per column count and cached. Each round holds
   one read-only index array of its i columns followed by its j columns in
@@ -42,54 +42,10 @@ numpy calls as it can. A cold call (no guess of v, below) runs this loop:
 
 These bits are the reference: they do not depend on the BLAS library, a
 golden digest in the tests pins them, and every factor that is stored or
-rebuilt from stored bytes (``load_adapter``, a training run's final loss)
-is cold.
-
-A call may start warm, from a guess of v such as the v of a slightly
-different matrix (training refactorizes a latent that each SGD step moves
-a little). The working copy is then a @ v, nearly column-orthogonal, so the
-quadratic tail of the convergence starts at once. One Newton-Schulz step
-re-orthonormalizes the guess first, so a chain of warm starts does not
-drift from orthogonality. A warm call with at most `_GRAM_MAX_COLS` (24)
-columns, after the swap for a wide input, runs its own loop, which reads
-all of a round's dots from one product instead of a gather and two einsums
-(the cosines that decide convergence are those of the current columns, as
-one-sided Jacobi needs; Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
-1992):
-
-- Each round forms the Gram matrix g^T g of the current columns and reads
-  it as Python floats. The round rotates its pairs above `tol` with the
-  same formulas as the cold loop (hypot from ``math``). A round whose pairs
-  are all within `tol` checks every other pair in the same Gram, and the
-  call stops there when they are within `tol` too, so the sweep that
-  confirms convergence costs one product, not a full sweep of rounds;
-  when they are not, the next round reuses that Gram.
-- The rotations apply to the whole of [g; v] as one product with J, the
-  identity carrying the round's 2 x 2 rotations. Pairs of the round within
-  `tol`, and columns outside it, are multiplied by the identity, which may
-  turn a -0.0 into 0.0. That is acceptable only because warm bits already
-  depend on the start and on the BLAS library, and nothing stores them.
-
-This loop relies on a small column count. Its Gram and J products cost
-about 4 m n^2 flops a round, where the einsum loop's gathers cost O(m n),
-so it wins only while the fixed cost of a round's numpy calls dominates.
-Time of a warm call from a nearby matrix's v, warm loop over einsum loop
-from the same start (best of 5, one BLAS thread, 2 vCPUs):
-
-    columns n     n x n     4n x n    1024 x n   4096 x n
-        4         0.52      0.55      0.54       0.62
-        8         0.49      0.40      0.44       0.49
-       16         0.64      0.54      0.43       0.54
-       24         0.77      0.84      0.57       0.60
-       32         1.41      1.16      0.72       0.50
-       40         1.26      1.42      0.95       0.83
-       56         2.05      1.72      1.32       1.11
-
-Above 24 columns a warm call therefore runs the einsum loop from its
-start. On the 32 x 32 reference training task (rank 4) a warm call takes
-2.3 sweeps, counting the confirming one; run from the same starts, the
-einsum loop takes 3.1. A warm 32 x 4 call costs about 55 us instead of 110
-(2 vCPUs, OpenBLAS 0.3).
+rebuilt from stored bytes (``load_adapter``, ``deft decompose``, a training
+run's final loss) comes from here. Only the refactorizations inside a
+training loop, which nothing stores, use LAPACK instead (see
+``deft.decompose.decompose``'s `portable`).
 """
 
 from __future__ import annotations
@@ -100,10 +56,6 @@ import math
 import numpy as np
 
 from deft.matcore import unit_exponent
-
-
-# Widest column count that runs the warm loop (module docstring: the loop needs few columns).
-_GRAM_MAX_COLS = 24
 
 
 class ConvergenceError(RuntimeError):
@@ -191,162 +143,7 @@ def _fix_signs(u, v):
         v[:, flip] *= -1.0
 
 
-def _newton_schulz(v):
-    """One Newton-Schulz step toward the nearest orthogonal matrix: v (1.5 I - 0.5 v^T v).
-
-    A v with |v^T v - I| = e comes back with an error of about 1.5 e^2
-    (Higham, Functions of Matrices, 2008, section 8.3), so a v that is
-    orthogonal to rounding stays so however often the step is chained.
-    Raises ValueError when v is too far from orthogonal for one step.
-    """
-    eye = np.eye(len(v))
-    gram = v.T @ v
-    dev = np.abs(gram - eye).max()
-    if not dev <= 1e-8:
-        raise ValueError(f"start is not orthogonal: |v^T v - I| reaches {dev:.3e} > 1e-8")
-    return v @ (1.5 * eye - 0.5 * gram)
-
-
-def _cosine(alpha, gamma, beta):
-    """|beta| / (|g_i| |g_j|) of a pair with squared norms alpha, gamma and dot beta.
-
-    0.0 when a column is zero: such a pair is never rotated.
-    """
-    # sqrt before multiplying: alpha * gamma overflows near 1e308
-    denom = math.sqrt(alpha) * math.sqrt(gamma)
-    return abs(beta) / denom if denom > 0.0 else 0.0
-
-
-def _rotation(tau, h):
-    """The (c, s) that make a pair orthogonal.
-
-    tau = (gamma - alpha) / (2 beta) and h = hypot(1, tau); the caller
-    computes h, since np.hypot and math.hypot may differ in the last bit.
-    """
-    if tau == 0.0:
-        t = 1.0  # equal norms: rotate by 45 degrees
-    else:
-        # a huge tau overflows to inf, giving t = 0, which is correct
-        t = (1.0 if tau > 0.0 else -1.0) / (abs(tau) + h)
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, c * t
-
-
-def _cold_sweeps(w, m, tol, max_sweeps):
-    """Rotate w = [g; v] in place, round by round, until every pair is within `tol`.
-
-    Returns (w, sweeps, worst): w itself, the sweep that found every pair
-    within `tol` and the largest cosine it saw, or max_sweeps and a worst
-    above `tol`.
-    """
-    rounds = _schedule(w.shape[1])
-    for sweeps in range(1, max_sweeps + 1):
-        worst = 0.0
-        for cols in rounds:
-            k = len(cols) // 2
-            blk = w[:, cols]
-            top = blk[:m]
-            norms2 = np.einsum("ij,ij->j", top, top).tolist()
-            betas = np.einsum("ij,ij->j", top[:, :k], top[:, ::-1][:, :k]).tolist()
-            rot, taus = [], []
-            for p in range(k):
-                alpha, gamma, beta = norms2[p], norms2[-1 - p], betas[p]
-                rel = _cosine(alpha, gamma, beta)
-                worst = max(worst, rel)
-                if rel > tol:
-                    rot.append(p)
-                    taus.append((gamma - alpha) / (2.0 * beta))
-            if not rot:
-                continue
-            cs, ss = [], []
-            for tau, h in zip(taus, np.hypot(1.0, taus).tolist()):
-                c, s = _rotation(tau, h)
-                cs.append(c)
-                ss.append(s)
-            if len(rot) < k:
-                sel = rot + [2 * k - 1 - p for p in reversed(rot)]
-                blk, cols = blk[:, sel], cols[sel]
-            # each column's partner sits at the mirrored position: c*gi - s*gj, s*gi + c*gj
-            rest = blk[:, ::-1] * ([-s for s in ss] + ss[::-1])
-            blk *= cs + cs[::-1]
-            blk += rest
-            w[:, cols] = blk
-        if worst <= tol:
-            break
-    return w, sweeps, worst
-
-
-@functools.lru_cache(maxsize=None)
-def _gram_schedule(n):
-    """_round_robin_rounds(n) for the warm loop: each round's (i, j) pairs and their places in J.
-
-    The read-only index array holds the flat positions in an n x n J of
-    the pairs' (i, i) entries, then (j, j), (i, j) and (j, i): where c, c,
-    s and -s go. The tuple after it holds the identity's entries there.
-    """
-    rounds = []
-    for ia, ja in _round_robin_rounds(n):
-        ia, ja = ia.tolist(), ja.tolist()
-        flat = np.array([i * n + i for i in ia] + [j * n + j for j in ja]
-                        + [i * n + j for i, j in zip(ia, ja)] + [j * n + i for i, j in zip(ia, ja)])
-        flat.flags.writeable = False
-        rounds.append((tuple(zip(ia, ja)), flat, (1.0,) * (2 * len(ia)) + (0.0,) * (2 * len(ia))))
-    return tuple(rounds)
-
-
-def _worst(gram):
-    """The largest cosine of any column pair, from a Gram matrix given as lists."""
-    n = len(gram)
-    return max(_cosine(gram[i][i], gram[j][j], gram[i][j])
-               for i in range(n) for j in range(i + 1, n))
-
-
-def _gram_sweeps(w, m, tol, max_sweeps):
-    """Rotate w = [g; v] round by round, reading every dot from one Gram product of the current columns.
-
-    Returns (w, sweeps, worst) as _cold_sweeps does, but w may be a new
-    array: each round multiplies the whole block by J. A round whose own
-    pairs are all within `tol` checks all the others in its Gram and stops
-    the run if they are too; otherwise the next round reuses that Gram,
-    since nothing moved.
-    """
-    n = w.shape[1]
-    prod = np.empty((n, n))
-    j = np.eye(n)
-    spare = np.empty_like(w)
-    stale = True
-    for sweeps in range(1, max_sweeps + 1):
-        for pairs, flat, identity in _gram_schedule(n):
-            if stale:
-                g = w[:m]
-                np.matmul(g.T, g, out=prod)
-                gram = prod.tolist()
-                stale = False
-            rotate = False
-            cs, ss = [], []
-            for i, k in pairs:
-                alpha, gamma, beta = gram[i][i], gram[k][k], gram[i][k]
-                c, s = 1.0, 0.0  # a pair within tol keeps the identity
-                if _cosine(alpha, gamma, beta) > tol:
-                    tau = (gamma - alpha) / (2.0 * beta)
-                    c, s = _rotation(tau, math.hypot(1.0, tau))
-                    rotate = True
-                cs.append(c)
-                ss.append(s)
-            if not rotate:
-                worst = _worst(gram)
-                if worst <= tol:
-                    return w, sweeps, worst
-                continue
-            j.put(flat, cs + cs + ss + [-s for s in ss])
-            np.matmul(w, j, out=spare)
-            j.put(flat, identity)  # J is the identity again for the next round
-            w, spare = spare, w
-            stale = True
-    return w, max_sweeps, _worst(gram)
-
-
-def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
+def jacobi_svd(a, tol=1e-13, max_sweeps=60, stats=None):
     """Thin SVD of `a` by one-sided Jacobi rotations.
 
     Parameters
@@ -359,20 +156,6 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
         convergence is quadratic in the tail so the default is never
         reached on finite input. A last sweep that still finds a pair
         above `tol` raises ConvergenceError.
-    start : ndarray, shape (n, n), optional
-        A guess of v, such as the v of a nearby matrix; it must be
-        orthogonal to 1e-8 (ValueError otherwise). The rotations then
-        start from ``a @ start``, re-orthonormalized by one Newton-Schulz
-        step, instead of from `a` and the identity. Up to 24 columns
-        they run the warm loop (module docstring): every round reads its
-        dots from one Gram product of the current columns and applies its
-        rotations as one matrix product; wider inputs run the einsum
-        loop. Near a's v that start is nearly column-orthogonal, so the
-        quadratic tail begins at once and fewer rounds run. The result
-        agrees with the cold one to rounding, in the same order and sign
-        convention, but its bits depend on `start` and on the BLAS
-        library. For a wide input the roles swap: `start` is an m x m
-        guess of u.
     stats : dict, optional
         Receives ``"sweeps"``: the sweeps the converged run took, the
         one that found every pair within `tol` included.
@@ -388,7 +171,7 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
     m, n = a.shape
     if m < n:
         # rotate over the smaller column count; swap roles on the way out
-        u, s, v = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps, start=start, stats=stats)
+        u, s, v = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps, stats=stats)
         return v, s, u
 
     shift = unit_exponent(a)
@@ -396,19 +179,53 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, start=None, stats=None):
     # w and the blocks gathered from it are C-ordered even for a transposed input; the
     # order fixes einsum's rounding.
     w = np.empty((m + n, n))
-    if start is None:
-        np.ldexp(a, -shift, out=w[:m])
-        w[m:] = np.eye(n)
-    else:
-        if np.shape(start) != (n, n):
-            raise ValueError(f"start has shape {np.shape(start)}, expected {(n, n)}")
-        w[m:] = _newton_schulz(np.asarray(start, dtype=np.float64))
-        np.matmul(np.ldexp(a, -shift), w[m:], out=w[:m])
+    np.ldexp(a, -shift, out=w[:m])
+    w[m:] = np.eye(n)
     sweeps = 0
     if n > 1:
-        sweep_loop = _gram_sweeps if start is not None and n <= _GRAM_MAX_COLS else _cold_sweeps
-        w, sweeps, worst = sweep_loop(w, m, tol, max_sweeps)
-        if not worst <= tol:
+        rounds = _schedule(n)
+        for sweeps in range(1, max_sweeps + 1):
+            worst = 0.0
+            for cols in rounds:
+                k = len(cols) // 2
+                blk = w[:, cols]
+                top = blk[:m]
+                norms2 = np.einsum("ij,ij->j", top, top).tolist()
+                betas = np.einsum("ij,ij->j", top[:, :k], top[:, ::-1][:, :k]).tolist()
+                rot, taus = [], []
+                for p in range(k):
+                    alpha, gamma, beta = norms2[p], norms2[-1 - p], betas[p]
+                    # sqrt before multiplying: alpha * gamma overflows near 1e308
+                    denom = math.sqrt(alpha) * math.sqrt(gamma)
+                    if denom > 0.0:  # a pair with a zero column is never rotated
+                        rel = abs(beta) / denom
+                        worst = max(worst, rel)
+                        if rel > tol:
+                            rot.append(p)
+                            # a huge tau overflows to inf, giving t = 0, which is correct
+                            taus.append((gamma - alpha) / (2.0 * beta))
+                if not rot:
+                    continue
+                cs, ss = [], []
+                for tau, h in zip(taus, np.hypot(1.0, taus).tolist()):
+                    if tau == 0.0:
+                        t = 1.0  # equal norms: rotate by 45 degrees
+                    else:
+                        t = (1.0 if tau > 0.0 else -1.0) / (abs(tau) + h)
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    cs.append(c)
+                    ss.append(c * t)
+                if len(rot) < k:
+                    sel = rot + [2 * k - 1 - p for p in reversed(rot)]
+                    blk, cols = blk[:, sel], cols[sel]
+                # each column's partner sits at the mirrored position: c*gi - s*gj, s*gi + c*gj
+                rest = blk[:, ::-1] * ([-s for s in ss] + ss[::-1])
+                blk *= cs + cs[::-1]
+                blk += rest
+                w[:, cols] = blk
+            if worst <= tol:
+                break
+        else:
             raise ConvergenceError(max_sweeps, worst, tol)
     if stats is not None:
         stats["sweeps"] = sweeps

@@ -16,8 +16,9 @@ trainable latent matrix by a decomposition backend. The factorization is
 cached together with the bytes of the latent it was built from, and it is
 recomputed whenever the latent's bits differ from those, however the
 latent was changed: an optimizer step, an in-place edit or a reassignment.
-The recomputation is cold, a function of the latent's bytes alone, except
-where the training loop asks refresh for a warm one (see refresh).
+The recomputation is portable, a function of the latent's bytes alone,
+except inside the training loop, which asks refresh for LAPACK's faster
+factor (see refresh).
 lora takes no backend.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
@@ -166,19 +167,21 @@ def trainables(state):
     return {name: getattr(state, name) for name, _, _ in _TRAINABLES[state.cfg.method]}
 
 
-def refresh(state, warm=False):
+def refresh(state, portable=True):
     """Factorize the p-side latent unless the cache was built from the same bytes.
 
     The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
     a factor. Any change to the latent, in place or by reassignment, is
     seen here; nothing has to mark the cache out of date.
 
-    A refactorization is cold by default: the factor is a function of the
-    latent's bytes alone, as a reloaded checkpoint builds it. warm=True
-    starts it from the cached factor instead (decompose's `start`), which
-    saves tsvd and lrmf Jacobi sweeps when the latent has moved a little,
-    as after an SGD step, and gives a factor equal to the cold one to
-    rounding. Only the training loop asks for it (see deft.train).
+    A refactorization is portable by default: the factor is a function of
+    the latent's bytes alone, as a reloaded checkpoint builds it.
+    portable=False is passed on to decompose, which then factors tsvd and
+    lrmf latents with LAPACK's thin SVD: faster, equal to the portable
+    factor to rounding, but not the same bits on every platform. Only the
+    training loop asks for it (see deft.train). A cache hit returns the
+    cached factor either way, so a caller that needs the portable bits
+    after such a refresh drops the cache first, as run_finetune does.
     """
     cfg = state.cfg
     if cfg.backend is None:  # lora: nothing to factorize
@@ -186,8 +189,8 @@ def refresh(state, warm=False):
     latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
     key = latent.tobytes()
     if state.cache is None or state.cache[0] != key:
-        start = state.cache[1] if warm and state.cache is not None else None
-        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed, start=start))
+        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed,
+                                      portable=portable))
     return state
 
 

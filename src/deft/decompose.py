@@ -24,15 +24,15 @@ deliberately do not, and nothing downstream may assume it for them.
 ``_KINDS`` is the single source of each kind's rules (see ``_Kind``); the
 dispatch, reconstruction, CLI output files and training gradient read it.
 ``decompose`` validates the matrix and the rank once, so a kind's factor
-rule receives a checked float64 matrix and a rank in range. Its `start`
-lets tsvd and lrmf begin from an earlier result's v (a warm start, used by
-training); without it a result depends on the matrix's bytes alone.
+rule receives a checked float64 matrix and a rank in range.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
-``deft._jacobi``, not LAPACK's; its docstring says why. It is also what
-acceptance check c10 times: a LAPACK thin SVD of a 3072 x 8 latent would
-beat nmf and invert that speed ordering. eig reads its factor off LAPACK's
-thin SVD.
+``deft._jacobi``, not LAPACK's, so a stored factor is the same bits on
+every platform (its docstring says more). It is also what acceptance
+check c10 times: a LAPACK thin SVD of a 3072 x 8 latent would beat nmf and
+invert that speed ordering. Only ``portable=False``, which training's
+in-loop refreshes pass, puts tsvd and lrmf on LAPACK's thin SVD; eig
+always reads its factor off it.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ class DecompositionResult:
 
     notes name conditions the factor met (e.g. ``"degenerate_columns"``).
     stats holds counts of how it was reached, not factors, so neither
-    ``reconstruct`` nor ``deft decompose`` reads them: tsvd and lrmf report
-    ``"sweeps"``, the Jacobi sweeps of the converged run.
+    ``reconstruct`` nor ``deft decompose`` reads them. ``"sweeps"``, the
+    sweeps of the converged Jacobi run, is present exactly when a Jacobi
+    SVD ran: for tsvd and lrmf unless ``portable=False``.
     """
 
     kind: str
@@ -98,7 +99,7 @@ class DecompositionResult:
     stats: dict = field(default_factory=dict)
 
 
-def _qr(b, r, backend, seed, start):
+def _qr(b, r, backend, seed, portable):
     """Thin QR of an m x r latent, b = Q @ r_tri.
 
     Q always comes back with r orthonormal columns. When b is (numerically)
@@ -120,41 +121,51 @@ def _qr(b, r, backend, seed, start):
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
-def _svd(b, start):
-    """jacobi_svd of b and its stats, started from `start`'s v when it is b's whole v.
+def _lapack_svd(b):
+    """LAPACK's thin SVD of b as (u, s, v), signed by the package convention."""
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    v = vt.T
+    _fix_signs(u, v)
+    return u, s, v
 
-    That is the case when start factored a matrix of b's shape at full
-    rank, as training's refresh does; a truncated v is no start.
+
+def _svd(b, portable):
+    """Thin SVD of b and its stats: the Jacobi SVD, or LAPACK's when not `portable`.
+
+    LAPACK factors a wide b transposed, as the Jacobi SVD does, so that both
+    sign the singular vectors of b's longer side.
     """
-    v0 = None
-    if start is not None and start.aux["v"].shape == (b.shape[1], b.shape[1]):
-        v0 = start.aux["v"]
+    if not portable:
+        if b.shape[0] < b.shape[1]:
+            v, s, u = _lapack_svd(b.T)
+            return u, s, v, {}
+        return (*_lapack_svd(b), {})
     stats = {}
-    u, s, v = jacobi_svd(b, start=v0, stats=stats)
+    u, s, v = jacobi_svd(b, stats=stats)
     return u, s, v, stats
 
 
-def _tsvd(b, r, backend, seed, start):
-    """Best rank-r approximation factors of `b` via the Jacobi SVD."""
-    u, s, v, stats = _svd(b, start)
+def _tsvd(b, r, backend, seed, portable):
+    """Best rank-r approximation factors of `b` via the thin SVD."""
+    u, s, v, stats = _svd(b, portable)
     aux = {"s": s[:r].copy(), "v": v[:, :r].copy()}
     return DecompositionResult("tsvd", u[:, :r].copy(), aux, stats=stats)
 
 
-def _lrmf(b, r, backend, seed, start):
+def _lrmf(b, r, backend, seed, portable):
     """Scaled-basis factorization: p_factor = U_r * sqrt(s_r).
 
     A zero singular value among the top r produces a zero column; that is
     allowed and flagged with a ``"zero_singular_columns"`` note.
     """
-    u, s, v, stats = _svd(b, start)
+    u, s, v, stats = _svd(b, portable)
     s_r = s[:r]
     p = u[:, :r] * np.sqrt(s_r)
     notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s[0]).any() else ()
     return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes, stats)
 
 
-def _nmf(b, r, backend, seed, start):
+def _nmf(b, r, backend, seed, portable):
     """Non-negative factorization b ~ W @ H by multiplicative updates.
 
     Negative entries of `b` are clamped to zero first (with a warning);
@@ -222,24 +233,22 @@ def _nmf(b, r, backend, seed, start):
     return DecompositionResult("nmf", w, aux, notes)
 
 
-def _eig(b, r, backend, seed, start):
+def _eig(b, r, backend, seed, portable):
     """Top-r eigenvectors of b @ b.T as the projection factor.
 
     They are b's top-r left singular vectors, taken from its thin LAPACK SVD
     without forming b @ b.T. aux carries ``lambda``, the matching
     eigenvalues: the squared singular values, sorted non-increasing.
     """
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    p = np.ascontiguousarray(u[:, :r])
-    _fix_signs(p, None)
-    return DecompositionResult("eig", p, {"lambda": s[:r] ** 2})
+    u, s, _ = _lapack_svd(b)
+    return DecompositionResult("eig", u[:, :r].copy(), {"lambda": s[:r] ** 2})
 
 
 @dataclass(frozen=True)
 class _Kind:
     """The rules of one backend kind; see ``_KINDS``."""
 
-    factor: Callable  # (b, r, backend, seed, start) -> DecompositionResult
+    factor: Callable  # (b, r, backend, seed, portable) -> DecompositionResult
     rebuild: Callable  # (result, b) -> the rank-r approximation of b
     aux_stems: dict  # aux key -> file stem in `deft decompose` output
     intrinsic_rank: bool = False  # rank is b's column count, not a truncation
@@ -267,9 +276,9 @@ _KINDS = {
     "nmf": _Kind(_nmf, lambda res, b: res.p_factor @ res.aux["h"],
                  {"h": "h", "err_trace": "errtrace"}),
     "eig": _Kind(_eig, _rebuild_eig, {"lambda": "lam"}),
-    "relax": _Kind(lambda b, r, bk, seed, start: DecompositionResult("relax", b.copy()),
+    "relax": _Kind(lambda b, r, bk, seed, portable: DecompositionResult("relax", b.copy()),
                    lambda res, b: res.p_factor.copy(), {}, intrinsic_rank=True),
-    "relax_nmf": _Kind(lambda b, r, bk, seed, start:
+    "relax_nmf": _Kind(lambda b, r, bk, seed, portable:
                        DecompositionResult("relax_nmf", np.maximum(b, 0.0)),
                        lambda res, b: res.p_factor.copy(), {},
                        intrinsic_rank=True, ste_mask=lambda latent: latent > 0.0),
@@ -277,7 +286,7 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def decompose(b, backend, rank=None, seed=0, start=None):
+def decompose(b, backend, rank=None, seed=0, portable=True):
     """Factor `b` with `backend` into a rank-`rank` factor. Deterministic in its arguments.
 
     A kind with an intrinsic rank (qr, relax, relax_nmf) takes b's column
@@ -286,12 +295,15 @@ def decompose(b, backend, rank=None, seed=0, start=None):
     largest rank the kind allows: the column count for an intrinsic kind,
     min(b.shape) otherwise. `seed` draws nmf's initial factors.
 
-    `start` is an earlier result, typically of a nearby matrix. tsvd and
-    lrmf start their Jacobi SVD from its v when it is of the same kind and
-    holds b's whole v (see deft._jacobi.jacobi_svd): fewer sweeps, a factor
-    equal to the cold one to rounding, but bits that depend on `start` and
-    on the BLAS library. Every other kind, and every other start, is
-    ignored. Without `start` the result is a function of b's bytes alone.
+    With `portable` (the default) the result is a function of b's bytes
+    alone, the same on every platform. portable=False lets tsvd and lrmf
+    factor with LAPACK's thin SVD instead of the Jacobi SVD: about four
+    times faster at 32 x 4, in the same order and sign convention, but
+    with bits that depend on the LAPACK library and no ``"sweeps"`` in
+    stats. The singular values agree to rounding, and so do the vectors
+    where the singular values are well apart; where they (nearly)
+    coincide, only the span is defined and the two may pick different
+    bases of it. Every other kind ignores `portable`.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]
@@ -304,9 +316,7 @@ def decompose(b, backend, rank=None, seed=0, start=None):
         rank = min(b.shape) if rank is None else rank
         if not 1 <= rank <= min(b.shape):
             raise ShapeError(f"rank {rank} out of range for shape {b.shape}")
-    if start is not None and start.kind != backend.kind:
-        start = None
-    return kind.factor(b, rank, backend, seed, start)
+    return kind.factor(b, rank, backend, seed, portable)
 
 
 def reconstruct(result, b=None):

@@ -26,16 +26,15 @@ rank-sized products, never to the residual. And the gradient products are
 associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
 rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
 
-Each step of run_finetune first refreshes the factor warm
-(deft.adapters.refresh): tsvd and lrmf start the moved latent's Jacobi SVD
-from the previous factor's v, and at rank 24 or less the warm loop then
-needs 2.3 sweeps of one Gram product and one matrix product a round
-instead of a cold call's 4, about a third of the time on the 32 x 32
-reference task (see deft._jacobi). The step's forward pass reads that
-factor from the cache, and the gradient uses the factor forward read. The
-final loss drops the cache and refactorizes the last latent cold, as
-load_adapter's state does, so a trained state and its reload give the same
-forward pass and loss bit for bit. grad and loss_mse are cold.
+Each step of run_finetune first refreshes the factor with portable=False
+(deft.adapters.refresh): tsvd and lrmf factor the moved latent with
+LAPACK's thin SVD, about 60 us a call where the portable Jacobi SVD takes
+260 us at 32 x 4 (one BLAS thread, 2 vCPUs). That is safe because no
+in-loop factor is stored. The step's forward pass reads that factor from
+the cache, and the gradient uses the factor forward read. The final loss
+drops the cache and refactorizes the last latent portably, as
+load_adapter's state does, so a trained state and its reload give the
+same forward pass and loss bit for bit. grad and loss_mse are portable.
 """
 
 from __future__ import annotations
@@ -232,7 +231,7 @@ def run_finetune(w0, cfg, task, steps):
 
     last_finite = None
     for i in range(steps):
-        refresh(state, warm=True)  # the moved latent's factorization starts from the last one
+        refresh(state, portable=False)  # no in-loop factor is stored
         loss, grads = _loss_and_grads(state, x, y, task.targets)
         if not np.isfinite(loss):
             raise DivergenceError(i, last_finite)
@@ -243,8 +242,8 @@ def run_finetune(w0, cfg, task, steps):
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
 
-    # the final loss and the returned state use the cold factor a reload builds, even where
-    # the last step left the latent as it was
+    # the final loss and the returned state use the portable factor a reload builds, even
+    # where the last step left the latent as it was
     state.cache = None
     final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
     if not np.isfinite(final):

@@ -381,43 +381,73 @@ def _same_bits(r1, r2):
 
 
 class TestWarmStart:
-    """decompose's `start`: an earlier result that the Jacobi kinds start their SVD from."""
+    """decompose's `portable`: False puts tsvd and lrmf on LAPACK's thin SVD.
 
-    def latents(self):
-        b0 = make_rng(34).normal(size=(24, 4))
-        return b0, b0 + 1e-3 * make_rng(35).normal(size=b0.shape)
+    Here "warm" is that path, which training's in-loop refresh takes, and
+    "cold" the portable Jacobi one.
+    """
+
+    def latent(self):
+        return make_rng(34).normal(size=(24, 4)) + 1e-3 * make_rng(35).normal(size=(24, 4))
 
     def test_stats_report_the_jacobi_sweeps(self):
         b = make_rng(36).uniform(0.0, 1.0, size=(9, 3))
         for kind in KINDS:
-            res = decompose(b, Backend(kind), 3)
-            if kind in ("tsvd", "lrmf"):
-                assert set(res.stats) == {"sweeps"} and res.stats["sweeps"] >= 1, kind
-            else:
-                assert res.stats == {}, kind
+            for portable in (True, False):
+                res = decompose(b, Backend(kind), 3, portable=portable)
+                if kind in ("tsvd", "lrmf") and portable:
+                    assert set(res.stats) == {"sweeps"} and res.stats["sweeps"] >= 1, kind
+                else:
+                    assert res.stats == {}, (kind, portable)
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_warm_factor_matches_the_cold_one(self, kind):
-        b0, b1 = self.latents()
-        cold = decompose(b1, Backend(kind))
-        warm = decompose(b1, Backend(kind), start=decompose(b0, Backend(kind)))
-        assert not _same_bits(warm, cold)  # the start was used ...
-        assert np.abs(warm.p_factor - cold.p_factor).max() <= 1e-12  # ... to rounding
-        for key in cold.aux:
-            assert np.abs(warm.aux[key] - cold.aux[key]).max() <= 1e-12, key
-        assert warm.notes == cold.notes
+        for b in (self.latent(), self.latent()[:9].T):  # a wide one signs its v, not its u
+            cold = decompose(b, Backend(kind))
+            fast = decompose(b, Backend(kind), portable=False)
+            assert not _same_bits(fast, cold)  # LAPACK ran ...
+            assert np.abs(fast.p_factor - cold.p_factor).max() <= 1e-12  # ... equal to rounding
+            for key in cold.aux:
+                assert np.abs(fast.aux[key] - cold.aux[key]).max() <= 1e-12, key
+            assert fast.notes == cold.notes
 
-    def test_other_kinds_and_other_starts_are_ignored(self):
-        b0, b1 = self.latents()
+    def test_other_kinds_ignore_the_flag(self):
+        b = self.latent()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf's clamp of the signed latent
-            for kind in KINDS:
-                start = decompose(b0, Backend(kind), 4, seed=2)
-                assert _same_bits(decompose(b1, Backend(kind), 4, seed=2, start=start),
-                                  decompose(b1, Backend(kind), 4, seed=2)) == (
-                    kind not in ("tsvd", "lrmf")), kind
-            # a start of another kind, or one whose v is truncated, is no start
-            cold = decompose(b1, Backend("tsvd"))
-            for start in (decompose(b0, Backend("lrmf")), decompose(b0, Backend("tsvd"), 3),
-                          decompose(b0, Backend("qr"))):
-                assert _same_bits(decompose(b1, Backend("tsvd"), start=start), cold)
+            for kind in set(KINDS) - {"tsvd", "lrmf"}:
+                assert _same_bits(decompose(b, Backend(kind), 4, seed=2, portable=False),
+                                  decompose(b, Backend(kind), 4, seed=2)), kind
+
+    @pytest.mark.parametrize("name", ["zero column", "equal columns", "graded"])
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_fast_factor_of_a_degenerate_latent(self, kind, name):
+        # only the span is defined where singular values (nearly) coincide, so the fast factor
+        # is checked for orthonormal bases and the reconstruction, not against the cold one
+        b = _degenerate_latents()[name]
+        cold = decompose(b, Backend(kind))
+        fast = decompose(b, Backend(kind), portable=False)
+        s0 = cold.aux["s"][0]
+        assert np.abs(fast.aux["s"] - cold.aux["s"]).max() <= 1e-12 * s0
+        assert np.abs(reconstruct(fast) - b).max() <= 1e-12 * s0
+        k = min(b.shape)
+        v = fast.aux["v"]
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+        if kind == "tsvd":  # the dependent directions are filled: u is a whole orthonormal basis
+            u = fast.p_factor
+            assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+        assert fast.notes == cold.notes  # lrmf's zero_singular_columns, on the two rank-deficient ones
+
+
+def _degenerate_latents():
+    """Latents with (nearly) coinciding singular values, by name."""
+    rng = make_rng(19)
+    zero = rng.normal(size=(12, 5))
+    zero[:, 2] = 0.0
+    equal = rng.normal(size=(12, 5))
+    equal[:, 3] = equal[:, 1]
+    q1 = np.linalg.qr(rng.normal(size=(12, 5)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    # down to 1e-11, clear of lrmf's 1e-12 s_0 note threshold, where the two SVDs may differ
+    graded = (q1 * np.logspace(0.0, -11.0, 5)) @ q2.T
+    return {"zero column": zero, "equal columns": equal, "graded": graded}

@@ -1,8 +1,8 @@
 """The in-house SVD kernel, checked against numpy's LAPACK-backed routines.
 
 The Jacobi SVD shares no code with LAPACK, so LAPACK serves here as an
-independent oracle, even though the library itself calls it for eig and
-for rank counting.
+independent oracle, even though the library itself calls it for eig, for
+rank counting and for training's in-loop tsvd/lrmf refreshes.
 """
 
 import hashlib
@@ -218,38 +218,6 @@ def test_schedule_is_built_once_per_column_count(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
-def _sgd_walk(seed, shape, steps, size=1e-3):
-    """A seeded matrix and `steps` small random moves of it, like a latent under SGD."""
-    rng = make_rng(seed)
-    return rng.normal(size=shape), size * rng.normal(size=(steps, *shape))
-
-
-@pytest.mark.parametrize("shape", [(32, 4), (12, 5), (4, 9)])
-def test_warm_start_matches_cold(shape):
-    a, moves = _sgd_walk(13, shape, 30)
-    v = jacobi_svd(a)[2 if shape[0] >= shape[1] else 0]
-    for move in moves:
-        a += move
-        cold_stats, warm_stats = {}, {}
-        cold = jacobi_svd(a, stats=cold_stats)
-        warm = jacobi_svd(a, start=v, stats=warm_stats)
-        for c, w in zip(cold, warm):  # entrywise: the same order and sign convention
-            assert np.abs(c - w).max() <= 1e-12
-        assert warm_stats["sweeps"] <= cold_stats["sweeps"]
-        v = warm[2 if shape[0] >= shape[1] else 0]
-
-
-def test_chained_warm_starts_stay_orthonormal():
-    # each call's v starts the next; the Newton-Schulz step keeps the chain from drifting
-    # (without it, this chain ends 1.4e-13 from orthonormal)
-    a, moves = _sgd_walk(14, (5, 2), 20000)
-    v = jacobi_svd(a)[2]
-    for move in moves:
-        a += move
-        v = jacobi_svd(a, start=v)[2]
-    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-14
-
-
 def test_stats_count_the_sweeps_of_the_run():
     a = make_rng(15).normal(size=(20, 6))
     stats = {}
@@ -262,99 +230,7 @@ def test_stats_count_the_sweeps_of_the_run():
     assert one_column == {"sweeps": 0}
 
 
-@pytest.mark.parametrize("start, match", [
-    (np.eye(3), "start has shape"),
-    (np.eye(4)[::-1] * 1.001, "start is not orthogonal"),
-    (np.full((4, 4), np.nan), "start is not orthogonal"),
-])
-def test_bad_start_is_rejected(start, match):
-    with pytest.raises(ValueError, match=match):
-        jacobi_svd(make_rng(16).normal(size=(9, 4)), start=start)
-
-
 @pytest.mark.parametrize("max_sweeps", [0, -1])
-@pytest.mark.parametrize("warm", [False, True])
-def test_sweep_cap_below_one_is_rejected_before_any_work(max_sweeps, warm):
-    # a start of the wrong shape would raise too, but only after the cap is checked
-    start = np.eye(3) if warm else None
+def test_sweep_cap_below_one_is_rejected_before_any_work(max_sweeps):
     with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
-        jacobi_svd(make_rng(18).normal(size=(9, 4)), max_sweeps=max_sweeps, start=start)
-
-
-def _degenerate_latents():
-    rng = make_rng(19)
-    zero = rng.normal(size=(12, 5))
-    zero[:, 2] = 0.0
-    equal = rng.normal(size=(12, 5))
-    equal[:, 3] = equal[:, 1]
-    q1 = np.linalg.qr(rng.normal(size=(12, 5)))[0]
-    q2 = np.linalg.qr(rng.normal(size=(5, 5)))[0]
-    graded = (q1 * np.logspace(0.0, -12.0, 5)) @ q2.T
-    wide = rng.normal(size=(4, 9))
-    return {"zero column": zero, "equal columns": equal, "graded": graded, "wide": wide}
-
-
-@pytest.mark.parametrize("name", ["zero column", "equal columns", "graded", "wide"])
-@pytest.mark.parametrize("start_from", ["nearby matrix", "random rotation"])
-def test_warm_start_on_degenerate_latents(name, start_from):
-    a = _degenerate_latents()[name]
-    side = 2 if a.shape[0] >= a.shape[1] else 0  # a wide input takes a guess of u
-    k = min(a.shape)
-    rng = make_rng(20)
-    if start_from == "nearby matrix":
-        start = jacobi_svd(a + 1e-3 * rng.normal(size=a.shape))[side]
-    else:
-        start = np.linalg.qr(rng.normal(size=(k, k)))[0]
-    cold = jacobi_svd(a)
-    u, s, v = jacobi_svd(a, start=start)
-    assert np.abs(s - cold[1]).max() <= 1e-12 * cold[1][0]
-    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * cold[1][0]
-    # the dependent directions are filled: u and v are whole orthonormal bases
-    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
-    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("cols", [20, 30])  # the warm loop, then the einsum loop from a start
-def test_warm_sweep_cap_raises(cols):
-    rng = make_rng(21)
-    a = rng.normal(size=(40, cols))
-    start = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
-    with pytest.raises(ConvergenceError, match="in 1 sweeps") as exc:
-        jacobi_svd(a, max_sweeps=1, start=start)
-    assert exc.value.sweeps == 1
-    assert exc.value.worst > 1e-13
-
-
-def test_warm_start_from_the_own_v_stops_in_the_first_sweep_without_rotating(monkeypatch):
-    a = make_rng(22).normal(size=(20, 6))
-    cold = jacobi_svd(a)
-
-    def no_rotation(tau, h):
-        raise AssertionError("a pair was rotated")
-
-    monkeypatch.setattr(_jacobi, "_rotation", no_rotation)
-    stats = {}
-    u, s, v = jacobi_svd(a, start=cold[2], stats=stats)
-    assert stats == {"sweeps": 1}
-    assert np.array_equal(v, _jacobi._newton_schulz(cold[2]))
-    assert np.abs(s - cold[1]).max() <= 1e-13 * cold[1][0]
-
-
-@pytest.mark.parametrize("shape", [(40, _jacobi._GRAM_MAX_COLS), (40, _jacobi._GRAM_MAX_COLS + 1),
-                                   (_jacobi._GRAM_MAX_COLS + 1, 40)])
-def test_warm_loop_runs_only_up_to_its_column_count(monkeypatch, shape):
-    # the warm loop's products grow as n^2 a round, so wider warm calls run the einsum loop
-    a, moves = _sgd_walk(23, shape, 1)
-    side = 2 if shape[0] >= shape[1] else 0
-    start = jacobi_svd(a)[side]
-    a += moves[0]
-    wide = min(shape) > _jacobi._GRAM_MAX_COLS
-
-    def unexpected(*args):
-        raise AssertionError("the other sweep loop ran")
-
-    cold = jacobi_svd(a)
-    monkeypatch.setattr(_jacobi, "_gram_sweeps" if wide else "_cold_sweeps", unexpected)
-    warm = jacobi_svd(a, start=start)
-    for c, w in zip(cold, warm):  # singular gaps of about 0.05 leave the vectors about 1e-12 apart
-        assert np.abs(c - w).max() <= 1e-11
+        jacobi_svd(make_rng(18).normal(size=(9, 4)), max_sweeps=max_sweeps)

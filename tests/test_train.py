@@ -392,7 +392,8 @@ class TestReporting:
 
 
 class TestWarmRefresh:
-    """run_finetune starts each step's tsvd/lrmf refactorization from the last factor."""
+    """run_finetune refactorizes each step's tsvd/lrmf latent with LAPACK ("warm"), then the
+    final loss's with the portable Jacobi SVD ("cold")."""
 
     def job(self, kind):
         """w0, config and task of a small deft run with backend `kind`."""
@@ -402,31 +403,31 @@ class TestWarmRefresh:
         return w0, cfg, task
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
-    def test_warm_call_after_an_sgd_step_takes_fewer_sweeps(self, kind):
+    def test_fast_call_after_an_sgd_step_matches_the_cold_one(self, kind):
         w0, cfg, task = self.job(kind)
         state = init_adapter(w0, cfg)
-        refresh(state)  # the factor the warm call starts from
+        refresh(state)
         sgd_step(state, grad(state, task), cfg)
         cold = decompose(state.p_latent, cfg.backend, cfg.rank)
-        warm = refresh(state, warm=True).cache[1]
-        assert warm.stats["sweeps"] < cold.stats["sweeps"]
-        assert refresh(state).cache[1] is warm  # a cold reader of the same bytes reuses it
-        assert np.abs(warm.p_factor - cold.p_factor).max() <= 1e-12
+        fast = refresh(state, portable=False).cache[1]
+        assert fast.stats == {}  # no Jacobi SVD ran
+        assert refresh(state).cache[1] is fast  # a cold reader of the same bytes reuses it
+        assert np.abs(fast.p_factor - cold.p_factor).max() <= 1e-12
+        for key in cold.aux:
+            assert np.abs(fast.aux[key] - cold.aux[key]).max() <= 1e-12, key
 
     def test_loop_starts_warm_and_the_final_loss_cold(self, monkeypatch):
-        starts = []
+        calls = []
         real = adapters.decompose
 
-        def recording(b, backend, rank=None, seed=0, start=None):
-            starts.append(start)
-            return real(b, backend, rank, seed=seed, start=start)
+        def recording(b, backend, rank=None, seed=0, portable=True):
+            calls.append(portable)
+            return real(b, backend, rank, seed=seed, portable=portable)
 
         monkeypatch.setattr(adapters, "decompose", recording)
         w0, cfg, task = self.job("tsvd")
         run_finetune(w0, cfg, task, steps=5)
-        assert len(starts) == 6
-        assert starts[0] is None and starts[-1] is None  # nothing cached yet; the final loss
-        assert all(s is not None and s.kind == "tsvd" for s in starts[1:-1])
+        assert calls == [False] * 5 + [True]  # one LAPACK factor per step; the final loss
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_trained_state_and_its_reload_agree_bit_for_bit(self, kind, tmp_path):
@@ -448,7 +449,7 @@ class TestWarmRefresh:
 
         monkeypatch.setattr(train, "sgd_step", all_but_the_last)
         w0, cfg, task = self.job("tsvd")
-        _, state = run_finetune(w0, cfg, task, steps=3)  # step 2 factors warm, step 3 is void
+        _, state = run_finetune(w0, cfg, task, steps=3)  # step 2 factors with LAPACK, step 3 is void
         cold = decompose(state.p_latent, cfg.backend, cfg.rank)
         assert projection_factor(state).tobytes() == cold.p_factor.tobytes()
 
