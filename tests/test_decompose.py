@@ -448,6 +448,7 @@ def _degenerate_latents():
     equal[:, 3] = equal[:, 1]
     q1 = np.linalg.qr(rng.normal(size=(12, 5)))[0]
     q2 = np.linalg.qr(rng.normal(size=(5, 5)))[0]
-    # down to 1e-11, clear of lrmf's 1e-12 s_0 note threshold, where the two SVDs may differ
+    # down to 1e-11: at lrmf's note threshold, s = 1e-12 s_0, the two SVDs may set the note
+    # differently
     graded = (q1 * np.logspace(0.0, -11.0, 5)) @ q2.T
     return {"zero column": zero, "equal columns": equal, "graded": graded}
