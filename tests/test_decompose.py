@@ -411,7 +411,8 @@ class TestWarmStart:
                 assert np.abs(fast.aux[key] - cold.aux[key]).max() <= 1e-12, key
             assert fast.notes == cold.notes
 
-    def test_other_kinds_ignore_the_flag(self):
+    def test_other_kinds_and_other_starts_are_ignored(self):
+        # of a start, only portable=False is left, and only tsvd and lrmf read it
         b = self.latent()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf's clamp of the signed latent

@@ -13,6 +13,8 @@ import pytest
 from deft import _jacobi
 from deft._jacobi import (ConvergenceError, _complete_basis, _fix_signs, _round_robin_rounds,
                           _schedule, jacobi_svd)
+from deft.adapters import AdapterConfig, AdapterState, refresh
+from deft.decompose import Backend, decompose
 from deft.matcore import make_rng
 
 
@@ -231,6 +233,79 @@ def test_stats_count_the_sweeps_of_the_run():
 
 
 @pytest.mark.parametrize("max_sweeps", [0, -1])
-def test_sweep_cap_below_one_is_rejected_before_any_work(max_sweeps):
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_sweep_cap_below_one_is_rejected_before_any_work(max_sweeps, with_stats):
+    stats = {} if with_stats else None
     with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
-        jacobi_svd(make_rng(18).normal(size=(9, 4)), max_sweeps=max_sweeps)
+        jacobi_svd(make_rng(18).normal(size=(9, 4)), max_sweeps=max_sweeps, stats=stats)
+    assert stats in (None, {})  # no sweep was counted
+
+
+# Training's in-loop ("warm") refreshes no longer start a Jacobi run from the last factor: they
+# factor with LAPACK's thin SVD (decompose's portable=False). The tests below hold that path to
+# what the warm start promised against this kernel's cold run.
+
+
+def _sgd_walk(seed, shape, steps, size=1e-3):
+    """A seeded matrix and `steps` small random moves of it, like a latent under SGD."""
+    rng = make_rng(seed)
+    return rng.normal(size=shape), size * rng.normal(size=(steps, *shape))
+
+
+@pytest.mark.parametrize("shape", [(32, 4), (12, 5), (4, 9)])
+def test_warm_start_matches_cold(shape):
+    a, moves = _sgd_walk(13, shape, 30)
+    for move in moves:
+        a += move
+        cold = jacobi_svd(a)
+        warm = decompose(a, Backend("tsvd"), portable=False)
+        assert warm.stats == {}  # no Jacobi sweep ran
+        # entrywise: the same order and sign convention
+        for c, w in zip(cold, (warm.p_factor, warm.aux["s"], warm.aux["v"])):
+            assert np.abs(c - w).max() <= 1e-12
+
+
+def _degenerate_latents():
+    rng = make_rng(19)
+    zero = rng.normal(size=(12, 5))
+    zero[:, 2] = 0.0
+    equal = rng.normal(size=(12, 5))
+    equal[:, 3] = equal[:, 1]
+    q1 = np.linalg.qr(rng.normal(size=(12, 5)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    graded = (q1 * np.logspace(0.0, -12.0, 5)) @ q2.T
+    wide = rng.normal(size=(4, 9))
+    return {"zero column": zero, "equal columns": equal, "graded": graded, "wide": wide}
+
+
+@pytest.mark.parametrize("name", ["zero column", "equal columns", "graded", "wide"])
+@pytest.mark.parametrize("start_from", ["nearby matrix", "random rotation"])
+def test_warm_start_on_degenerate_latents(name, start_from):
+    # the warm refresh of a degenerate latent, after the cache held the factor of a nearby
+    # matrix or of a random rotation of the latent (same singular values, other vectors)
+    a = _degenerate_latents()[name]
+    k = min(a.shape)
+    rng = make_rng(20)
+    if start_from == "nearby matrix":
+        before = a + 1e-3 * rng.normal(size=a.shape)
+    else:
+        before = a @ np.linalg.qr(rng.normal(size=(a.shape[1], a.shape[1])))[0]
+    # refresh reads only the config and the latent
+    cfg = AdapterConfig("deft", k, backend=Backend("tsvd"))
+    state = AdapterState(cfg=cfg, w0=np.zeros(a.shape), p_latent=before)
+    refresh(state, portable=False)
+    state.p_latent = a.copy()
+    warm = refresh(state, portable=False).cache[1]
+    fresh = decompose(a, Backend("tsvd"), k, portable=False)
+    for x, y in ((warm.p_factor, fresh.p_factor), (warm.aux["s"], fresh.aux["s"]),
+                 (warm.aux["v"], fresh.aux["v"])):
+        assert x.tobytes() == y.tobytes()  # nothing of the earlier factor carries over
+    u, s, v = warm.p_factor, warm.aux["s"], warm.aux["v"]
+    cold = jacobi_svd(a)
+    # where singular values (nearly) coincide only the span is defined, so u and v are
+    # checked as bases, not entrywise against the cold ones
+    assert np.abs(s - cold[1]).max() <= 1e-12 * cold[1][0]
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * cold[1][0]
+    # the dependent directions are filled: u and v are whole orthonormal bases
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
