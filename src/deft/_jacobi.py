@@ -4,10 +4,10 @@ Rotates column pairs of a working copy until all pairs are numerically
 orthogonal; column norms are then the singular values, normalized columns
 the left singular vectors, and the accumulated rotations the right ones.
 Slower than bidiagonalization-based routines but accurate to a few ulps on
-the small and strongly rank-deficient inputs this package cares about, and
-free of LAPACK version drift, so tsvd/lrmf factors are the same bits on
-every platform. Rank counting does not need factors or that accuracy and
-uses LAPACK's singular values instead (see ``deft.matcore.numerical_rank``).
+the small and strongly rank-deficient inputs this package cares about; what
+that buys across platforms is said in ``deft.decompose.decompose``. Rank
+counting does not need factors or that accuracy and uses LAPACK's singular
+values instead (see ``deft.matcore.numerical_rank``).
 
 The working copy is the input times a power of two that brings its largest
 entry into [0.5, 1). The scaling is exact, and it keeps the sums of squares
@@ -40,12 +40,7 @@ numpy calls as it can:
   would turn a -0.0 into 0.0. A round where only some pairs rotate gathers
   just their columns for the rotation.
 
-These bits are the reference: they do not depend on the BLAS library, a
-golden digest in the tests pins them, and every factor that is stored or
-rebuilt from stored bytes (``load_adapter``, ``deft decompose``, a training
-run's final loss) comes from here. Only the refactorizations inside a
-training loop, which nothing stores, use LAPACK instead (see
-``deft.decompose.decompose``'s `portable`).
+A golden digest in the tests pins these bits.
 """
 
 from __future__ import annotations

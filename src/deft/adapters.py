@@ -15,11 +15,8 @@ For para and deft, the projection factor (Q or P) is produced from a
 trainable latent matrix by a decomposition backend. The factorization is
 cached together with the bytes of the latent it was built from, and it is
 recomputed whenever the latent's bits differ from those, however the
-latent was changed: an optimizer step, an in-place edit or a reassignment.
-The recomputation is portable, a function of the latent's bytes alone,
-except inside the training loop, which asks refresh for LAPACK's faster
-factor (see refresh).
-lora takes no backend.
+latent was changed: an optimizer step, an in-place edit or a reassignment
+(see refresh). lora takes no backend.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
 trainables in storage order with their shapes. The first is the p-side
@@ -28,6 +25,27 @@ trained at lr_p. The second, if any, is the r-side factor (lora's b_lo,
 deft's r): zero at init and trained at lr_r. para is deft without R.
 Initialization, parameter counts, the SGD step and the checkpoint layout
 all derive from this table.
+
+The training step's algebra lives here too: _adapted is the forward pass,
+_gradients its gradient, and both take the rank x k coefficient
+z = P^T base - R x from _coefficient. The gradients are exact for the relax
+backends, where the factor is the latent. For factorizing backends the same
+formulas apply straight-through: the factorization is frozen within the
+step, and the factor's gradient is applied to the latent. Differentiating
+through the factorizations is out of scope.
+
+A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
+plus a fixed number of passes over m x k arrays (nine for para and deft,
+seven for lora), and it writes one m x k array, the residual. Four things
+make it so. The frozen base output y = w0 @ x is computed once per run,
+because the batch is fixed and w0 never changes; every step's forward pass
+and gradient reuse it. The forward pass applies both P terms through z: it
+forms P z in a fresh buffer and subtracts it from y there in place (lora
+scales and adds in its product's buffer). The residual is that output with
+the targets subtracted in place, and the loss scale 2 / (m k) is applied to
+rank-sized products, never to the residual. And the gradient products are
+associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
+rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -37,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deft.decompose import Backend, ConfigError, DecompositionResult, decompose
+from deft.decompose import _KINDS, Backend, ConfigError, DecompositionResult, decompose
 from deft.matcore import ShapeError, as_matrix, freeze, gaussian, make_rng
 
 # method -> (name, rows, cols) per trainable in storage order, over an m x n
@@ -174,13 +192,9 @@ def refresh(state, portable=True):
     a factor. Any change to the latent, in place or by reassignment, is
     seen here; nothing has to mark the cache out of date.
 
-    A refactorization is portable by default: the factor is a function of
-    the latent's bytes alone, as a reloaded checkpoint builds it.
-    portable=False is passed on to decompose, which then factors tsvd and
-    lrmf latents with LAPACK's thin SVD: faster, equal to the portable
-    factor to rounding, but not the same bits on every platform. Only the
-    training loop asks for it (see deft.train). A cache hit returns the
-    cached factor either way, so a caller that needs the portable bits
+    `portable` is passed on to decompose, whose docstring says what it
+    changes; only the training loop passes False. A cache hit returns the
+    cached factor either way, so a caller that needs the portable factor
     after such a refresh drops the cache first, as run_finetune does.
     """
     cfg = state.cfg
@@ -201,13 +215,20 @@ def projection_factor(state):
     return refresh(state).cache[1].p_factor
 
 
+def _coefficient(state, p, base, x):
+    """z = P^T base - R x, with R x read as R when x is None and the R term absent for para."""
+    z = p.T @ base
+    if state.r is not None:
+        z -= state.r if x is None else state.r @ x
+    return z
+
+
 def _adapted(state, base, x=None):
     """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
 
-    para/deft: base - P (P^T base - R x), with R x read as R when x is None
-    and the R term absent for para. lora: base + (alpha / rank) * b_lo (a x).
-    The result is always a fresh array, never `base`; the pass counts this
-    association buys are in the deft.train module docstring.
+    para/deft: base - P z with z from _coefficient. lora: base + (alpha /
+    rank) * b_lo (a x). The result is always a fresh array, never `base`;
+    the module docstring gives the pass counts this association buys.
     """
     cfg = state.cfg
     if cfg.method == "lora":
@@ -216,11 +237,33 @@ def _adapted(state, base, x=None):
         out += base
         return out
     p = projection_factor(state)
-    z = p.T @ base
-    if state.r is not None:
-        z -= state.r if x is None else state.r @ x
-    out = p @ z
+    out = p @ _coefficient(state, p, base, x)
     return np.subtract(base, out, out=out)
+
+
+def _gradients(state, x, y, diff):
+    """Gradients of the mean of diff**2, where diff is the adapted output on x minus targets.
+
+    y = w0 @ x is the base output the forward pass read, and the factor is
+    the one it cached. Keys and order match trainables(state).
+    """
+    m, k = diff.shape
+    scale = 2.0 / (m * k)  # dL/dh = scale * diff
+    cfg = state.cfg
+    if cfg.method == "lora":
+        scale *= cfg.alpha / cfg.rank
+        return {"a": scale * ((state.b_lo.T @ diff) @ x.T),
+                "b_lo": scale * (diff @ (x.T @ state.a.T))}
+    p_name = _TRAINABLES[cfg.method][0][0]
+    p = state.cache[1].p_factor
+    pg = scale * (p.T @ diff)
+    dr = {} if state.r is None else {"r": pg @ x.T}
+    # dP = -g z^T - y g^T P with g = dL/dh
+    dp = -scale * (diff @ _coefficient(state, p, y, x).T) - y @ pg.T
+    mask = _KINDS[cfg.backend.kind].ste_mask
+    if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
+        dp = dp * mask(getattr(state, p_name))
+    return {p_name: dp, **dr}
 
 
 def check_inputs(state, x):

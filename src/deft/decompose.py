@@ -27,12 +27,9 @@ dispatch, reconstruction, CLI output files and training gradient read it.
 rule receives a checked float64 matrix and a rank in range.
 
 The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
-``deft._jacobi``, not LAPACK's, so a stored factor is the same bits on
-every platform (its docstring says more). It is also what acceptance
-check c10 times: a LAPACK thin SVD of a 3072 x 8 latent would beat nmf and
-invert that speed ordering. Only ``portable=False``, which training's
-in-loop refreshes pass, puts tsvd and lrmf on LAPACK's thin SVD; eig
-always reads its factor off it.
+``deft._jacobi``, which acceptance check c10 times: a LAPACK thin SVD of a
+3072 x 8 latent would beat nmf and invert that speed ordering. What
+``portable`` changes is said once, in ``decompose``'s docstring.
 """
 
 from __future__ import annotations
@@ -153,16 +150,15 @@ def _tsvd(b, r, backend, seed, portable):
 
 
 def _lrmf(b, r, backend, seed, portable):
-    """Scaled-basis factorization: p_factor = U_r * sqrt(s_r).
+    """Scaled-basis factorization: tsvd's factor U_r times sqrt(s_r), with tsvd's aux.
 
     A zero singular value among the top r produces a zero column; that is
     allowed and flagged with a ``"zero_singular_columns"`` note.
     """
-    u, s, v, stats = _svd(b, portable)
-    s_r = s[:r]
-    p = u[:, :r] * np.sqrt(s_r)
-    notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s[0]).any() else ()
-    return DecompositionResult("lrmf", p, {"s": s_r.copy(), "v": v[:, :r].copy()}, notes, stats)
+    res = _tsvd(b, r, backend, seed, portable)
+    s_r = res.aux["s"]
+    notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s_r[0]).any() else ()
+    return DecompositionResult("lrmf", res.p_factor * np.sqrt(s_r), res.aux, notes, res.stats)
 
 
 def _nmf(b, r, backend, seed, portable):
@@ -295,15 +291,20 @@ def decompose(b, backend, rank=None, seed=0, portable=True):
     largest rank the kind allows: the column count for an intrinsic kind,
     min(b.shape) otherwise. `seed` draws nmf's initial factors.
 
-    With `portable` (the default) the result is a function of b's bytes
-    alone, the same on every platform. portable=False lets tsvd and lrmf
-    factor with LAPACK's thin SVD instead of the Jacobi SVD: about four
-    times faster at 32 x 4, in the same order and sign convention, but
-    with bits that depend on the LAPACK library and no ``"sweeps"`` in
-    stats. The singular values agree to rounding, and so do the vectors
-    where the singular values are well apart; where they (nearly)
-    coincide, only the span is defined and the two may pick different
-    bases of it. Every other kind ignores `portable`.
+    `portable` selects the SVD behind tsvd and lrmf; every other kind
+    ignores it. With `portable` (the default) they take the Jacobi SVD of
+    deft._jacobi, whose rotations call no BLAS or LAPACK routine, so its
+    bits do not depend on those libraries, except where a zero singular
+    value leaves columns to fill (_complete_basis uses BLAS ``@`` and
+    ``np.linalg.norm``). portable=False puts them on LAPACK's thin
+    SVD: about four times faster at 32 x 4, in the same order and sign
+    convention, with no ``"sweeps"`` in stats. The singular values agree
+    to rounding, and so do the vectors where the singular values are well
+    apart; where they (nearly) coincide, only the span is defined and the
+    two may pick different bases of it. Either way the bits of qr
+    (``np.linalg.qr``), eig (``np.linalg.svd``) and nmf (BLAS ``@``)
+    depend on the BLAS and LAPACK libraries; relax and relax_nmf are
+    exact.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]

@@ -1,40 +1,8 @@
-"""Adapter gradients, a differential-rate SGD loop, and synthetic tasks.
+"""A differential-rate SGD loop over adapters, and synthetic tasks.
 
-Gradients are analytic for the relax backends, where the projection factor
-IS the latent. For factorizing backends (qr, tsvd, ...) the same formulas
-are applied straight-through: the factorization is treated as frozen
-within the step, the gradient is computed with respect to the current
-factor and applied to the latent. Differentiating through the
-factorizations is out of scope; the relax path is the one with exact
-gradients and the one the finite-difference suite certifies.
-
-Each adapter's p-side trainable (the projection latent, or lora's a)
-trains at lr_p, its r-side one (the replacement R, or lora's b_lo) at the
-larger lr_r; see :mod:`deft.adapters` for which is which.
-
-A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
-plus a fixed number of passes over m x k arrays (nine for para and deft,
-seven for lora), and it writes one m x k array, the residual. Four things
-make it so. The frozen base output y = w0 @ x is computed once per run,
-because the batch is fixed and w0 never changes; every step's forward pass
-and gradient reuse it. The forward pass (deft.adapters._adapted) applies
-both P terms through one rank x k coefficient z = P^T y - R x: it forms
-P z in a fresh buffer and subtracts it from y there in place (lora scales
-and adds in its product's buffer). The residual is that output with the
-targets subtracted in place, and the loss scale 2 / (m k) is applied to
-rank-sized products, never to the residual. And the gradient products are
-associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
-rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
-
-Each step of run_finetune first refreshes the factor with portable=False
-(deft.adapters.refresh): tsvd and lrmf factor the moved latent with
-LAPACK's thin SVD, about 60 us a call where the portable Jacobi SVD takes
-260 us at 32 x 4 (one BLAS thread, 2 vCPUs). That is safe because no
-in-loop factor is stored. The step's forward pass reads that factor from
-the cache, and the gradient uses the factor forward read. The final loss
-drops the cache and refactorizes the last latent portably, as
-load_adapter's state does, so a trained state and its reload give the
-same forward pass and loss bit for bit. grad and loss_mse are portable.
+The gradient it follows, and what a step costs, are in deft.adapters. The
+loop refreshes the factor with portable=False (see
+deft.decompose.decompose), and the final loss refactorizes portably.
 """
 
 from __future__ import annotations
@@ -46,8 +14,7 @@ from itertools import zip_longest
 import numpy as np
 
 from deft import store
-from deft.adapters import _TRAINABLES, check_inputs, forward, init_adapter, refresh
-from deft.decompose import _KINDS
+from deft.adapters import _TRAINABLES, _gradients, check_inputs, forward, init_adapter, refresh
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -162,35 +129,10 @@ def _batch(state, task):
 def _loss_and_grads(state, x, y, targets):
     """Loss and gradients on a validated batch x whose base output is y = w0 @ x.
 
-    The module docstring gives the step's cost and why it is so.
+    deft.adapters' module docstring gives the step's cost and why it is so.
     """
     diff = _residual(state, x, y, targets)
-    loss = _mse(diff)
-    m, k = diff.shape
-    scale = 2.0 / (m * k)  # dL/dh = scale * diff
-
-    cfg = state.cfg
-    if cfg.method == "lora":
-        scale *= cfg.alpha / cfg.rank
-        da = scale * ((state.b_lo.T @ diff) @ x.T)
-        db = scale * (diff @ (x.T @ state.a.T))
-        return loss, {"a": da, "b_lo": db}
-
-    p_name = _TRAINABLES[cfg.method][0][0]
-    p = state.cache[1].p_factor  # the factor _residual's forward pass just refreshed and used
-    pg = scale * (p.T @ diff)
-    # dP = -g z^T - y g^T P with g = dL/dh and z = P^T y - R x (R absent for
-    # para), the coefficient forward applies P to
-    z = p.T @ y
-    dr = {}
-    if state.r is not None:  # deft
-        z -= state.r @ x
-        dr = {"r": pg @ x.T}
-    dp = -scale * (diff @ z.T) - y @ pg.T
-    mask = _KINDS[cfg.backend.kind].ste_mask
-    if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
-        dp = dp * mask(getattr(state, p_name))
-    return loss, {p_name: dp, **dr}
+    return _mse(diff), _gradients(state, x, y, diff)
 
 
 def grad(state, task):
@@ -198,7 +140,7 @@ def grad(state, task):
 
     Keys match :func:`deft.adapters.trainables`. For relax backends these
     are exact; for factorizing backends they are the straight-through
-    estimates described in the module docstring.
+    estimates described in deft.adapters.
     """
     return _loss_and_grads(state, *_batch(state, task), task.targets)[1]
 

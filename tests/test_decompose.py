@@ -157,6 +157,17 @@ class TestLrmf:
         assert "zero_singular_columns" in res.notes
         assert np.abs(res.p_factor[:, 1:]).max() < 1e-6
 
+    @pytest.mark.parametrize("portable", [True, False])
+    @pytest.mark.parametrize("shape", [(32, 4), (24, 18), (4, 9), (3072, 8)])
+    def test_factor_is_tsvds_scaled_by_root_singular_values(self, shape, portable):
+        b = make_rng(14).normal(size=shape)
+        for rank in (1, min(shape)):
+            tsvd, lrmf = (decompose(b, Backend(k), rank, portable=portable) for k in ("tsvd", "lrmf"))
+            assert lrmf.p_factor.tobytes() == (tsvd.p_factor * np.sqrt(tsvd.aux["s"])).tobytes()
+            assert lrmf.aux.keys() == tsvd.aux.keys()
+            assert all(lrmf.aux[k].tobytes() == tsvd.aux[k].tobytes() for k in tsvd.aux)
+            assert lrmf.stats == tsvd.stats
+
 
 class TestNmf:
     def test_rank_one_recovery(self):
