@@ -21,9 +21,10 @@ pairs are disjoint, so the rotations of a round vectorize across columns.
 On small inputs the cost is per round, not per flop, so a round does as few
 numpy calls as it can:
 
-- The schedule is built once per column count and cached. Each round holds
-  one read-only index array of its i columns followed by its j columns in
-  mirrored order, so the partner of position p is at position -1 - p.
+- Each round of the schedule is one index array of its i columns followed
+  by its j columns in mirrored order, so the partner of position p is at
+  position -1 - p. The schedule is rebuilt per call, at a few percent of
+  the call's cost.
 - The working copy g sits on top of the accumulated rotations v in one
   (m + n) x n array. A round gathers its columns from it once: the first m
   rows give all the dot products (two einsums), and the whole block is
@@ -36,7 +37,7 @@ numpy calls as it can:
   x + (-y) and addition commutes. It runs in place in the gathered block
   with one temporary: two more block-sized temporaries per round made a
   3072 x 8 call about twice as slow in a fresh process.
-- A pair at or below `tol` is never rotated, not even by the identity: that
+- A pair at or below `_TOL` is never rotated, not even by the identity: that
   would turn a -0.0 into 0.0. A round where only some pairs rotate gathers
   just their columns for the rotation.
 
@@ -45,12 +46,13 @@ A golden digest in the tests pins these bits.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from deft.matcore import unit_exponent
+
+_TOL = 1e-13  # convergence threshold on max |<g_i, g_j>| / (|g_i| |g_j|)
 
 
 class ConvergenceError(RuntimeError):
@@ -65,11 +67,12 @@ class ConvergenceError(RuntimeError):
         self.worst = worst
 
 
-def _round_robin_rounds(n):
-    """Tournament schedule for n columns.
+def _schedule(n):
+    """Tournament schedule for n columns: one integer index array per round.
 
-    Returns a list of (ia, ja) integer-array pairs. Each round pairs
-    disjoint columns; across rounds every unordered pair occurs once.
+    Each round pairs disjoint columns; across rounds every unordered pair
+    occurs once. A round's array holds its i columns, then its j columns
+    mirrored (i < j), so the partner of position p is at position -1 - p.
     """
     players = list(range(n))
     if n % 2 == 1:
@@ -83,25 +86,10 @@ def _round_robin_rounds(n):
             if a != -1 and b != -1:
                 ia.append(min(a, b))
                 ja.append(max(a, b))
-        rounds.append((np.asarray(ia), np.asarray(ja)))
+        rounds.append(np.array(ia + ja[::-1]))
         # rotate all but the first slot
         players = [players[0]] + [players[-1]] + players[1:-1]
     return rounds
-
-
-@functools.lru_cache(maxsize=None)
-def _schedule(n):
-    """_round_robin_rounds(n), built once per n: one index array per round.
-
-    Each array is ``ia + ja[::-1]`` and read-only: the round's i columns,
-    then its j columns mirrored, so the partner of position p is at -1 - p.
-    """
-    rounds = []
-    for ia, ja in _round_robin_rounds(n):
-        cols = np.concatenate([ia, ja[::-1]])
-        cols.flags.writeable = False
-        rounds.append(cols)
-    return tuple(rounds)
 
 
 def _complete_basis(u, start):
@@ -134,26 +122,23 @@ def _fix_signs(u, v):
     if not flip.any():
         return
     u[:, flip] *= -1.0
-    if v is not None:
-        v[:, flip] *= -1.0
+    v[:, flip] *= -1.0
 
 
-def jacobi_svd(a, tol=1e-13, max_sweeps=60, stats=None):
+def jacobi_svd(a, max_sweeps=60, stats=None):
     """Thin SVD of `a` by one-sided Jacobi rotations.
 
     Parameters
     ----------
     a : ndarray, shape (m, n)
-    tol : float
-        Convergence threshold on max |<g_i, g_j>| / (|g_i| |g_j|).
     max_sweeps : int
         Hard cap on full sweeps, at least 1 (ValueError otherwise);
         convergence is quadratic in the tail so the default is never
         reached on finite input. A last sweep that still finds a pair
-        above `tol` raises ConvergenceError.
+        above `_TOL` raises ConvergenceError.
     stats : dict, optional
         Receives ``"sweeps"``: the sweeps the converged run took, the
-        one that found every pair within `tol` included.
+        one that found every pair within `_TOL` included.
 
     Returns
     -------
@@ -166,7 +151,7 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, stats=None):
     m, n = a.shape
     if m < n:
         # rotate over the smaller column count; swap roles on the way out
-        u, s, v = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps, stats=stats)
+        u, s, v = jacobi_svd(a.T, max_sweeps=max_sweeps, stats=stats)
         return v, s, u
 
     shift = unit_exponent(a)
@@ -195,7 +180,7 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, stats=None):
                     if denom > 0.0:  # a pair with a zero column is never rotated
                         rel = abs(beta) / denom
                         worst = max(worst, rel)
-                        if rel > tol:
+                        if rel > _TOL:
                             rot.append(p)
                             # a huge tau overflows to inf, giving t = 0, which is correct
                             taus.append((gamma - alpha) / (2.0 * beta))
@@ -218,10 +203,10 @@ def jacobi_svd(a, tol=1e-13, max_sweeps=60, stats=None):
                 blk *= cs + cs[::-1]
                 blk += rest
                 w[:, cols] = blk
-            if worst <= tol:
+            if worst <= _TOL:
                 break
         else:
-            raise ConvergenceError(max_sweeps, worst, tol)
+            raise ConvergenceError(max_sweeps, worst, _TOL)
     if stats is not None:
         stats["sweeps"] = sweeps
 

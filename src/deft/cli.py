@@ -83,19 +83,19 @@ def _wrote(path):
 
 @contextlib.contextmanager
 def _warning_lines():
-    """Print each distinct warning raised inside as one `warning: <message>` line.
+    """Print each distinct warning message raised inside as one `warning: <message>` line.
 
     The "default" action records a warning once per message and place, so a
-    clamp or overflow repeated every training step prints one line, not one
-    per step.
+    clamp or overflow repeated every training step is recorded once; a message
+    recorded from several places still prints once, in first-seen order.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
             yield
         finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 def cmd_decompose(args):
@@ -231,7 +231,7 @@ def cmd_verify(args):
         w0_u = np.ldexp(w0, -unit_exponent(w0))
         q_in, _ = np.linalg.qr(w0_u[:, :rank])
         w_reduce = w0_u - q_in @ (q_in.T @ w0_u)
-        subset_ok = numerical_rank(np.hstack([w0_u, w_reduce]), 1e-8) == report.rank_w0
+        subset_ok = numerical_rank(np.hstack([w0_u, w_reduce])) == report.rank_w0
 
         ok = identity_ok and report.containment_holds and subset_ok and witness_ok
         rows.append((t, identity_resid, identity_ok, subset_ok, report.containment_holds,

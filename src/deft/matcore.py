@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-# Relative cutoff for numerical_rank: well above float64 SVD noise,
-# far below the constructed gaps used in tests.
-DEFAULT_RANK_TOL = 1e-10
+# The relative cutoff of every rank count in the package: well above float64
+# SVD noise, far below the constructed gaps used in tests.
+DEFAULT_RANK_TOL = 1e-8
 
 
 class ShapeError(ValueError):
@@ -83,8 +83,8 @@ def numerical_rank(a, tol=DEFAULT_RANK_TOL):
     """Count singular values above ``tol * sigma_max``; tol must be positive.
 
     The singular values come from LAPACK (``numpy.linalg.svd``). Its
-    absolute error is about machine epsilon times sigma_max, four to six
-    orders of magnitude below any cutoff this package uses (tol >= 1e-10),
+    absolute error is about machine epsilon times sigma_max, about eight
+    orders of magnitude below the package's one cutoff, DEFAULT_RANK_TOL,
     so a more accurate SVD could only count differently a singular value
     within that error of the cutoff. LAPACK also rescales internally, so
     the count holds for entries anywhere in float64 range.

@@ -14,9 +14,10 @@ adapter output must have; extension_ranks gives it for fact 3, which holds
 only for a suitable instance (the CLI's fixed witness), so a containment
 check does not pay for its rank SVD.
 
-Rank comparisons run at a caller-chosen relative tolerance; test matrices
-are constructed with singular-value gaps far above it so the integer rank
-answers are unambiguous.
+Rank comparisons run at the package's one relative cutoff,
+deft.matcore.DEFAULT_RANK_TOL; test matrices are constructed with
+singular-value gaps far above it so the integer rank answers are
+unambiguous.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deft import adapters, store
-from deft.matcore import as_matrix, frobenius_norm, numerical_rank, unit_exponent
+from deft.matcore import DEFAULT_RANK_TOL, as_matrix, frobenius_norm, numerical_rank, unit_exponent
 
 
 @dataclass
@@ -73,7 +74,7 @@ def verify_decomposition_identity(w, q):
     return resid / denom if denom > 0.0 else resid
 
 
-def check_containment(w0, q, w_total, tol=1e-8):
+def check_containment(w0, q, w_total, tol=DEFAULT_RANK_TOL):
     """Rank evidence that w_total stays inside col(w0) + col(q).
 
     containment_holds compares rank([w0 | q]) with rank([w0 | q | w_total]);
@@ -115,7 +116,7 @@ def check_containment(w0, q, w_total, tol=1e-8):
     )
 
 
-def extension_ranks(w0, w_total, tol=1e-8):
+def extension_ranks(w0, w_total):
     """(rank(w0), rank([w0 | w_total])): fact 3 holds when the second is larger.
 
     col(w_total) strictly extends col(w0) only with a q direction outside
@@ -125,7 +126,7 @@ def extension_ranks(w0, w_total, tol=1e-8):
     w0 = as_matrix(w0, "w0")
     w_total = as_matrix(w_total, "w_total")
     w0_u, total_u = (np.ldexp(a, -unit_exponent(a)) for a in (w0, w_total))
-    return numerical_rank(w0, tol), numerical_rank(np.hstack([w0_u, total_u]), tol)
+    return numerical_rank(w0), numerical_rank(np.hstack([w0_u, total_u]))
 
 
 def make_grid(lo=-1.0, hi=1.0, n=21):

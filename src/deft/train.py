@@ -34,14 +34,13 @@ class DivergenceError(RuntimeError):
 class ToyTask:
     """A linear regression target: match teacher @ inputs.
 
-    targets may include seeded noise (noise_stddev > 0); the adapter then
-    fits the noisy targets, not the teacher.
+    targets may include seeded noise (see make_teacher_noise_task); the
+    adapter then fits the noisy targets, not the teacher.
     """
 
     teacher: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
-    noise_stddev: float = 0.0
 
 
 @dataclass
@@ -55,17 +54,7 @@ class TrainReport:
     w0_hash_after: str = ""
 
 
-def _task_shape(w0, batch):
-    """w0 as a validated m x n matrix, m, n, and the batch size k: n unless given, in [1, n]."""
-    w0 = as_matrix(w0, "w0")
-    m, n = w0.shape
-    k = n if batch is None else batch
-    if not 1 <= k <= n:
-        raise ValueError(f"batch must be in [1, {n}], got {k}")
-    return w0, m, n, k
-
-
-def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0, batch=None):
+def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
     """Teacher = w0 plus a unit rank-1 shift; reachable by a rank-1 update.
 
     The input batch is a scaled orthonormal basis of the input space, so
@@ -74,7 +63,8 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0, batch=N
     learning rates (lr_p 1e-3, lr_r 1e-2) well within 2000 steps; smaller
     scales converge too, just slower.
     """
-    w0, m, n, k = _task_shape(w0, batch)
+    w0 = as_matrix(w0, "w0")
+    m, n = w0.shape
     rng = make_rng(seed)
     u = rng.normal(size=m)
     v = rng.normal(size=n)
@@ -82,11 +72,11 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0, batch=N
     v /= np.linalg.norm(v)
     teacher = w0 + np.outer(u, v)
     basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    inputs = np.ascontiguousarray(input_scale * basis[:, :k])
+    inputs = np.ascontiguousarray(input_scale * basis)
     return ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
 
 
-def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0, batch=None):
+def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0):
     """Teacher = w0 itself; targets carry additive Gaussian noise.
 
     The best reachable loss is the noise floor, making this a stability
@@ -94,13 +84,14 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0, batch=
     """
     if not 0.0 <= noise_stddev < math.inf:
         raise ValueError(f"noise_stddev must be finite and >= 0, got {noise_stddev}")
-    w0, m, n, k = _task_shape(w0, batch)
+    w0 = as_matrix(w0, "w0")
+    n = w0.shape[1]
     rng = make_rng(seed)
-    inputs = input_scale * rng.normal(size=(n, k))
+    inputs = input_scale * rng.normal(size=(n, n))
     targets = w0 @ inputs
     if noise_stddev > 0:
         targets = targets + rng.normal(0.0, noise_stddev, size=targets.shape)
-    return ToyTask(teacher=w0.copy(), inputs=inputs, targets=targets, noise_stddev=noise_stddev)
+    return ToyTask(teacher=w0.copy(), inputs=inputs, targets=targets)
 
 
 def _mse(diff):

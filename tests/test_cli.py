@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import deft.cli
 from deft import store, subspace
 from deft._jacobi import jacobi_svd
-from deft.cli import main
+from deft.cli import _warning_lines, main
 from deft.decompose import _KINDS
 from deft.matcore import make_rng
 
@@ -436,6 +437,14 @@ class TestWarningLines:
         assert capsys.readouterr().err == clamp
         assert main(["verify", "--backend", "nmf", "--out", "v.csv"]) == 0
         assert capsys.readouterr().err == clamp
+
+    def test_a_message_from_two_places_is_one_line(self, capsys):
+        with _warning_lines():
+            warnings.warn("overflow encountered in matmul", RuntimeWarning)
+            warnings.warn("invalid value encountered in matmul", RuntimeWarning)
+            warnings.warn("overflow encountered in matmul", RuntimeWarning)
+        assert capsys.readouterr().err == ("warning: overflow encountered in matmul\n"
+                                           "warning: invalid value encountered in matmul\n")
 
 
 class TestDisplacement:

@@ -10,9 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from deft import _jacobi
-from deft._jacobi import (ConvergenceError, _complete_basis, _fix_signs, _round_robin_rounds,
-                          _schedule, jacobi_svd)
+from deft._jacobi import ConvergenceError, _complete_basis, _fix_signs, _schedule, jacobi_svd
 from deft.adapters import AdapterConfig, AdapterState, refresh
 from deft.decompose import Backend, decompose
 from deft.matcore import make_rng
@@ -21,11 +19,13 @@ from deft.matcore import make_rng
 def test_round_robin_covers_all_pairs_once():
     for n in (2, 3, 6, 9):
         seen = set()
-        for ia, ja in _round_robin_rounds(n):
+        for cols in _schedule(n):
             # disjoint within a round
-            cols = list(ia) + list(ja)
-            assert len(cols) == len(set(cols))
-            for a, b in zip(ia, ja):
+            cols = cols.tolist()
+            assert len(cols) % 2 == 0 and len(cols) == len(set(cols))
+            # i side, then j side mirrored: each column's partner is at -1 - p
+            for p in range(len(cols) // 2):
+                a, b = cols[p], cols[-1 - p]
                 assert a < b
                 seen.add((a, b))
         assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -188,36 +188,11 @@ def test_fix_signs_writes_nothing_when_no_column_flips():
     u_before, v_before = u.copy(), v.copy()
     u.flags.writeable = v.flags.writeable = False  # any write would raise
     _fix_signs(u, v)
-    _fix_signs(u, None)
     assert u.tobytes() == u_before.tobytes() and v.tobytes() == v_before.tobytes()
     u.flags.writeable = v.flags.writeable = True
     u[:, 1] *= -1.0
     _fix_signs(u, v)
     assert np.array_equal(u, u_before) and np.array_equal(v[:, 1], -v_before[:, 1])
-
-
-def test_cached_schedule_matches_the_round_robin_and_is_read_only():
-    for n in (2, 3, 6, 9):
-        rounds = _round_robin_rounds(n)
-        cached = _schedule(n)
-        assert len(cached) == len(rounds)
-        for (ia, ja), cols in zip(rounds, cached):
-            # i side, then j side mirrored: each column's partner is at -1 - p
-            assert cols.tolist() == ia.tolist() + ja.tolist()[::-1]
-            with pytest.raises(ValueError):
-                cols[0] = 0
-
-
-def test_schedule_is_built_once_per_column_count(monkeypatch):
-    calls = []
-    build = _jacobi._round_robin_rounds
-    monkeypatch.setattr(_jacobi, "_round_robin_rounds", lambda n: calls.append(n) or build(n))
-    _schedule.cache_clear()
-    a = make_rng(12).normal(size=(10, 5))
-    first = jacobi_svd(a)
-    second = jacobi_svd(a)
-    assert calls == [5]
-    assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
 def test_stats_count_the_sweeps_of_the_run():

@@ -4,7 +4,7 @@ import pytest
 from deft import subspace
 from deft.adapters import AdapterConfig, init_adapter, merge
 from deft.decompose import Backend
-from deft.matcore import make_rng
+from deft.matcore import make_rng, numerical_rank
 from deft.subspace import (
     check_containment,
     displacement_field,
@@ -134,6 +134,13 @@ class TestContainment:
         calls.clear()
         extension_ranks(w0, w0)
         assert calls == [(9, 5), (9, 10)]
+
+    def test_every_rank_count_uses_one_cutoff(self):
+        # a singular value 1e-9 of the largest is below the package's one cutoff, 1e-8
+        w0 = np.diag([1.0, 1e-9])
+        rep = check_containment(w0, np.array([[1.0], [0.0]]), w0)
+        assert numerical_rank(w0) == rep.rank_w0 == rep.rank_total == 1
+        assert extension_ranks(w0, w0) == (1, 1)
 
     def test_ranks_match_lapack(self):
         w0 = make_rng(9).normal(size=(9, 5))

@@ -226,7 +226,7 @@ def test_run_finetune_peak_memory(method, kind):
     """A step holds few m x k arrays at once: the traced peak stays at 3.5 of them."""
     m = n = k = 256
     w0 = make_rng(58).normal(size=(m, n))
-    task = make_teacher_shift_task(w0, seed=59, batch=k)
+    task = make_teacher_shift_task(w0, seed=59)
     backend = None if kind is None else Backend(kind)
     cfg = AdapterConfig(method, 8, backend=backend, seed=60)
     tracemalloc.start()
@@ -280,13 +280,6 @@ class TestTasks:
         gram = task.inputs.T @ task.inputs
         assert np.abs(gram - 16.0 * np.eye(6)).max() < 1e-10
         assert np.array_equal(task.targets, task.teacher @ task.inputs)
-
-    def test_shift_task_batch_bounds(self):
-        w0 = make_rng(23).normal(size=(5, 4))
-        task = make_teacher_shift_task(w0, seed=24, batch=2)
-        assert task.inputs.shape == (4, 2)
-        with pytest.raises(ValueError):
-            make_teacher_shift_task(w0, seed=24, batch=5)
 
     def test_noise_task_floor(self):
         w0 = make_rng(25).normal(size=(6, 5))
