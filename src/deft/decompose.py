@@ -113,8 +113,8 @@ def _qr(b, r, backend, seed, portable):
         raise ShapeError(f"qr latent must be tall or square, got {b.shape}")
     q, r_tri = np.linalg.qr(b)
     _fix_signs(q, r_tri.T)  # flips the rows of r_tri with the columns of q
-    diag = np.abs(np.diagonal(r_tri))  # an all-zero diagonal flags every column
-    notes = ("degenerate_columns",) if (diag <= 1e-12 * diag.max()).any() else ()
+    diag = abs(r_tri.diagonal())  # an all-zero diagonal flags every column
+    notes = ("degenerate_columns",) if diag.min() <= 1e-12 * diag.max() else ()
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
@@ -165,11 +165,13 @@ def _nmf(b, r, backend, seed, portable):
     """Non-negative factorization b ~ W @ H by multiplicative updates.
 
     Negative entries of `b` are clamped to zero first (with a warning);
-    the factorization is defined on the non-negative part only. Factors
-    are initialized from a seeded uniform(0, 1) draw scaled by
-    sqrt(mean(b) / r). The reconstruction error is non-increasing across
-    iterations; iteration stops after backend.nmf_iters rounds, or early
-    once the relative improvement drops below backend.nmf_tol.
+    the factorization is defined on the non-negative part only. A part
+    with no positive entry factors exactly as zero, with err_trace [0.0],
+    before any scaling or draw. Otherwise the factors are initialized from
+    a seeded uniform(0, 1) draw scaled by sqrt(mean(b) / r). The
+    reconstruction error is non-increasing across iterations; iteration
+    stops after backend.nmf_iters rounds, or early once the relative
+    improvement drops below backend.nmf_tol.
 
     aux carries the H factor and ``err_trace``, the Frobenius error
     measured before each update round plus once after the last.
@@ -186,17 +188,16 @@ def _nmf(b, r, backend, seed, portable):
         warnings.warn("nmf input has negative entries; clamping to zero", stacklevel=2)
         b = np.maximum(b, 0.0)
         notes = ("clamped_negative_input",)
-    half = 0 if 2.0**-10 <= b.max() < 2.0**500 else unit_exponent(b) // 2
+    top = b.max()
+    if top == 0.0:
+        zero_aux = {"h": np.zeros((r, n)), "err_trace": np.zeros(1)}
+        return DecompositionResult("nmf", np.zeros((m, r)), zero_aux, notes)
+    half = 0 if 2.0**-10 <= top < 2.0**500 else unit_exponent(b) // 2
     if half:
         b = np.ldexp(b, -2 * half)
 
-    mean = float(b.mean())
-    if mean == 0.0:  # all-zero input factorizes exactly as zero
-        zero_aux = {"h": np.zeros((r, n)), "err_trace": np.zeros(1)}
-        return DecompositionResult("nmf", np.zeros((m, r)), zero_aux, notes)
-
     rng = make_rng(seed)
-    scale = np.sqrt(mean / r)
+    scale = np.sqrt(float(b.mean()) / r)
     w = rng.uniform(0.0, 1.0, size=(m, r)) * scale
     h = rng.uniform(0.0, 1.0, size=(r, n)) * scale
 

@@ -142,13 +142,26 @@ def _csv_cell(value):
     return "" if value is None else str(value)
 
 
+# A row whose cells are all of exactly these types is written as the reprs of its
+# cells: a float's repr, an int's digits, which is what _csv_cell gives them.
+_REPR_TYPES = frozenset((float, int))
+
+
+def _csv_line(row):
+    if _REPR_TYPES.issuperset(map(type, row)):
+        return ",".join(map(repr, row))
+    return ",".join(map(_csv_cell, row))
+
+
 def save_csv(path, header, rows):
     """Write a CSV report: the header, then one line per row, each ending CRLF.
 
-    A float cell is its repr, a bool cell true or false, a None cell empty.
+    Each row is a sequence of cells. A float cell is its repr, a bool cell
+    true or false, a None cell empty. A row of Python floats and ints, such
+    as every gradient row of a training report, takes one repr per cell.
     """
     lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    lines += map(_csv_line, rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("\r\n".join(lines) + "\r\n")
 

@@ -166,7 +166,7 @@ def run_finetune(w0, cfg, task, steps):
     for i in range(steps):
         refresh(state, portable=False)  # no in-loop factor is stored
         loss, grads = _loss_and_grads(state, x, y, task.targets)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(i, last_finite)
         last_finite = loss
         report.losses.append(loss)
@@ -179,7 +179,7 @@ def run_finetune(w0, cfg, task, steps):
     # where the last step left the latent as it was
     state.cache = None
     final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
-    if not np.isfinite(final):
+    if not math.isfinite(final):
         raise DivergenceError(steps, last_finite)
     report.losses.append(final)
     report.final_state_hash = store.state_hash(state)

@@ -182,6 +182,26 @@ class TestNmf:
         assert np.array_equal(res.aux["h"], np.zeros((2, 4)))
         assert res.aux["err_trace"][-1] == 0.0
 
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_nothing_positive_factors_exactly_as_zero(self, sign):
+        # an all-negative latent clamps to zero (with the note), an all-zero one is zero as is
+        b = sign * np.abs(make_rng(23).normal(size=(32, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = decompose(b, Backend("nmf"), 4)
+        assert res.p_factor.tobytes() == np.zeros((32, 4)).tobytes()
+        assert res.aux["h"].tobytes() == np.zeros((4, 4)).tobytes()
+        assert res.aux["err_trace"].tolist() == [0.0]
+        assert res.notes == (("clamped_negative_input",) if sign else ())
+
+    def test_subnormal_positive_part_is_factored_at_unit_scale(self):
+        b = make_rng(24).normal(size=(32, 4))
+        b[b > 0.0] = np.ldexp(b[b > 0.0], -1070)  # every positive entry subnormal
+        with pytest.warns(UserWarning, match="clamping"):
+            res = decompose(b, Backend("nmf"), 4)
+        assert res.notes == ("clamped_negative_input",)
+        assert res.p_factor.any() and res.aux["err_trace"][0] > 0.0
+
     def test_monotone_error(self):
         b = make_rng(15).uniform(0.0, 1.0, size=(8, 8))
         res = decompose(b, Backend("nmf", nmf_iters=200, nmf_tol=0.0), 8)

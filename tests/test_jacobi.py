@@ -195,6 +195,61 @@ def test_fix_signs_writes_nothing_when_no_column_flips():
     assert np.array_equal(u, u_before) and np.array_equal(v[:, 1], -v_before[:, 1])
 
 
+def _fix_signs_by_columns(u, v):
+    """The sign convention as a boolean gather and scatter of the flipped columns.
+
+    This is how _fix_signs once flipped them; it stays here as the bits to match.
+    """
+    n = u.shape[1]
+    idx = np.argmax(np.abs(u), axis=0)
+    idx *= n
+    idx += np.arange(n)
+    flip = u.take(idx) < 0.0
+    if not flip.any():
+        return
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+
+
+def _sign_cases(shape):
+    """(u, r) pairs for `shape`: v is passed as r.T, a transposed view, as _qr passes it."""
+    rng = make_rng(21)
+    n = shape[1]
+    plain = rng.normal(size=shape)
+    flips = plain.copy()
+    flips[:, ::2] = -np.abs(flips[:, ::2])  # every other column's peak is negative
+    ties = plain.copy()
+    ties[:, 0] = 0.0
+    ties[:2, 0] = (-2.5, 2.5)  # the first row of the tie wins: a flip
+    ties[:, 1] = 0.0
+    ties[-2:, 1] = (2.5, -2.5)  # the first row is positive: no flip
+    zeros = -np.abs(plain)
+    zeros[zeros < -0.8] = -0.0
+    zeros[0, :] = -0.1  # each column keeps a negative entry
+    zeros[:, 0] = 0.0  # an all-zero column never flips
+    zeros[:, -1] = -0.0  # nor does an all -0.0 column
+    for u in (plain, flips, ties, zeros):
+        r = rng.normal(size=(n, n))
+        r[r < -1.0] = -0.0
+        yield u, r
+
+
+@pytest.mark.parametrize("shape", [(32, 4), (3072, 8), (4, 32)])
+def test_fix_signs_matches_the_column_flip_bits(shape):
+    flipped = []
+    for u, r in _sign_cases(shape):
+        u_ref, r_ref = u.copy(), r.copy()
+        _fix_signs_by_columns(u_ref, r_ref.T)
+        before = u.copy()
+        _fix_signs(u, r.T)
+        assert u.tobytes() == u_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+        flipped.append(np.signbit(u) != np.signbit(before))
+    _, flips, ties, zeros = (f.any(axis=0) for f in flipped)
+    assert flips[::2].all()
+    assert ties[0] and not ties[1]
+    assert not zeros[0] and not zeros[-1] and zeros[1:-1].all()  # -0.0 turns into 0.0
+
+
 def test_stats_count_the_sweeps_of_the_run():
     a = make_rng(15).normal(size=(20, 6))
     stats = {}

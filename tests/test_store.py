@@ -17,6 +17,7 @@ from deft.store import (
     parse_config,
     read_config,
     save_adapter,
+    save_csv,
     save_matrix,
     state_hash,
 )
@@ -437,3 +438,35 @@ class TestConfigText:
         path.write_bytes(b"method = lora\nrank = \xd9\n")
         with pytest.raises(FormatError, match="not UTF-8 text"):
             read_config(path)
+
+
+def _csv_line_reference(row):
+    """A CSV line by the rule save_csv documents, one isinstance chain per cell."""
+    cells = []
+    for value in row:
+        if isinstance(value, (float, np.floating)):
+            cells.append(repr(float(value)))
+        elif isinstance(value, (bool, np.bool_)):
+            cells.append(str(value).lower())
+        else:
+            cells.append("" if value is None else str(value))
+    return ",".join(cells)
+
+
+def test_csv_cells_keep_their_bytes(tmp_path):
+    rows = [
+        (0, -0.0, 5e-324, 1e300),  # Python ints and floats only
+        (1, 0.1, -2.5e-310, 2**70, -7, float("inf")),
+        (np.float64(0.1), np.float32(0.1), np.float64(-0.0), np.float32(5e-40)),
+        (True, np.bool_(False), False, np.bool_(True)),
+        (2, 1.5, None, None),
+        (np.int64(3), 1.25, True, "text"),
+        (None,),
+        (),
+    ]
+    header = ("a", "b", "c")
+    path = tmp_path / "cells.csv"
+    save_csv(path, header, rows)
+    lines = [",".join(header)] + [_csv_line_reference(row) for row in rows]
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    assert lines[1] == "0,-0.0,5e-324,1e+300"
