@@ -53,15 +53,17 @@ import numpy as np
 from deft.matcore import unit_exponent
 
 _TOL = 1e-13  # convergence threshold on max |<g_i, g_j>| / (|g_i| |g_j|)
+# Hard cap on full sweeps: convergence is quadratic in the tail, so finite input never reaches it
+_MAX_SWEEPS = 60
 
 
 class ConvergenceError(RuntimeError):
     """The Jacobi SVD used up its sweeps with column pairs still not orthogonal."""
 
-    def __init__(self, sweeps, worst, tol):
+    def __init__(self, sweeps, worst):
         super().__init__(
             f"Jacobi SVD did not converge in {sweeps} sweeps: "
-            f"worst pair residual {worst:.3e} > tol {tol:.1e}"
+            f"worst pair residual {worst:.3e} > tol {_TOL:.1e}"
         )
         self.sweeps = sweeps
         self.worst = worst
@@ -120,9 +122,8 @@ def _fix_signs(u, v):
     magnitude tie the first row counts. When some column flips, u and v are
     multiplied by one row of +1.0 and -1.0. That is exact: x * 1.0 is x and
     x * -1.0 is -x, -0.0 and 0.0 included, so the bits are those of
-    negating the flipped columns alone. At 32 x 4 this costs about 4.5 us
-    without a flip and 8.5 us with one, where a boolean gather and scatter
-    of the flipped columns cost 7.6 and 14-17 us (one BLAS thread, 2 vCPUs).
+    negating the flipped columns alone, without a boolean gather and
+    scatter of them.
     """
     peaks = u[abs(u).argmax(0), np.arange(u.shape[1])]
     if peaks.min() < 0.0:
@@ -131,33 +132,21 @@ def _fix_signs(u, v):
         v *= signs
 
 
-def jacobi_svd(a, max_sweeps=60, stats=None):
-    """Thin SVD of `a` by one-sided Jacobi rotations.
+def jacobi_svd(a, stats=None):
+    """Thin SVD of an m x n `a` by one-sided Jacobi rotations.
 
-    Parameters
-    ----------
-    a : ndarray, shape (m, n)
-    max_sweeps : int
-        Hard cap on full sweeps, at least 1 (ValueError otherwise);
-        convergence is quadratic in the tail so the default is never
-        reached on finite input. A last sweep that still finds a pair
-        above `_TOL` raises ConvergenceError.
-    stats : dict, optional
-        Receives ``"sweeps"``: the sweeps the converged run took, the
-        one that found every pair within `_TOL` included.
-
-    Returns
-    -------
-    (u, s, v) with ``a = u @ diag(s) @ v.T``, s non-increasing, u and v
-    having orthonormal columns.
+    Returns (u, s, v) with ``a = u @ diag(s) @ v.T``, s non-increasing, u
+    and v having orthonormal columns. `stats`, if given, receives
+    ``"sweeps"``: the sweeps the converged run took, the one that found
+    every pair within `_TOL` included. A run whose last allowed sweep,
+    number `_MAX_SWEEPS`, still finds a pair above `_TOL` raises
+    ConvergenceError.
     """
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     a = np.asarray(a, dtype=np.float64)
     m, n = a.shape
     if m < n:
         # rotate over the smaller column count; swap roles on the way out
-        u, s, v = jacobi_svd(a.T, max_sweeps=max_sweeps, stats=stats)
+        u, s, v = jacobi_svd(a.T, stats=stats)
         return v, s, u
 
     shift = unit_exponent(a)
@@ -170,7 +159,7 @@ def jacobi_svd(a, max_sweeps=60, stats=None):
     sweeps = 0
     if n > 1:
         rounds = _schedule(n)
-        for sweeps in range(1, max_sweeps + 1):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             worst = 0.0
             for cols in rounds:
                 k = len(cols) // 2
@@ -212,7 +201,7 @@ def jacobi_svd(a, max_sweeps=60, stats=None):
             if worst <= _TOL:
                 break
         else:
-            raise ConvergenceError(max_sweeps, worst, _TOL)
+            raise ConvergenceError(_MAX_SWEEPS, worst)
     if stats is not None:
         stats["sweeps"] = sweeps
 

@@ -7,10 +7,11 @@ writes, and reports results as CSV files.
 
 Exit codes: 0 success, 1 verification/training failure (an SVD that did
 not converge included, Jacobi or LAPACK, a decomposition with a non-finite
-output, of which no file is written, and a verify W0 so large that its
-norm or the merged weight overflows float64), 2 usage error, 3 I/O or
-file-format error. A warning raised while a subcommand runs is printed
-to stderr once, as a `warning: <message>` line.
+output, of which no file is written, a verify W0 so large that its norm or
+the merged weight overflows float64, and a displacement field that
+overflows), 2 usage error, 3 I/O or file-format error. A warning raised
+while a subcommand runs is printed to stderr once, as a `warning:
+<message>` line.
 
 The argument parser is built once per process, on the first `main()` call,
 and reused by every later call; `import deft.cli` does not build it.
@@ -64,13 +65,9 @@ def _number(convert, low=-math.inf):
     return parse
 
 
-def _resolve_seed(value):
-    """--seed if given, else DEFT_SEED, which must pass --seed's rule, else 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("DEFT_SEED")
-    if env is None:
-        return 0
+def _env_seed():
+    """DEFT_SEED, the default of every --seed, which must pass --seed's rule; 0 if unset."""
+    env = os.environ.get("DEFT_SEED", "0")
     try:
         return _number(int, 0)(env)
     except (ValueError, argparse.ArgumentTypeError):
@@ -101,11 +98,10 @@ def _warning_lines():
 def cmd_decompose(args):
     b = store.load_matrix(args.infile)
     backend = Backend(args.method, nmf_iters=args.nmf_iters, nmf_tol=args.nmf_tol)
-    seed = _resolve_seed(args.seed)
 
     t0 = time.perf_counter()
     # decompose checks a given rank against b's shape (ShapeError, exit 2)
-    result = run_decompose(b, backend, args.rank, seed=seed)
+    result = run_decompose(b, backend, args.rank, seed=args.seed)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     out = args.out
@@ -130,9 +126,7 @@ def cmd_decompose(args):
 
 def cmd_adapt_init(args):
     w0 = store.load_matrix(args.w0)
-    fields = {key: getattr(args, key) for key in store.CONFIG_KEYS}  # one flag per key
-    fields["seed"] = _resolve_seed(args.seed)
-    cfg = config_from_fields(**fields)
+    cfg = config_from_fields(**{key: getattr(args, key) for key in store.CONFIG_KEYS})
     state = adapters.init_adapter(w0, cfg)
     store.save_adapter(state, args.out)
     _wrote(args.out)
@@ -183,10 +177,9 @@ def _extension_witness_ok():
 
 
 def cmd_verify(args):
-    seed = _resolve_seed(args.seed)
-    if seed + args.trials - 1 >= 2**64:  # trial t's adapter config takes seed + t
+    if args.seed + args.trials - 1 >= 2**64:  # trial t's adapter config takes seed + t
         raise UsageError(f"--seed (or DEFT_SEED) plus --trials - 1 must be below 2**64, got "
-                         f"seed {seed} with {args.trials} trials")
+                         f"seed {args.seed} with {args.trials} trials")
     # the CSV and any failure dumps go beside --out: check its directory before any trial
     if not os.path.isdir(os.path.dirname(args.out) or ".") or os.path.isdir(args.out):
         raise OSError(f"--out {args.out!r} is not a file path in an existing directory")
@@ -200,7 +193,7 @@ def cmd_verify(args):
     rows = []
     failures = []
     for t in range(args.trials):
-        trial_seed = seed + t
+        trial_seed = args.seed + t
         rng = make_rng(trial_seed)
         w0 = w0_fixed if w0_fixed is not None else gaussian(rng, *_VERIFY_W0_SHAPE, 1.0)
         rank = args.rank
@@ -260,7 +253,9 @@ def cmd_verify(args):
 
 
 def cmd_displacement(args):
-    seed = _resolve_seed(args.seed)
+    if not math.isfinite(args.grid_hi - args.grid_lo):  # the grid's ticks would overflow
+        raise UsageError(f"--grid-hi minus --grid-lo overflows float64, got --grid-lo "
+                         f"{args.grid_lo} and --grid-hi {args.grid_hi}")
     if args.state is not None:
         if args.w0 is None:
             raise UsageError("--state requires --w0 (checkpoints bind to a base weight)")
@@ -268,18 +263,24 @@ def cmd_displacement(args):
         state = store.load_adapter(args.state, w0)
     else:
         # default probe: a small seeded deft state, arbitrary but reproducible
-        rng = make_rng(seed)
+        rng = make_rng(args.seed)
         w0 = gaussian(rng, 2, 2, 1.0)
-        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.5, seed=seed)
+        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.5, seed=args.seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, 1, 2, 1.0)
 
     try:
-        field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi,
-                                            n=args.grid_n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
+            field = subspace.displacement_field(state, lo=args.grid_lo, hi=args.grid_hi,
+                                                n=args.grid_n)
     except MemoryError:
         raise UsageError(f"--grid-n {args.grid_n}: a {args.grid_n} x {args.grid_n} grid is too "
                          "large to allocate") from None
+    if not (np.isfinite(field.displacements_full).all()
+            and np.isfinite(field.displacements_nonneg).all()):
+        raise FloatingPointError(
+            f"the displacement field overflows float64 (W0's max |entry| "
+            f"{np.abs(w0).max():.3e}, grid [{args.grid_lo:g}, {args.grid_hi:g}]); nothing written")
     subspace.field_to_csv(field, args.out)
     _wrote(args.out)
     summary = subspace.field_summary(field)
@@ -288,12 +289,11 @@ def cmd_displacement(args):
 
 
 def cmd_bench(args):
-    seed = _resolve_seed(args.seed)
     kinds = [k.strip() for k in args.backends.split(",") if k.strip()]
     if not kinds:
         raise UsageError(f"--backends names no backend kind, got {args.backends!r}")
     backends = [Backend(k) for k in kinds]  # an unknown kind exits 2 before any timing
-    rng = make_rng(seed)
+    rng = make_rng(args.seed)
     try:
         latent = gaussian(rng, args.dim, args.rank, 1.0)
     except MemoryError:
@@ -304,11 +304,11 @@ def cmd_bench(args):
     for k, backend in zip(kinds, backends):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf clamp warning is expected on a signed latent
-            run_decompose(latent, backend, args.rank, seed=seed)  # warm-up
+            run_decompose(latent, backend, args.rank, seed=args.seed)  # warm-up
             times = []
             for _ in range(args.iters):
                 t0 = time.perf_counter()
-                run_decompose(latent, backend, args.rank, seed=seed)
+                run_decompose(latent, backend, args.rank, seed=args.seed)
                 times.append((time.perf_counter() - t0) * 1e3)
         results.append((k, statistics.median(times), min(times), max(times)))
 
@@ -425,6 +425,8 @@ def main(argv=None):
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if vars(args).get("seed", 0) is None:  # a subcommand with --seed, run without it
+            args.seed = _env_seed()
         with _warning_lines():
             return args.func(args)
     except (UsageError, ConfigError, ShapeError) as exc:

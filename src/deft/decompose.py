@@ -252,13 +252,6 @@ class _Kind:
     ste_mask: Callable | None = None  # straight-through gradient mask of a clipped latent
 
 
-def _rebuild_eig(result, b):
-    if b is None:
-        raise ValueError("eig reconstruction needs the original matrix")
-    p = result.p_factor
-    return p @ (p.T @ np.asarray(b, dtype=np.float64))
-
-
 # The key order is the ADPT1 backend tag (see deft.store): append, never reorder.
 # relax and relax_nmf do not factorize: the latent, or its non-negative part,
 # is the factor.
@@ -272,7 +265,9 @@ _KINDS = {
                   {"s": "s", "v": "v"}),
     "nmf": _Kind(_nmf, lambda res, b: res.p_factor @ res.aux["h"],
                  {"h": "h", "err_trace": "errtrace"}),
-    "eig": _Kind(_eig, _rebuild_eig, {"lambda": "lam"}),
+    "eig": _Kind(_eig,
+                 lambda res, b: res.p_factor @ (res.p_factor.T @ np.asarray(b, dtype=np.float64)),
+                 {"lambda": "lam"}),
     "relax": _Kind(lambda b, r, bk, seed, portable: DecompositionResult("relax", b.copy()),
                    lambda res, b: res.p_factor.copy(), {}, intrinsic_rank=True),
     "relax_nmf": _Kind(lambda b, r, bk, seed, portable:
@@ -298,7 +293,7 @@ def decompose(b, backend, rank=None, seed=0, portable=True):
     bits do not depend on those libraries, except where a zero singular
     value leaves columns to fill (_complete_basis uses BLAS ``@`` and
     ``np.linalg.norm``). portable=False puts them on LAPACK's thin
-    SVD: about four times faster at 32 x 4, in the same order and sign
+    SVD, which is faster on small inputs, in the same order and sign
     convention, with no ``"sweeps"`` in stats. The singular values agree
     to rounding, and so do the vectors where the singular values are well
     apart; where they (nearly) coincide, only the span is defined and the
@@ -321,10 +316,10 @@ def decompose(b, backend, rank=None, seed=0, portable=True):
     return kind.factor(b, rank, backend, seed, portable)
 
 
-def reconstruct(result, b=None):
-    """Rank-r approximation of the factored matrix implied by `result`.
+def reconstruct(result, b):
+    """Rank-r approximation of `b`, the matrix `result` factored.
 
-    eig reconstructs by projecting the original matrix and therefore
-    needs `b`; every other kind reconstructs from its own factors.
+    eig reconstructs by projecting `b`; every other kind reconstructs
+    from its own factors and ignores it.
     """
     return _KINDS[result.kind].rebuild(result, b)

@@ -79,22 +79,18 @@ def rel_error(approx, exact):
     return diff / denom if denom > 0.0 else diff
 
 
-def numerical_rank(a, tol=DEFAULT_RANK_TOL):
-    """Count singular values above ``tol * sigma_max``; tol must be positive.
+def numerical_rank(a):
+    """Count singular values above ``DEFAULT_RANK_TOL * sigma_max``.
 
     The singular values come from LAPACK (``numpy.linalg.svd``). Its
     absolute error is about machine epsilon times sigma_max, about eight
-    orders of magnitude below the package's one cutoff, DEFAULT_RANK_TOL,
-    so a more accurate SVD could only count differently a singular value
-    within that error of the cutoff. LAPACK also rescales internally, so
-    the count holds for entries anywhere in float64 range.
+    orders of magnitude below the cutoff, so a more accurate SVD could only
+    count differently a singular value within that error of the cutoff.
+    LAPACK also rescales internally, so the count holds for entries
+    anywhere in float64 range; an all-zero `a` counts 0.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     s = np.linalg.svd(as_matrix(a, "a"), compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def make_rng(seed):

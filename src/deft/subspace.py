@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deft import adapters, store
-from deft.matcore import DEFAULT_RANK_TOL, as_matrix, frobenius_norm, numerical_rank, unit_exponent
+from deft.matcore import as_matrix, frobenius_norm, numerical_rank, unit_exponent
 
 
 @dataclass
@@ -36,8 +36,8 @@ class SubspaceReport:
     rank_reduce: int
     rank_total: int
     rank_union: int
+    rank_union_total: int
     containment_holds: bool
-    residuals: dict
 
 
 @dataclass
@@ -74,7 +74,7 @@ def verify_decomposition_identity(w, q):
     return resid / denom if denom > 0.0 else resid
 
 
-def check_containment(w0, q, w_total, tol=DEFAULT_RANK_TOL):
+def check_containment(w0, q, w_total):
     """Rank evidence that w_total stays inside col(w0) + col(q).
 
     containment_holds compares rank([w0 | q]) with rank([w0 | q | w_total]);
@@ -83,8 +83,7 @@ def check_containment(w0, q, w_total, tol=DEFAULT_RANK_TOL):
     extension_ranks's question.
 
     q may be any m x r matrix (orthonormality is not assumed; relax-style
-    factors are legal). The residuals map carries the raw rank of the
-    largest stack for reporting.
+    factors are legal).
 
     Each block is brought to unit scale (see unit_exponent) before it is
     stacked. That leaves every column space as it was, and it keeps the
@@ -96,24 +95,11 @@ def check_containment(w0, q, w_total, tol=DEFAULT_RANK_TOL):
     w_total = as_matrix(w_total, "w_total")
     w_reduce = w0 - q @ (q.T @ w0)
 
-    rank_w0 = numerical_rank(w0, tol)
-    rank_reduce = numerical_rank(w_reduce, tol)
-    rank_total = numerical_rank(w_total, tol)
+    ranks = [numerical_rank(a) for a in (w0, w_reduce, w_total)]
     w0_u, q_u, total_u = (np.ldexp(a, -unit_exponent(a)) for a in (w0, q, w_total))
-    rank_union = numerical_rank(np.hstack([w0_u, q_u]), tol)
-    rank_union_total = numerical_rank(np.hstack([w0_u, q_u, total_u]), tol)
-
-    return SubspaceReport(
-        rank_w0=rank_w0,
-        rank_reduce=rank_reduce,
-        rank_total=rank_total,
-        rank_union=rank_union,
-        containment_holds=rank_union_total == rank_union,
-        residuals={
-            "rank_union_with_total": float(rank_union_total),
-            "containment_rank_gap": float(rank_union_total - rank_union),
-        },
-    )
+    rank_union = numerical_rank(np.hstack([w0_u, q_u]))
+    rank_union_total = numerical_rank(np.hstack([w0_u, q_u, total_u]))
+    return SubspaceReport(*ranks, rank_union, rank_union_total, rank_union_total == rank_union)
 
 
 def extension_ranks(w0, w_total):

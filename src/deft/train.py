@@ -48,7 +48,6 @@ class TrainReport:
     losses: list = field(default_factory=list)  # losses[i] = loss before step i; last entry is final
     grad_norm_p: list = field(default_factory=list)
     grad_norm_r: list = field(default_factory=list)
-    steps: int = 0
     final_state_hash: str = ""
     w0_hash_before: str = ""
     w0_hash_after: str = ""
@@ -158,13 +157,16 @@ def run_finetune(w0, cfg, task, steps):
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     state = init_adapter(w0, cfg)
-    report = TrainReport(steps=steps)
+    report = TrainReport()
     report.w0_hash_before = store.matrix_hash(state.w0).hex()
     x, y = _batch(state, task)  # w0 is frozen: one base product serves every step
 
     last_finite = None
     for i in range(steps):
-        refresh(state, portable=False)  # no in-loop factor is stored
+        try:
+            refresh(state, portable=False)  # no in-loop factor is stored
+        except ValueError:  # as_matrix's refusal of a latent that the last step overflowed
+            raise DivergenceError(i, last_finite) from None
         loss, grads = _loss_and_grads(state, x, y, task.targets)
         if not math.isfinite(loss):
             raise DivergenceError(i, last_finite)
@@ -178,7 +180,10 @@ def run_finetune(w0, cfg, task, steps):
     # the final loss and the returned state use the portable factor a reload builds, even
     # where the last step left the latent as it was
     state.cache = None
-    final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
+    try:
+        final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
+    except ValueError:  # the refresh inside forward refused an overflowed latent
+        raise DivergenceError(steps, last_finite) from None
     if not math.isfinite(final):
         raise DivergenceError(steps, last_finite)
     report.losses.append(final)
@@ -197,6 +202,6 @@ def report_to_csv(report, path):
 def summary_line(report):
     frozen = report.w0_hash_before == report.w0_hash_after
     return (
-        f"steps={report.steps} final_loss={report.losses[-1]:.6e} "
+        f"steps={len(report.losses) - 1} final_loss={report.losses[-1]:.6e} "
         f"w0_frozen={str(frozen).lower()} state_hash={report.final_state_hash[:16]}"
     )

@@ -23,7 +23,8 @@ from deft.adapters import (
     trainables,
 )
 from deft.decompose import KINDS, Backend, decompose, reconstruct
-from deft.matcore import frobenius_norm, gaussian, make_rng, numerical_rank, rel_error
+from deft.matcore import (DEFAULT_RANK_TOL, frobenius_norm, gaussian, make_rng, numerical_rank,
+                          rel_error)
 from deft.store import (
     PairingError,
     load_adapter,
@@ -56,6 +57,7 @@ def test_c01_projection_split_identity():
 
 
 def test_c02_reduction_stays_in_base_span():
+    assert DEFAULT_RANK_TOL == 1e-8  # the rank cutoff every count below uses
     held = 0
     for trial in range(100):
         rng = make_rng(1000 + trial)
@@ -63,13 +65,14 @@ def test_c02_reduction_stays_in_base_span():
         r = 1 + trial % 6
         q, _ = np.linalg.qr(w0[:, :r])  # directions drawn from w0 itself
         w_reduce = w0 - q @ (q.T @ w0)
-        if numerical_rank(np.hstack([w0, w_reduce]), 1e-8) == numerical_rank(w0, 1e-8):
+        if numerical_rank(np.hstack([w0, w_reduce])) == numerical_rank(w0):
             held += 1
     assert held == 100, f"rank containment held in {held}/100 trials"
     _passed("c02", trials=100, held=held)
 
 
 def test_c03_total_weight_containment():
+    assert DEFAULT_RANK_TOL == 1e-8  # the rank cutoff every count below uses
     rank = 4
     checked = 0
     for kind in KINDS:
@@ -84,10 +87,10 @@ def test_c03_total_weight_containment():
                 warnings.simplefilter("ignore")  # nmf clamps signed latents here
                 q = projection_factor(state)
                 w_total = merge(state)
-            rep = check_containment(w0, q, w_total, tol=1e-8)
+            rep = check_containment(w0, q, w_total)
             assert rep.containment_holds, (
                 f"union rank grew for backend {kind}, seed {seed}: "
-                f"{rep.residuals['rank_union_with_total']} vs {rep.rank_union}"
+                f"{rep.rank_union_total} vs {rep.rank_union}"
             )
             checked += 1
 
@@ -97,8 +100,8 @@ def test_c03_total_weight_containment():
     q = np.zeros((4, 1))
     q[2, 0] = 1.0
     w_total = w0 - q @ (q.T @ w0) + q @ np.ones((1, 4))
-    rank_before = numerical_rank(w0, 1e-8)
-    rank_after = numerical_rank(np.hstack([w0, w_total]), 1e-8)
+    rank_before = numerical_rank(w0)
+    rank_after = numerical_rank(np.hstack([w0, w_total]))
     assert rank_before == 2 and rank_after == 3, (rank_before, rank_after)
     _passed("c03", combos=checked, witness_rank=f"{rank_before}->{rank_after}")
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import os
 import struct
 import subprocess
@@ -12,7 +11,6 @@ import pytest
 
 import deft.cli
 from deft import store, subspace
-from deft._jacobi import jacobi_svd
 from deft.cli import _warning_lines, main
 from deft.decompose import _KINDS
 from deft.matcore import make_rng
@@ -37,8 +35,7 @@ def write_mat(path, seed=0, m=8, n=6):
 class TestDecompose:
     def test_unconverged_svd_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         write_mat("b.mat", seed=5, m=40, n=30)
-        monkeypatch.setattr(sys.modules["deft.decompose"], "jacobi_svd",
-                            functools.partial(jacobi_svd, max_sweeps=1))
+        monkeypatch.setattr(sys.modules["deft._jacobi"], "_MAX_SWEEPS", 1)
         assert main(["decompose", "--in", "b.mat", "--method", "tsvd",
                      "--rank", "4", "--out", "fac"]) == 1
         err = capsys.readouterr().err
@@ -195,6 +192,18 @@ class TestAdaptInit:
         with open("env.adpt", "rb") as f1, open("flag.adpt", "rb") as f2:
             assert f1.read() == f2.read()
 
+    @pytest.mark.parametrize("method", ["deft", "lora"])
+    def test_overflowing_init_draw_is_usage_error(self, in_tmp, capsys, method):
+        # stddev 1e308 takes some of the 32 p-side entries past float64's range
+        store.save_matrix(np.eye(8), "w0.mat")
+        backend = ["--backend", "relax"] if method == "deft" else []
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", method, "--rank", "4",
+                     *backend, "--init-stddev", "1e308", "--out", "a.adpt"]) == 2
+        name = "p_latent" if method == "deft" else "a"
+        assert capsys.readouterr().err == (
+            f"usage error: init_stddev 1e+308 overflows float64 in the initial {name} draw\n")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]
+
 
 def write_config(path, lines):
     with open(path, "w", encoding="utf-8") as f:
@@ -251,6 +260,30 @@ class TestTrain:
         assert warned and all(line.startswith("warning: ") for line in warned)
         assert not any("RuntimeWarning" in line for line in warned)
         assert last.startswith("error: loss diverged")
+
+    @pytest.mark.parametrize("steps", [5, 1])  # at 1, the final loss's refresh meets it
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_overflowed_latent_is_divergence(self, in_tmp, capsys, kind, steps):
+        # step 0 at rate 1e308 takes the p-side latent past float64's range, and the next
+        # refactorization refuses it
+        store.save_matrix(1e6 * np.random.default_rng(0).normal(size=(8, 8)), "w0.mat")
+        write_config("hot.cfg", ["method = deft", "rank = 2", f"backend = {kind}",
+                                 "lr_p = 1e308", "lr_r = 1e308", "init_stddev = 1"])
+        assert main(["train", "--w0", "w0.mat", "--config", "hot.cfg",
+                     "--steps", str(steps), "--out", "boom"]) == 1
+        *warned, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in warned)
+        assert last.startswith("error: loss diverged to a non-finite value at step 1;")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["hot.cfg", "w0.mat"]
+
+    def test_overflowing_init_draw_is_usage_error(self, in_tmp, capsys):
+        store.save_matrix(np.eye(8), "w0.mat")
+        write_config("wide.cfg", ["method = deft", "rank = 4", "backend = relax",
+                                  "init_stddev = 1e308"])
+        assert main(["train", "--w0", "w0.mat", "--config", "wide.cfg",
+                     "--steps", "2", "--out", "run"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: init_stddev 1e+308 overflows")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat", "wide.cfg"]
 
     def test_bad_config_is_io_error(self, in_tmp, capsys):
         write_mat("w0.mat", seed=16)
@@ -456,6 +489,25 @@ class TestDisplacement:
             lines = f.read().decode().split("\r\n")
         assert lines[0] == "x0,x1,full_0,full_1,nonneg_0,nonneg_1"
         assert len(lines) == 27  # header + 25 grid points + trailing newline
+
+    def test_overflowing_grid_span_is_usage_error(self, in_tmp, capsys):
+        assert main(["displacement", "--grid-lo=-1e308", "--grid-hi", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --grid-hi minus --grid-lo overflows float64, got --grid-lo -1e+308 "
+            "and --grid-hi 1e+308\n")
+        assert list(in_tmp.iterdir()) == []
+
+    def test_non_finite_field_fails_closed(self, in_tmp, capsys):
+        store.save_matrix(np.full((4, 4), 1.5e308), "w0.mat")
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--backend", "relax", "--init-stddev", "1", "--out", "s.adpt"]) == 0
+        capsys.readouterr()
+        assert main(["displacement", "--state", "s.adpt", "--w0", "w0.mat", "--out", "d.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the displacement field overflows float64 "
+                              "(W0's max |entry| 1.500e+308")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["s.adpt", "w0.mat"]
 
     def test_state_requires_w0(self, in_tmp, capsys):
         assert main(["displacement", "--state", "a.adpt"]) == 2
@@ -694,6 +746,11 @@ class TestParser:
         err = capsys.readouterr().err
         assert err == f"usage error: DEFT_SEED must be an integer >= 0, got {value!r}\n"
         assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]  # nothing written
+
+    def test_bad_seed_env_is_checked_before_any_file_is_read(self, in_tmp, monkeypatch, capsys):
+        monkeypatch.setenv("DEFT_SEED", "banana")
+        assert main(["decompose", "--in", "missing.mat", "--method", "qr", "--out", "f"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: DEFT_SEED must be")
 
     def test_bad_flag_value(self, capsys):
         assert main(["bench", "--iters", "0"]) == 2

@@ -109,11 +109,6 @@ class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 5))) == 0
 
-    def test_rejects_bad_tol(self):
-        for tol in (0.0, -1e-8, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                numerical_rank(np.eye(2), tol=tol)
-
 
 class TestGaussian:
     def test_zero_stddev(self):

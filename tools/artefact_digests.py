@@ -21,10 +21,11 @@ stderr. Output and input paths are masked as <out> and <in>, and
 decompose's ``time_ms`` as <masked>, so a digest depends only on what the
 run computed. Each line is ``<sha-256>  <artefact>``.
 
-With --parent, the commit REV is unpacked with `git archive` into a
-temporary directory (as tools/bench_file.py does), the battery runs once on
-its src/ and once on this checkout's, each in a fresh process, and every
-artefact that differs or exists on one side only is printed. The exit
+With --parent, the commit REV and a snapshot of this checkout's working
+tree, uncommitted edits included, are each unpacked with `git archive` into
+a temporary directory (as tools/bench_file.py does). The battery runs once
+on each side's src/, each in a fresh process, and every artefact that
+differs or exists on one side only is printed. The exit
 status is 1 if anything differs, else 0. The BLAS thread count is taken
 from the environment (OPENBLAS_NUM_THREADS), the same for both sides.
 """
@@ -45,7 +46,8 @@ import tempfile
 
 import numpy as np
 
-from bench_file import unpack  # this script's directory is first on sys.path
+# this script's directory is first on sys.path
+from bench_file import commit_hash, snapshot, unpack
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KINDS = ("qr", "tsvd", "lrmf", "nmf", "eig", "relax", "relax_nmf")
@@ -169,13 +171,15 @@ def _side(src):
 
 def compare(parent_rev):
     """Run the battery at `parent_rev` and in this checkout; return the exit status."""
-    parent_root = tempfile.mkdtemp(prefix="digests-parent-")
+    roots = [tempfile.mkdtemp(prefix=f"digests-{side}-") for side in ("parent", "change")]
     try:
-        sha = unpack(parent_rev, parent_root)
-        parent = _side(os.path.join(parent_root, "src"))
-        change = _side(os.path.join(ROOT, "src"))
+        sha = commit_hash(parent_rev)
+        unpack(sha, roots[0])
+        unpack(snapshot(), roots[1])
+        parent, change = (_side(os.path.join(root, "src")) for root in roots)
     finally:
-        shutil.rmtree(parent_root, ignore_errors=True)
+        for root in roots:
+            shutil.rmtree(root, ignore_errors=True)
     names = sorted(parent.keys() | change.keys())
     differ = [name for name in names if parent.get(name) != change.get(name)]
     for name in differ:

@@ -6,11 +6,13 @@ Usage, from the root of a checkout:
         [--pairs 10] [--seconds 15] [--seed 0] \
         [--workloads finetune-1k finetune-32 verify] [--traces 0 1] [--summary TEXT]
 
-The parent is unpacked from git with `git archive` into a temporary directory
-and removed afterwards; "change" is this checkout's working tree, uncommitted
-edits included. For each workload and trace setting the tool runs
-`perfbench/run.py` in --pairs pairs, one run of each side per pair, and
-alternates which side runs first. Each side runs its own perfbench and src.
+Both sides run from fresh unpacks, made one way: `git archive` of a tree into
+a temporary directory, removed afterwards. The parent's tree is its commit's;
+"change" is a snapshot of this checkout's working tree, uncommitted edits and
+untracked files that git does not ignore included (see `snapshot`). For each
+workload and trace setting the tool runs `perfbench/run.py` in --pairs pairs,
+one run of each side per pair, and alternates which side runs first. Each side
+runs its own perfbench and src.
 
 The file has the layout of the committed BENCH files: `parent` and `change`,
 each workload -> trace0/trace1 -> {correct, attempted, failed, metrics}, plus
@@ -38,16 +40,32 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("finetune-1k", "finetune-32", "verify")
 
 
-def _git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def _git(*args, env=None):
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True).stdout
 
 
-def unpack(rev, dest):
-    """Extract the tree of commit `rev` into `dest` and return the commit's full hash."""
-    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
+def commit_hash(rev):
+    """The full hash of the commit that `rev` names."""
+    return _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+
+
+def snapshot():
+    """The hash of a git tree holding this checkout's working tree as it is now.
+
+    The files are staged into a temporary index file, so the checkout's own
+    index is left as it was. Ignored files stay out, as in a commit.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env).decode().strip()
+
+
+def unpack(tree, dest):
+    """Extract `tree`, a commit or tree hash, into `dest`."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", tree))) as tar:
         tar.extractall(dest, filter="data")
-    return sha
 
 
 def run_once(root, workload, trace, seed, seconds):
@@ -103,10 +121,11 @@ def _parse(argv):
 
 def main(argv=None):
     args = _parse(argv)
-    parent_root = tempfile.mkdtemp(prefix="bench-parent-")
+    sides = {side: tempfile.mkdtemp(prefix=f"bench-{side}-") for side in ("parent", "change")}
     try:
-        parent_sha = unpack(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+        parent_sha = commit_hash(args.parent)
+        unpack(parent_sha, sides["parent"])
+        unpack(snapshot(), sides["change"])
         runs = {side: {} for side in sides}
         machine = None
         for workload in args.workloads:
@@ -124,7 +143,8 @@ def main(argv=None):
         print(f"error: {detail}", file=sys.stderr)
         return 1
     finally:
-        shutil.rmtree(parent_root, ignore_errors=True)
+        for root in sides.values():
+            shutil.rmtree(root, ignore_errors=True)
 
     bench = {side: {w: {t: summarize(rs) for t, rs in by_trace.items()}
                     for w, by_trace in by_workload.items()}
