@@ -198,9 +198,10 @@ def refresh(state, portable=True):
     seen here; nothing has to mark the cache out of date.
 
     `portable` is passed on to decompose, whose docstring says what it
-    changes; only the training loop passes False. A cache hit returns the
-    cached factor either way, so a caller that needs the portable factor
-    after such a refresh drops the cache first, as run_finetune does.
+    changes; the training loop and `deft verify`, which store no factor,
+    pass False. A cache hit returns the cached factor either way, so a
+    caller that needs the portable factor after such a refresh drops the
+    cache first, as run_finetune does.
     """
     cfg = state.cfg
     if cfg.backend is None:  # lora: nothing to factorize

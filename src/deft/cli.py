@@ -203,6 +203,9 @@ def cmd_verify(args):
         cfg = config_from_fields("deft", rank, args.backend, init_stddev=0.5, seed=trial_seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
+        # a trial stores only ranks and booleans, and a failure dump holds the factor its
+        # check used, so the factor comes from LAPACK; merge and projection_factor hit it
+        adapters.refresh(state, portable=False)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
             w_total = adapters.merge(state)
             w0_norm = frobenius_norm(w0)

@@ -451,6 +451,13 @@ class TestVerify:
             f"io error: --out {out!r} is not a file path in an existing directory\n")
         assert sorted(p.name for p in in_tmp.rglob("*")) == ["reports"]
 
+    @pytest.mark.parametrize("backend", ["tsvd", "lrmf"])
+    def test_trial_factor_takes_no_jacobi_svd(self, in_tmp, capsys, monkeypatch, backend):
+        # a trial stores no factor, so its adapter is factored by LAPACK, not the Jacobi SVD
+        monkeypatch.setattr(sys.modules["deft.decompose"], "jacobi_svd", _failing_svd)
+        assert main(["verify", "--backend", backend, "--out", "v.csv"]) == 0
+        assert "PASS: 3 trials" in capsys.readouterr().out
+
     def test_lapack_failure_exits_1_without_traceback(self, in_tmp, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)
         assert main(["verify", "--trials", "1", "--out", "v.csv"]) == 1

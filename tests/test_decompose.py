@@ -363,10 +363,16 @@ class TestDispatcherAndProperties:
             assert best <= frobenius_norm(b - q @ (q.T @ b)) + 1e-8
 
     def test_reconstruct_needs_matrix_only_for_eig(self):
-        b = make_rng(31).normal(size=(5, 3))
-        res = decompose(b, Backend("eig"), 3)
-        with pytest.raises(ValueError):
-            reconstruct(res, None)
+        b = make_rng(31).uniform(0.5, 1.0, size=(5, 3))
+        zeros = np.zeros_like(b)
+        for kind in KINDS:
+            res = decompose(b, Backend(kind), None if kind in ("qr", "relax", "relax_nmf") else 2)
+            if kind == "eig":  # P (P^T b): it projects the matrix it is given
+                p = res.p_factor
+                assert np.array_equal(reconstruct(res, b), p @ (p.T @ b))
+                assert reconstruct(res, b).any() and not reconstruct(res, zeros).any()
+            else:  # rebuilt from its own factors, the same bits whatever b is
+                assert np.array_equal(reconstruct(res, b), reconstruct(res, zeros)), kind
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):

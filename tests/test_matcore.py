@@ -93,18 +93,22 @@ class TestNumericalRank:
             left = rng.normal(size=(8, r))
             right = rng.normal(size=(r, 6))
             m = left @ right
-            assert elimination_rank(m) == r
-            for scale in SCALES:
-                assert numerical_rank(scale * m) == r, (trial, scale)
+            wide = rng.normal(size=(5, r)) @ rng.normal(size=(r, 12))
+            for a in (m, m.T, wide):  # a wide input is factored transposed
+                assert elimination_rank(a) == r
+                for scale in SCALES:
+                    assert numerical_rank(scale * a) == r, (trial, a.shape, scale)
 
     def test_permutation_invariance(self):
         rng = make_rng(8)
         m = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 5))
-        perms = [(rng.permutation(6), rng.permutation(5)) for _ in range(5)]
-        for scale in SCALES:
-            assert numerical_rank(scale * m) == 3, scale
-            for rp, cp in perms:
-                assert numerical_rank(scale * m[rp][:, cp]) == 3, scale
+        wide = rng.normal(size=(4, 3)) @ rng.normal(size=(3, 9))
+        for a in (m, m.T, wide):  # a wide input is factored transposed
+            perms = [(rng.permutation(a.shape[0]), rng.permutation(a.shape[1])) for _ in range(5)]
+            for scale in SCALES:
+                assert numerical_rank(scale * a) == 3, (a.shape, scale)
+                for rp, cp in perms:
+                    assert numerical_rank(scale * a[rp][:, cp]) == 3, (a.shape, scale)
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 5))) == 0
