@@ -27,21 +27,23 @@ Initialization, parameter counts, the SGD step and the checkpoint layout
 all derive from this table.
 
 The training step's algebra lives here too: _adapted is the forward pass,
-_gradients its gradient, and both take the rank x k coefficient
-z = P^T base - R x from _coefficient. The gradients are exact for the relax
-backends, where the factor is the latent. For factorizing backends the same
-formulas apply straight-through: the factorization is frozen within the
-step, and the factor's gradient is applied to the latent. Differentiating
-through the factorizations is out of scope.
+_gradients its gradient, and both use the rank x k coefficient
+z = P^T base - R x, which _adapted computes and keeps on the state for
+_gradients to read. The gradients are exact for the relax backends, where
+the factor is the latent. For factorizing backends the same formulas apply
+straight-through: the factorization is frozen within the step, and the
+factor's gradient is applied to the latent. Differentiating through the
+factorizations is out of scope.
 
 A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
-plus a fixed number of passes over m x k arrays (nine for para and deft,
+plus a fixed number of passes over m x k arrays (eight for para and deft,
 seven for lora), and it writes one m x k array, the residual. Four things
 make it so. The frozen base output y = w0 @ x is computed once per run,
 because the batch is fixed and w0 never changes; every step's forward pass
 and gradient reuse it. The forward pass applies both P terms through z: it
 forms P z in a fresh buffer and subtracts it from y there in place (lora
-scales and adds in its product's buffer). The residual is that output with
+scales and adds in its product's buffer), and the gradient reuses that z
+rather than reading y for it again. The residual is that output with
 the targets subtracted in place, and the loss scale 2 / (m k) is applied to
 rank-sized products, never to the residual. And the gradient products are
 associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
@@ -137,7 +139,9 @@ class AdapterState:
 
     Only the method's own trainables (see _TRAINABLES) are set; the rest
     stay None. w0 is a read-only array; writes raise. cache is None or a
-    (latent bytes, factorization) pair; see refresh.
+    (latent bytes, factorization) pair; see refresh. z is the para/deft
+    coefficient of the last forward or merge pass (see _adapted), which
+    _gradients reads.
     """
 
     cfg: AdapterConfig
@@ -148,6 +152,7 @@ class AdapterState:
     p_latent: np.ndarray | None = None
     r: np.ndarray | None = None
     cache: tuple[bytes, DecompositionResult] | None = None
+    z: np.ndarray | None = None
 
 
 def trainable_shapes(cfg, m, n):
@@ -221,20 +226,13 @@ def projection_factor(state):
     return refresh(state).cache[1].p_factor
 
 
-def _coefficient(state, p, base, x):
-    """z = P^T base - R x, with R x read as R when x is None and the R term absent for para."""
-    z = p.T @ base
-    if state.r is not None:
-        z -= state.r if x is None else state.r @ x
-    return z
-
-
 def _adapted(state, base, x=None):
     """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
 
-    para/deft: base - P z with z from _coefficient. lora: base + (alpha /
-    rank) * b_lo (a x). The result is always a fresh array, never `base`;
-    the module docstring gives the pass counts this association buys.
+    para/deft: base - P z with z = P^T base - R x (R itself when x is None,
+    no R term for para), kept as state.z for _gradients. lora: base +
+    (alpha / rank) * b_lo (a x). The result is always a fresh array, never
+    `base`; the module docstring gives the pass counts this association buys.
     """
     cfg = state.cfg
     if cfg.method == "lora":
@@ -243,15 +241,19 @@ def _adapted(state, base, x=None):
         out += base
         return out
     p = projection_factor(state)
-    out = p @ _coefficient(state, p, base, x)
+    z = state.z = p.T @ base
+    if state.r is not None:
+        z -= state.r if x is None else state.r @ x
+    out = p @ z
     return np.subtract(base, out, out=out)
 
 
 def _gradients(state, x, y, diff):
     """Gradients of the mean of diff**2, where diff is the adapted output on x minus targets.
 
-    y = w0 @ x is the base output the forward pass read, and the factor is
-    the one it cached. Keys and order match trainables(state).
+    y = w0 @ x is the base output the forward pass read, and the factor and
+    the coefficient z are the ones it kept: the caller runs forward on the
+    same (x, y) just before. Keys and order match trainables(state).
     """
     m, k = diff.shape
     scale = 2.0 / (m * k)  # dL/dh = scale * diff
@@ -265,7 +267,7 @@ def _gradients(state, x, y, diff):
     pg = scale * (p.T @ diff)
     dr = {} if state.r is None else {"r": pg @ x.T}
     # dP = -g z^T - y g^T P with g = dL/dh
-    dp = -scale * (diff @ _coefficient(state, p, y, x).T) - y @ pg.T
+    dp = -scale * (diff @ state.z.T) - y @ pg.T
     mask = _KINDS[cfg.backend.kind].ste_mask
     if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
         dp = dp * mask(getattr(state, p_name))

@@ -147,7 +147,17 @@ def cmd_train(args):
         task = train.make_teacher_noise_task(
             w0, task_seed, noise_stddev=args.noise_stddev, input_scale=args.input_scale,
         )
-    report, state = train.run_finetune(w0, cfg, task, args.steps)
+    try:
+        report, state = train.run_finetune(w0, cfg, task, args.steps)
+    except DivergenceError as exc:
+        if exc.step > 0:
+            raise
+        scale = "shift_scale" if args.task == "teacher-shift" else "noise_stddev"
+        raise UsageError(
+            f"--task {args.task} is out of float64's range: the loss before the first step is "
+            f"not finite with --{scale.replace('_', '-')} {getattr(args, scale):g}, "
+            f"--input-scale {args.input_scale:g} and W0's max |entry| {np.abs(w0).max():.3e}"
+        ) from None
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     train.report_to_csv(report, csv_path)
@@ -200,9 +210,12 @@ def cmd_verify(args):
         q_orth, _ = np.linalg.qr(gaussian(rng, m, rank, 1.0))
 
         # a freshly trained-looking adapter state
-        cfg = config_from_fields("deft", rank, args.backend, init_stddev=0.5, seed=trial_seed)
+        # the latent, like r, comes from the trial's rng: init_adapter's own draw would
+        # restart the stream that drew w0 and copy w0's first entries
+        cfg = config_from_fields("deft", rank, args.backend, init_stddev=0.0, seed=trial_seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
+        state.p_latent = gaussian(rng, m, rank, 0.5)
         # a trial stores only ranks and booleans, and a failure dump holds the factor its
         # check used, so the factor comes from LAPACK; merge and projection_factor hit it
         adapters.refresh(state, portable=False)

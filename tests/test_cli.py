@@ -285,6 +285,25 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("usage error: init_stddev 1e+308 overflows")
         assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat", "wide.cfg"]
 
+    @pytest.mark.parametrize("config,flags,named", [
+        ("backend = qr", ["--input-scale", "1e300"], "--input-scale 1e+300"),
+        (None, ["--shift-scale", "1e308"], "--shift-scale 1e+308"),
+        ("backend = qr", ["--task", "teacher-noise", "--noise-stddev", "1e300"],
+         "--noise-stddev 1e+300"),
+    ], ids=["input-scale", "shift-scale", "noise-stddev"])
+    def test_task_out_of_range_is_usage_error(self, in_tmp, capsys, config, flags, named):
+        # the loss overflows before any step has run: the task, not training, is at fault
+        write_mat("w0.mat", seed=17)
+        method = ["method = lora"] if config is None else ["method = deft", config]
+        write_config("run.cfg", [*method, "rank = 2"])
+        assert main(["train", "--w0", "w0.mat", "--config", "run.cfg",
+                     "--steps", "3", "--out", "run", *flags]) == 2
+        *warned, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in warned)
+        assert last.startswith("usage error: --task ") and named in last
+        assert "--input-scale" in last and "W0's max |entry| " in last
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["run.cfg", "w0.mat"]
+
     def test_bad_config_is_io_error(self, in_tmp, capsys):
         write_mat("w0.mat", seed=16)
         write_config("bad.cfg", ["method = deft", "rank = 2", "dropout = 0.5"])
@@ -331,6 +350,17 @@ class TestVerify:
         assert main(["verify", "--w0", "w0.mat", "--rank", "3", "--backend", "relax",
                      "--trials", "1", "--out", "v.csv"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", ["qr", "relax"])
+    def test_adapter_latent_is_drawn_apart_from_w0(self, in_tmp, capsys, monkeypatch, backend):
+        states = []
+        merge = deft.cli.adapters.merge
+        monkeypatch.setattr(deft.cli.adapters, "merge", lambda s: states.append(s) or merge(s))
+        assert main(["verify", "--seed", "5", "--backend", backend, "--trials", "2"]) == 0
+        assert len(states) == 2
+        for state in states:
+            # the same seed's generator gives w0's entries; no latent entry may be one of them
+            assert np.intersect1d(state.p_latent / 0.5, state.w0).size == 0
 
     def test_rank_too_large(self, in_tmp, capsys):
         write_mat("w0.mat", seed=20, m=6, n=4)

@@ -177,6 +177,32 @@ class TestLowRankStep:
             assert got[name].shape == want[name].shape, name
             assert rel_dev(got[name], want[name]) <= 1e-12, (method, kind, name)
 
+    @pytest.mark.parametrize("kind", ["qr", "tsvd", "relax", "relax_nmf"])
+    @pytest.mark.parametrize("method", ["para", "deft"])
+    def test_grad_reuses_the_forward_coefficient_bit_for_bit(self, method, kind):
+        state, task = rect_state(method, kind, seed=61)
+        (name, latent), *_ = trainables(state).items()
+        x, y = _batch(state, task)
+        got = _loss_and_grads(state, x, y, task.targets)[1]
+        # the step's formulas written inline, with z recomputed from y
+        p = state.cache[1].p_factor
+        z = p.T @ y
+        if state.r is not None:
+            z -= state.r @ x
+        assert state.z.tobytes() == z.tobytes()
+        diff = forward(state, x, y)
+        diff -= task.targets
+        m, k = diff.shape
+        scale = 2.0 / (m * k)
+        pg = scale * (p.T @ diff)
+        dp = -scale * (diff @ z.T) - y @ pg.T
+        if kind == "relax_nmf":
+            dp = dp * (latent > 0.0)
+        want = {name: dp, **({} if state.r is None else {"r": pg @ x.T})}
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (method, kind, key)
+
     @pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
     def test_step_leaves_the_batch_unchanged(self, method, kind):
         state, task = rect_state(method, kind, seed=57)

@@ -18,9 +18,15 @@ The file has the layout of the committed BENCH files: `parent` and `change`,
 each workload -> trace0/trace1 -> {correct, attempted, failed, metrics}, plus
 `machine`, `command`, `parent_commit` and `change_summary`. Every number is
 the median over the pairs; `correct` is true only if every run was correct.
-Each trace0 entry also has `throughput_runs`, every run's throughput in
-pair order, so pair i is entry i on both sides. A run that exits non-zero,
-or whose last line is not a JSON result, stops the tool with exit 1.
+Each entry also has `runs`, every run's value of each end-to-end metric of
+BENCHMARK.json in pair order, so pair i is entry i on both sides. A run that
+exits non-zero, or whose last line is not a JSON result, stops the tool with
+exit 1.
+
+`claims` holds, per workload and end-to-end metric, the rule for claiming a
+gain (see `claim`), which the tool also prints: the parent's median and
+quartiles, the change's median, the pairs the change won, and whether a gain
+may be claimed.
 """
 
 from __future__ import annotations
@@ -36,8 +42,16 @@ import sys
 import tarfile
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("finetune-1k", "finetune-32", "verify")
+
+
+def end_to_end():
+    """Name -> "higher" or "lower", which is better, for each end-to-end metric."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
 
 def _git(*args, env=None):
@@ -86,20 +100,58 @@ def run_once(root, workload, trace, seed, seconds):
     return machine, result
 
 
-def summarize(results):
-    """The medians of a list of perfbench JSON results, in the same layout."""
+def summarize(results, e2e):
+    """The medians of a list of perfbench JSON results, in the same layout.
+
+    `runs` lists every run's value of each metric named in `e2e` that the
+    results hold (the end-to-end ones, which a --trace 0 run reports).
+    """
     names = results[0]["metrics"]
-    summary = {
+    return {
         "correct": all(r["correct"] for r in results),
         "attempted": statistics.median(r["attempted"] for r in results),
         "failed": statistics.median(r["failed"] for r in results),
         "metrics": {name: {"value": statistics.median(r["metrics"][name]["value"]
                                                       for r in results),
                            "unit": names[name]["unit"]} for name in names},
+        "runs": {name: [r["metrics"][name]["value"] for r in results]
+                 for name in names if name in e2e},
     }
-    if "throughput" in names:  # the end-to-end run (--trace 0)
-        summary["throughput_runs"] = [r["metrics"]["throughput"]["value"] for r in results]
-    return summary
+
+
+def claim(parent, change, better):
+    """Whether one metric's runs, paired by index, let the change claim a gain.
+
+    The change wins a pair when its run is better than the parent's; a tie
+    counts for neither side. A gain may be claimed when the change wins at
+    least nine tenths of the pairs and its median is better than the
+    parent's by more than the parent's interquartile range.
+    """
+    q1, median, q3 = (float(q) for q in np.percentile(parent, (25, 50, 75)))
+    change_median = statistics.median(change)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
+    return {"parent_median": median, "parent_q1": q1, "parent_q3": q3,
+            "change_median": change_median, "wins": wins, "pairs": len(parent),
+            "holds": wins >= 0.9 * len(parent) and sign * (change_median - median) > q3 - q1}
+
+
+def claims(bench, e2e):
+    """workload -> metric -> claim(), over the runs that `bench` holds for both sides."""
+    out = {}
+    for workload, by_trace in bench["change"].items():
+        for trace, entry in by_trace.items():
+            for name, runs in entry["runs"].items():
+                out.setdefault(workload, {})[name] = claim(
+                    bench["parent"][workload][trace]["runs"][name], runs, e2e[name])
+    return out
+
+
+def claim_line(workload, name, c):
+    return (f"{workload} {name}: parent median {c['parent_median']:.6g} "
+            f"(quartiles {c['parent_q1']:.6g}-{c['parent_q3']:.6g}), change median "
+            f"{c['change_median']:.6g}, change won {c['wins']} of {c['pairs']} pairs, "
+            f"gain claimable: {'yes' if c['holds'] else 'no'}")
 
 
 def _parse(argv):
@@ -146,9 +198,14 @@ def main(argv=None):
         for root in sides.values():
             shutil.rmtree(root, ignore_errors=True)
 
-    bench = {side: {w: {t: summarize(rs) for t, rs in by_trace.items()}
+    e2e = end_to_end()
+    bench = {side: {w: {t: summarize(rs, e2e) for t, rs in by_trace.items()}
                     for w, by_trace in by_workload.items()}
              for side, by_workload in runs.items()}
+    bench["claims"] = claims(bench, e2e)
+    for workload, by_metric in bench["claims"].items():
+        for name, c in by_metric.items():
+            print(claim_line(workload, name, c))
     bench.update(
         change_summary=args.summary,
         command=(f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
