@@ -126,7 +126,7 @@ def _fix_signs(u, v):
     scatter of them.
     """
     peaks = u[abs(u).argmax(0), np.arange(u.shape[1])]
-    if peaks.min() < 0.0:
+    if min(peaks.tolist()) < 0.0:
         signs = np.where(peaks < 0.0, -1.0, 1.0)
         u *= signs
         v *= signs

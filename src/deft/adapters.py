@@ -48,6 +48,15 @@ the targets subtracted in place, and the loss scale 2 / (m k) is applied to
 rank-sized products, never to the residual. And the gradient products are
 associated so that each has a rank-sized operand: dP = -g z^T - y (P^T g)^T
 rather than (g y^T) P, so no m x m or m x n matrix is ever formed.
+
+At small sizes numpy's per-call dispatch, not the flops, sets a step's
+speed, so every product with a rank-sized output (P^T base, R x, lora's
+a x and every gradient product) is taken with ndarray.dot: the same BLAS
+gemm as `@` through a cheaper call. The one product with an m x k output,
+P z (lora's b_lo (a x)), keeps `@`, because dot takes a slower gemm path
+for a large output; README's step-cost paragraph gives the timings. The
+two give the same bits, except that a 1 x 1 by 1 x 1 product (batch 1 on
+a 1-row or 1-column layer) may differ in the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -177,9 +186,9 @@ def init_adapter(w0, cfg):
     w0 = freeze(as_matrix(w0, "w0"))
     m, n = w0.shape
     _check_rank(cfg, m, n)
-    rng = make_rng(cfg.seed)
     state = AdapterState(cfg=cfg, w0=w0)
     (p_name, p_shape), *r_side = trainable_shapes(cfg, m, n).items()
+    rng = make_rng(cfg.seed) if cfg.init_stddev > 0 else None  # gaussian draws nothing at 0
     draw = gaussian(rng, *p_shape, cfg.init_stddev)
     if not np.isfinite(draw).all():
         raise ConfigError(f"init_stddev {cfg.init_stddev} overflows float64 in the initial "
@@ -236,15 +245,15 @@ def _adapted(state, base, x=None):
     """
     cfg = state.cfg
     if cfg.method == "lora":
-        out = state.b_lo @ (state.a if x is None else state.a @ x)
+        out = state.b_lo @ (state.a if x is None else state.a.dot(x))  # m x k: `@`, as P z
         out *= cfg.alpha / cfg.rank
         out += base
         return out
     p = projection_factor(state)
-    z = state.z = p.T @ base
+    z = state.z = p.T.dot(base)
     if state.r is not None:
-        z -= state.r if x is None else state.r @ x
-    out = p @ z
+        z -= state.r if x is None else state.r.dot(x)
+    out = p @ z  # m x k: `@`, see the module docstring
     return np.subtract(base, out, out=out)
 
 
@@ -260,14 +269,14 @@ def _gradients(state, x, y, diff):
     cfg = state.cfg
     if cfg.method == "lora":
         scale *= cfg.alpha / cfg.rank
-        return {"a": scale * ((state.b_lo.T @ diff) @ x.T),
-                "b_lo": scale * (diff @ (x.T @ state.a.T))}
+        return {"a": scale * state.b_lo.T.dot(diff).dot(x.T),
+                "b_lo": scale * diff.dot(x.T.dot(state.a.T))}
     p_name = _TRAINABLES[cfg.method][0][0]
     p = state.cache[1].p_factor
-    pg = scale * (p.T @ diff)
-    dr = {} if state.r is None else {"r": pg @ x.T}
+    pg = scale * p.T.dot(diff)
+    dr = {} if state.r is None else {"r": pg.dot(x.T)}
     # dP = -g z^T - y g^T P with g = dL/dh
-    dp = -scale * (diff @ state.z.T) - y @ pg.T
+    dp = -scale * diff.dot(state.z.T) - y.dot(pg.T)
     mask = _KINDS[cfg.backend.kind].ste_mask
     if mask is not None:  # e.g. relax_nmf: the subgradient of max(latent, 0)
         dp = dp * mask(getattr(state, p_name))

@@ -113,8 +113,8 @@ def _qr(b, r, backend, seed, portable):
         raise ShapeError(f"qr latent must be tall or square, got {b.shape}")
     q, r_tri = np.linalg.qr(b)
     _fix_signs(q, r_tri.T)  # flips the rows of r_tri with the columns of q
-    diag = abs(r_tri.diagonal())  # an all-zero diagonal flags every column
-    notes = ("degenerate_columns",) if diag.min() <= 1e-12 * diag.max() else ()
+    diag = abs(r_tri.diagonal()).tolist()  # an all-zero diagonal flags every column
+    notes = ("degenerate_columns",) if min(diag) <= 1e-12 * max(diag) else ()
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
@@ -146,7 +146,7 @@ def _tsvd(b, r, backend, seed, portable):
     """Best rank-r approximation factors of `b` via the thin SVD."""
     u, s, v, stats = _svd(b, portable)
     aux = {"s": s[:r].copy(), "v": v[:, :r].copy()}
-    return DecompositionResult("tsvd", u[:, :r].copy(), aux, stats=stats)
+    return DecompositionResult("tsvd", np.ascontiguousarray(u[:, :r]), aux, stats=stats)
 
 
 def _lrmf(b, r, backend, seed, portable):
@@ -157,7 +157,8 @@ def _lrmf(b, r, backend, seed, portable):
     """
     res = _tsvd(b, r, backend, seed, portable)
     s_r = res.aux["s"]
-    notes = ("zero_singular_columns",) if (s_r <= 1e-12 * s_r[0]).any() else ()
+    s_list = s_r.tolist()  # non-increasing
+    notes = ("zero_singular_columns",) if min(s_list) <= 1e-12 * s_list[0] else ()
     return DecompositionResult("lrmf", res.p_factor * np.sqrt(s_r), res.aux, notes, res.stats)
 
 
@@ -184,14 +185,14 @@ def _nmf(b, r, backend, seed, portable):
     """
     m, n = b.shape
     notes = ()
-    if (b < 0.0).any():
+    if np.count_nonzero(b < 0.0):
         warnings.warn("nmf input has negative entries; clamping to zero", stacklevel=2)
         b = np.maximum(b, 0.0)
         notes = ("clamped_negative_input",)
-    top = b.max()
-    if top == 0.0:
+    if not np.count_nonzero(b > 0.0):
         zero_aux = {"h": np.zeros((r, n)), "err_trace": np.zeros(1)}
         return DecompositionResult("nmf", np.zeros((m, r)), zero_aux, notes)
+    top = b.max()
     half = 0 if 2.0**-10 <= top < 2.0**500 else unit_exponent(b) // 2
     if half:
         b = np.ldexp(b, -2 * half)
@@ -238,7 +239,7 @@ def _eig(b, r, backend, seed, portable):
     eigenvalues: the squared singular values, sorted non-increasing.
     """
     u, s, _ = _lapack_svd(b)
-    return DecompositionResult("eig", u[:, :r].copy(), {"lambda": s[:r] ** 2})
+    return DecompositionResult("eig", np.ascontiguousarray(u[:, :r]), {"lambda": s[:r] ** 2})
 
 
 @dataclass(frozen=True)

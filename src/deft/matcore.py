@@ -37,7 +37,7 @@ def as_matrix(a, name="matrix"):
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must be non-empty, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise ValueError(f"{name} contains non-finite entries")
     return out
 

@@ -67,8 +67,8 @@ def verify_decomposition_identity(w, q):
     gram_dev = frobenius_norm(q.T @ q - np.eye(q.shape[1]))
     if gram_dev > 1e-8:
         raise ValueError(f"q columns are not orthonormal: |q^T q - I| = {gram_dev:.3e}")
-    qtw = q.T @ w
-    split = q @ qtw + (w - q @ qtw)
+    kept = q @ (q.T @ w)
+    split = kept + (w - kept)
     denom = frobenius_norm(w)
     resid = frobenius_norm(w - split)
     return resid / denom if denom > 0.0 else resid

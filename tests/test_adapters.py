@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deft import adapters
 from deft.adapters import (
     AdapterConfig,
     ConfigError,
@@ -88,6 +89,14 @@ class TestInit:
         w0 = random_w0(2)
         assert not init_adapter(w0, AdapterConfig("lora", 2)).b_lo.any()
         assert not init_adapter(w0, AdapterConfig("deft", 2)).r.any()
+
+    def test_zero_stddev_builds_no_generator(self, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(adapters, "make_rng", no_rng)
+        state = init_adapter(random_w0(5), AdapterConfig("deft", 2, init_stddev=0.0))
+        assert state.p_latent.tobytes() == np.zeros((10, 2)).tobytes()
 
     def test_w0_is_frozen(self):
         state = init_adapter(random_w0(3), AdapterConfig("deft", 2))

@@ -66,6 +66,19 @@ class TestQr:
         assert "degenerate_columns" in res.notes
         assert frobenius_norm(res.p_factor.T @ res.p_factor - np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("case", ["zero_column", "repeated_column", "all_zero", "all_neg_zero",
+                                      "full_rank"])
+    def test_degenerate_note_on_exact_cases(self, case):
+        b = make_rng(4).normal(size=(8, 4))
+        if case == "zero_column":
+            b[:, 2] = 0.0
+        elif case == "repeated_column":
+            b[:, 3] = b[:, 1]
+        elif case != "full_rank":
+            b[...] = 0.0 if case == "all_zero" else -0.0
+        notes = decompose(b, Backend("qr")).notes
+        assert notes == (() if case == "full_rank" else ("degenerate_columns",))
+
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):
             decompose(np.ones((2, 5)), Backend("qr"))
@@ -158,6 +171,17 @@ class TestLrmf:
         assert np.abs(res.p_factor[:, 1:]).max() < 1e-6
 
     @pytest.mark.parametrize("portable", [True, False])
+    def test_zero_singular_note_on_exact_cases(self, portable):
+        a = make_rng(12).normal(size=(6, 4))
+        assert decompose(a, Backend("lrmf"), 4, portable=portable).notes == ()
+        a[:, 1] = 0.0  # exactly rank 3: the fourth singular value is zero
+        notes = decompose(a, Backend("lrmf"), 4, portable=portable).notes
+        assert notes == ("zero_singular_columns",)
+        assert decompose(a, Backend("lrmf"), 3, portable=portable).notes == ()
+        notes = decompose(np.zeros((6, 4)), Backend("lrmf"), 2, portable=portable).notes
+        assert notes == ("zero_singular_columns",)
+
+    @pytest.mark.parametrize("portable", [True, False])
     @pytest.mark.parametrize("shape", [(32, 4), (24, 18), (4, 9), (3072, 8)])
     def test_factor_is_tsvds_scaled_by_root_singular_values(self, shape, portable):
         b = make_rng(14).normal(size=shape)
@@ -182,7 +206,7 @@ class TestNmf:
         assert np.array_equal(res.aux["h"], np.zeros((2, 4)))
         assert res.aux["err_trace"][-1] == 0.0
 
-    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, -0.0])
     def test_nothing_positive_factors_exactly_as_zero(self, sign):
         # an all-negative latent clamps to zero (with the note), an all-zero one is zero as is
         b = sign * np.abs(make_rng(23).normal(size=(32, 4)))

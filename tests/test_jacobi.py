@@ -198,6 +198,17 @@ def test_fix_signs_writes_nothing_when_no_column_flips():
     assert np.array_equal(u, u_before) and np.array_equal(v[:, 1], -v_before[:, 1])
 
 
+def test_fix_signs_keeps_the_first_row_on_a_tie():
+    # column 0's first peak is +0.5: kept; column 1's is -0.5: flipped; column 2 is all
+    # zero, -0.0 first, and never flips
+    u = np.array([[0.5, -0.5, -0.0], [-0.5, 0.5, 0.0]])
+    v = np.eye(3)
+    _fix_signs(u, v)
+    assert u.tobytes() == np.array([[0.5, 0.5, -0.0], [-0.5, -0.5, 0.0]]).tobytes()
+    assert v.tobytes() == np.array([[1.0, -0.0, 0.0], [0.0, -1.0, 0.0],
+                                    [0.0, -0.0, 1.0]]).tobytes()
+
+
 def _fix_signs_by_columns(u, v):
     """The sign convention as a boolean gather and scatter of the flipped columns.
 

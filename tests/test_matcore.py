@@ -144,3 +144,16 @@ class TestAsMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_first_or_last_entry(self, value, index):
+        a = make_rng(5).normal(size=(3, 4))
+        a.flat[index] = value
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            as_matrix(a, "x")
+
+    def test_accepts_every_finite_extreme(self):
+        a = np.array([[-0.0, 5e-324], [1.7e308, -1.7e308]])
+        out = as_matrix(a)
+        assert out.tobytes() == a.tobytes()

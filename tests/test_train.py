@@ -165,6 +165,54 @@ PARITY_CASES = [("lora", None)] + [
 ]
 
 
+def matmul_step(state, x, y, targets):
+    """The forward output, z and the gradients by the step's formulas written inline with `@`.
+
+    The state's factor is the one its last forward pass cached.
+    """
+    cfg = state.cfg
+    if cfg.method == "lora":
+        out = state.b_lo @ (state.a @ x)
+        out *= cfg.alpha / cfg.rank
+        out += y
+        z = None
+    else:
+        p = state.cache[1].p_factor
+        z = p.T @ y
+        if state.r is not None:
+            z -= state.r @ x
+        out = y - p @ z
+    diff = out - targets
+    m, k = diff.shape
+    scale = 2.0 / (m * k)
+    if cfg.method == "lora":
+        scale *= cfg.alpha / cfg.rank
+        return out, z, {"a": scale * ((state.b_lo.T @ diff) @ x.T),
+                        "b_lo": scale * (diff @ (x.T @ state.a.T))}
+    (name, latent), *_ = trainables(state).items()
+    pg = scale * (p.T @ diff)
+    dp = -scale * (diff @ z.T) - y @ pg.T
+    if cfg.backend.kind == "relax_nmf":
+        dp = dp * (latent > 0.0)
+    return out, z, {name: dp, **({} if state.r is None else {"r": pg @ x.T})}
+
+
+def step_and_reference(state, task):
+    """(forward output, state.z, gradients) of the step and of matmul_step on the same state."""
+    x, y = _batch(state, task)
+    out = forward(state, x, y)
+    z = state.z
+    grads = _loss_and_grads(state, x, y, task.targets)[1]
+    return (out, z, grads), matmul_step(state, x, y, task.targets)
+
+
+# lora, and para/deft on a factor that is the latent (relax), masked (relax_nmf) or
+# orthonormal (qr, tsvd)
+PRODUCT_CASES = [("lora", None)] + [
+    (method, kind) for method in ("para", "deft") for kind in ("qr", "tsvd", "relax", "relax_nmf")
+]
+
+
 class TestLowRankStep:
     @pytest.mark.filterwarnings("ignore:nmf input has negative entries")
     @pytest.mark.parametrize("method,kind", PARITY_CASES)
@@ -181,27 +229,51 @@ class TestLowRankStep:
     @pytest.mark.parametrize("method", ["para", "deft"])
     def test_grad_reuses_the_forward_coefficient_bit_for_bit(self, method, kind):
         state, task = rect_state(method, kind, seed=61)
-        (name, latent), *_ = trainables(state).items()
         x, y = _batch(state, task)
         got = _loss_and_grads(state, x, y, task.targets)[1]
-        # the step's formulas written inline, with z recomputed from y
-        p = state.cache[1].p_factor
-        z = p.T @ y
-        if state.r is not None:
-            z -= state.r @ x
+        _, z, want = matmul_step(state, x, y, task.targets)  # z recomputed from y
         assert state.z.tobytes() == z.tobytes()
-        diff = forward(state, x, y)
-        diff -= task.targets
-        m, k = diff.shape
-        scale = 2.0 / (m * k)
-        pg = scale * (p.T @ diff)
-        dp = -scale * (diff @ z.T) - y @ pg.T
-        if kind == "relax_nmf":
-            dp = dp * (latent > 0.0)
-        want = {name: dp, **({} if state.r is None else {"r": pg @ x.T})}
         assert list(got) == list(want)
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), (method, kind, key)
+
+    # (m, n, batch, rank): rank 1, a 1-row and a 1-column w0, and batch 1, where numpy's
+    # `dot` may take a vector path (gemv or a dot product) instead of gemm
+    @pytest.mark.parametrize("shape", [(40, 24, 16, 1), (1, 24, 16, 1), (40, 1, 16, 1),
+                                       (40, 24, 1, 1), (40, 24, 1, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("method,kind", PRODUCT_CASES)
+    def test_step_products_match_matmul_bit_for_bit(self, method, kind, shape):
+        m, n, k, rank = shape
+        for zero_r_side in (False, True):
+            state, task = rect_state(method, kind, seed=62, m=m, n=n, k=k, rank=rank)
+            if zero_r_side:  # as at init: lora's b_lo and deft's r are zero
+                for mat in list(trainables(state).values())[1:]:
+                    mat[...] = 0.0
+            (out, z, got), (want_out, want_z, want) = step_and_reference(state, task)
+            assert out.tobytes() == want_out.tobytes()
+            assert (z is None) == (want_z is None)  # lora keeps no z
+            assert want_z is None or z.tobytes() == want_z.tobytes()
+            assert list(got) == list(want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), (zero_r_side, key)
+
+    @pytest.mark.parametrize("shape", [(1, 24, 1, 1), (40, 1, 1, 1), (1, 1, 1, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("method,kind", PRODUCT_CASES)
+    def test_one_by_one_products_match_matmul_up_to_the_sign_of_zero(self, method, kind, shape):
+        # batch 1 on a 1-row or 1-column w0 multiplies 1 x 1 by 1 x 1 matrices; there `dot`
+        # returns the product itself and `@` adds it to 0.0, so an exact zero may differ
+        # in sign, and nothing else may
+        m, n, k, rank = shape
+        state, task = rect_state(method, kind, seed=63, m=m, n=n, k=k, rank=rank)
+        (out, z, got), (want_out, want_z, want) = step_and_reference(state, task)
+        assert np.array_equal(out, want_out)
+        assert (z is None) == (want_z is None)
+        assert want_z is None or np.array_equal(z, want_z)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
     @pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
     def test_step_leaves_the_batch_unchanged(self, method, kind):

@@ -8,8 +8,11 @@ The battery writes its inputs from fixed seeds and runs ``deft.cli.main``
 in-process on them:
 
 - train: lora and deft x 7 kinds on acceptance c08's 32x32 task (2000
-  steps, the rates of perfbench's finetune-32), and lora, para x 7 and
-  deft x 7 on a 16x12 task at input scale 2 (150 steps);
+  steps, the rates of perfbench's finetune-32), lora, para x 7 and
+  deft x 7 on a 16x12 task at input scale 2 (150 steps), and lora,
+  deft/relax and deft/qr at rank 8 on a 160x128 task (20 steps), above
+  the sizes where numpy's ``dot`` and ``matmul`` pick other gemm paths
+  than for small matrices;
 - verify: the 21 default CSVs, 7 backends x seeds 0, 7 and 21;
 - decompose: 7 kinds x a tall, a wide and a non-negative input;
 - adapt-init: lora, deft/tsvd and para/nmf with nmf knobs;
@@ -69,10 +72,13 @@ def _inputs(inp):
     """Write the battery's matrices and configs under `inp`."""
     _write_mat1(_normal(6000, 32, 32), os.path.join(inp, "c08.mat"))  # c08's W0
     _write_mat1(_normal(7, 16, 12), os.path.join(inp, "small.mat"))
+    _write_mat1(_normal(8, 160, 128), os.path.join(inp, "mid.mat"))
     _write_mat1(_normal(11, 20, 9), os.path.join(inp, "tall.mat"))
     _write_mat1(_normal(12, 9, 20), os.path.join(inp, "wide.mat"))
     _write_mat1(abs(_normal(13, 12, 8)), os.path.join(inp, "nonneg.mat"))
-    configs = {"lora4": "method = lora\nrank = 4\n", "lora3": "method = lora\nrank = 3\n"}
+    configs = {f"lora{r}": f"method = lora\nrank = {r}\n" for r in (3, 4, 8)}
+    for kind in ("relax", "qr"):
+        configs[f"deft8-{kind}"] = f"method = deft\nrank = 8\nbackend = {kind}\n"
     for kind in KINDS:
         configs[f"deft4-{kind}"] = f"method = deft\nrank = 4\nbackend = {kind}\n"
         for method in ("para", "deft"):
@@ -100,6 +106,8 @@ def _jobs(work):
     for kind in KINDS:
         for method in ("para", "deft"):
             train(f"small/{method}-{kind}", "small", f"{method}3-{kind}", 150, *small)
+    for cfg in ("lora8", "deft8-relax", "deft8-qr"):
+        train(f"mid/{cfg}", "mid", cfg, 20, "--task-seed", "5")
     for kind in KINDS:
         for seed in (0, 7, 21):
             jobs.append((f"verify/{kind}/seed{seed}",
