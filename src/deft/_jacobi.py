@@ -1,4 +1,4 @@
-"""One-sided Jacobi SVD, the factorization behind the tsvd and lrmf backends.
+"""One-sided Jacobi SVD, behind a portable tsvd or lrmf decompose call.
 
 Rotates column pairs of a working copy until all pairs are numerically
 orthogonal; column norms are then the singular values, normalized columns

@@ -54,9 +54,9 @@ speed, so every product with a rank-sized output (P^T base, R x, lora's
 a x and every gradient product) is taken with ndarray.dot: the same BLAS
 gemm as `@` through a cheaper call. The one product with an m x k output,
 P z (lora's b_lo (a x)), keeps `@`, because dot takes a slower gemm path
-for a large output; README's step-cost paragraph gives the timings. The
-two give the same bits, except that a 1 x 1 by 1 x 1 product (batch 1 on
-a 1-row or 1-column layer) may differ in the sign of an exact zero.
+for a large output; CHANGES.md gives the timings. The two give the same
+bits, except that a 1 x 1 by 1 x 1 product (batch 1 on a 1-row or
+1-column layer) may differ in the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -204,18 +204,19 @@ def trainables(state):
     return {name: getattr(state, name) for name, _, _ in _TRAINABLES[state.cfg.method]}
 
 
-def refresh(state, portable=True):
+def refresh(state):
     """Factorize the p-side latent unless the cache was built from the same bytes.
 
     The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
     a factor. Any change to the latent, in place or by reassignment, is
     seen here; nothing has to mark the cache out of date.
 
-    `portable` is passed on to decompose, whose docstring says what it
-    changes; the training loop and `deft verify`, which store no factor,
-    pass False. A cache hit returns the cached factor either way, so a
-    caller that needs the portable factor after such a refresh drops the
-    cache first, as run_finetune does.
+    tsvd and lrmf always factor with LAPACK's thin SVD (decompose's
+    portable=False), so every reader of a latent, in training or after a
+    reload, gets the same basis: deft's update depends on the basis, not
+    only on its span, because R is trained in P's coordinates. No adapter
+    output was portable across BLAS libraries anyway, since forward, merge
+    and the loss go through BLAS gemm.
     """
     cfg = state.cfg
     if cfg.backend is None:  # lora: nothing to factorize
@@ -224,7 +225,7 @@ def refresh(state, portable=True):
     key = latent.tobytes()
     if state.cache is None or state.cache[0] != key:
         state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed,
-                                      portable=portable))
+                                      portable=False))
     return state
 
 

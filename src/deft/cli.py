@@ -216,9 +216,6 @@ def cmd_verify(args):
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, rank, n, 1.0)
         state.p_latent = gaussian(rng, m, rank, 0.5)
-        # a trial stores only ranks and booleans, and a failure dump holds the factor its
-        # check used, so the factor comes from LAPACK; merge and projection_factor hit it
-        adapters.refresh(state, portable=False)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
             w_total = adapters.merge(state)
             w0_norm = frobenius_norm(w0)

@@ -26,10 +26,12 @@ dispatch, reconstruction, CLI output files and training gradient read it.
 ``decompose`` validates the matrix and the rank once, so a kind's factor
 rule receives a checked float64 matrix and a rank in range.
 
-The SVD behind tsvd and lrmf is the one-sided Jacobi routine in
-``deft._jacobi``, which acceptance check c10 times: a LAPACK thin SVD of a
-3072 x 8 latent would beat nmf and invert that speed ordering. What
-``portable`` changes is said once, in ``decompose``'s docstring.
+By default the SVD behind tsvd and lrmf is the one-sided Jacobi routine
+in ``deft._jacobi``, which acceptance check c10 times: a LAPACK thin SVD
+of a 3072 x 8 latent would beat nmf and invert that speed ordering. Only
+a direct call takes that portable default; an adapter always factors
+with LAPACK (see deft.adapters.refresh). What ``portable`` changes is
+said once, in ``decompose``'s docstring.
 """
 
 from __future__ import annotations
@@ -293,15 +295,15 @@ def decompose(b, backend, rank=None, seed=0, portable=True):
     deft._jacobi, whose rotations call no BLAS or LAPACK routine, so its
     bits do not depend on those libraries, except where a zero singular
     value leaves columns to fill (_complete_basis uses BLAS ``@`` and
-    ``np.linalg.norm``). portable=False puts them on LAPACK's thin
-    SVD, which is faster on small inputs, in the same order and sign
-    convention, with no ``"sweeps"`` in stats. The singular values agree
-    to rounding, and so do the vectors where the singular values are well
-    apart; where they (nearly) coincide, only the span is defined and the
-    two may pick different bases of it. Either way the bits of qr
-    (``np.linalg.qr``), eig (``np.linalg.svd``) and nmf (BLAS ``@``)
-    depend on the BLAS and LAPACK libraries; relax and relax_nmf are
-    exact.
+    ``np.linalg.norm``). portable=False, which every adapter's factor
+    takes, puts them on LAPACK's thin SVD, faster on small inputs, in the
+    same order and sign convention, with no ``"sweeps"`` in stats. The
+    singular values agree to rounding, and so do the vectors where the
+    singular values are well apart; where they (nearly) coincide, only the
+    span is defined and the two may pick different bases of it. Either way
+    the bits of qr (``np.linalg.qr``), eig (``np.linalg.svd``) and nmf
+    (BLAS ``@``) depend on the BLAS and LAPACK libraries; relax and
+    relax_nmf are exact.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]

@@ -1,8 +1,8 @@
 """A differential-rate SGD loop over adapters, and synthetic tasks.
 
-The gradient it follows, and what a step costs, are in deft.adapters. The
-loop refreshes the factor with portable=False (see
-deft.decompose.decompose), and the final loss refactorizes portably.
+The gradient it follows, what a step costs and which SVD factors a tsvd
+or lrmf latent are in deft.adapters. The loop's last pass is the final
+loss, on the factor every later reader of the trained latent gets.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import zip_longest
 import numpy as np
 
 from deft import store
-from deft.adapters import _TRAINABLES, _gradients, check_inputs, forward, init_adapter, refresh
+from deft.adapters import _TRAINABLES, _gradients, check_inputs, forward, init_adapter
 from deft.matcore import as_matrix, frobenius_norm, make_rng
 
 
@@ -116,15 +116,6 @@ def _batch(state, task):
     return x, state.w0 @ x
 
 
-def _loss_and_grads(state, x, y, targets):
-    """Loss and gradients on a validated batch x whose base output is y = w0 @ x.
-
-    deft.adapters' module docstring gives the step's cost and why it is so.
-    """
-    diff = _residual(state, x, y, targets)
-    return _mse(diff), _gradients(state, x, y, diff)
-
-
 def grad(state, task):
     """Gradients of loss_mse with respect to each trainable matrix.
 
@@ -132,7 +123,8 @@ def grad(state, task):
     are exact; for factorizing backends they are the straight-through
     estimates described in deft.adapters.
     """
-    return _loss_and_grads(state, *_batch(state, task), task.targets)[1]
+    x, y = _batch(state, task)
+    return _gradients(state, x, y, _residual(state, x, y, task.targets))
 
 
 def sgd_step(state, grads, cfg):
@@ -162,31 +154,24 @@ def run_finetune(w0, cfg, task, steps):
     x, y = _batch(state, task)  # w0 is frozen: one base product serves every step
 
     last_finite = None
-    for i in range(steps):
+    for i in range(steps + 1):  # the last pass is the final loss
         try:
-            refresh(state, portable=False)  # no in-loop factor is stored
+            diff = _residual(state, x, y, task.targets)
         except ValueError:  # as_matrix's refusal of a latent that the last step overflowed
             raise DivergenceError(i, last_finite) from None
-        loss, grads = _loss_and_grads(state, x, y, task.targets)
+        loss = _mse(diff)
+        grads = _gradients(state, x, y, diff) if i < steps else None
+        del diff  # the next pass's residual is allocated without this one
         if not math.isfinite(loss):
             raise DivergenceError(i, last_finite)
         last_finite = loss
         report.losses.append(loss)
+        if i == steps:
+            break
         gp, *gr = grads.values()
         report.grad_norm_p.append(frobenius_norm(gp))
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
         sgd_step(state, grads, cfg)
-
-    # the final loss and the returned state use the portable factor a reload builds, even
-    # where the last step left the latent as it was
-    state.cache = None
-    try:
-        final = _mse(_residual(state, x, y, task.targets))  # the bits of loss_mse(state, task)
-    except ValueError:  # the refresh inside forward refused an overflowed latent
-        raise DivergenceError(steps, last_finite) from None
-    if not math.isfinite(final):
-        raise DivergenceError(steps, last_finite)
-    report.losses.append(final)
     report.final_state_hash = store.state_hash(state)
     report.w0_hash_after = store.matrix_hash(state.w0).hex()
     return report, state

@@ -441,11 +441,11 @@ def _same_bits(r1, r2):
             and all(r1.aux[k].tobytes() == r2.aux[k].tobytes() for k in r1.aux))
 
 
-class TestWarmStart:
+class TestPortable:
     """decompose's `portable`: False puts tsvd and lrmf on LAPACK's thin SVD.
 
-    Here "warm" is that path, which training's in-loop refresh takes, and
-    "cold" the portable Jacobi one.
+    That path is the one every adapter's refresh takes; the default, True,
+    is the Jacobi SVD.
     """
 
     def latent(self):
@@ -462,15 +462,15 @@ class TestWarmStart:
                     assert res.stats == {}, (kind, portable)
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
-    def test_warm_factor_matches_the_cold_one(self, kind):
+    def test_lapack_factor_matches_the_jacobi_one(self, kind):
         for b in (self.latent(), self.latent()[:9].T):  # a wide one signs its v, not its u
-            cold = decompose(b, Backend(kind))
+            jac = decompose(b, Backend(kind))
             fast = decompose(b, Backend(kind), portable=False)
-            assert not _same_bits(fast, cold)  # LAPACK ran ...
-            assert np.abs(fast.p_factor - cold.p_factor).max() <= 1e-12  # ... equal to rounding
-            for key in cold.aux:
-                assert np.abs(fast.aux[key] - cold.aux[key]).max() <= 1e-12, key
-            assert fast.notes == cold.notes
+            assert not _same_bits(fast, jac)  # LAPACK ran ...
+            assert np.abs(fast.p_factor - jac.p_factor).max() <= 1e-12  # ... equal to rounding
+            for key in jac.aux:
+                assert np.abs(fast.aux[key] - jac.aux[key]).max() <= 1e-12, key
+            assert fast.notes == jac.notes
 
     def test_other_kinds_and_other_starts_are_ignored(self):
         # of a start, only portable=False is left, and only tsvd and lrmf read it
@@ -485,12 +485,12 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_fast_factor_of_a_degenerate_latent(self, kind, name):
         # only the span is defined where singular values (nearly) coincide, so the fast factor
-        # is checked for orthonormal bases and the reconstruction, not against the cold one
+        # is checked for orthonormal bases and the reconstruction, not against the Jacobi one
         b = _degenerate_latents()[name]
-        cold = decompose(b, Backend(kind))
+        jac = decompose(b, Backend(kind))
         fast = decompose(b, Backend(kind), portable=False)
-        s0 = cold.aux["s"][0]
-        assert np.abs(fast.aux["s"] - cold.aux["s"]).max() <= 1e-12 * s0
+        s0 = jac.aux["s"][0]
+        assert np.abs(fast.aux["s"] - jac.aux["s"]).max() <= 1e-12 * s0
         assert np.abs(reconstruct(fast, b) - b).max() <= 1e-12 * s0
         k = min(b.shape)
         v = fast.aux["v"]
@@ -498,7 +498,7 @@ class TestWarmStart:
         if kind == "tsvd":  # the dependent directions are filled: u is a whole orthonormal basis
             u = fast.p_factor
             assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
-        assert fast.notes == cold.notes  # lrmf's zero_singular_columns, on the two rank-deficient ones
+        assert fast.notes == jac.notes  # lrmf's zero_singular_columns, on the two rank-deficient ones
 
 
 def _degenerate_latents():

@@ -2,7 +2,7 @@
 
 The Jacobi SVD shares no code with LAPACK, so LAPACK serves here as an
 independent oracle, even though the library itself calls it for eig, for
-rank counting and for training's in-loop tsvd/lrmf refreshes.
+rank counting and for every adapter's tsvd/lrmf factor.
 """
 
 import hashlib
@@ -278,9 +278,9 @@ def test_stats_count_the_sweeps_of_the_run(monkeypatch):
     assert one_column == {"sweeps": 0}
 
 
-# Training's in-loop ("warm") refreshes no longer start a Jacobi run from the last factor: they
-# factor with LAPACK's thin SVD (decompose's portable=False). The tests below hold that path to
-# what the warm start promised against this kernel's cold run.
+# An adapter's refresh factors a tsvd/lrmf latent with LAPACK's thin SVD (decompose's
+# portable=False), also after the cache held another latent's factor. The tests below hold that
+# path to this kernel's run on the same latent.
 
 
 def _sgd_walk(seed, shape, steps, size=1e-3):
@@ -290,15 +290,15 @@ def _sgd_walk(seed, shape, steps, size=1e-3):
 
 
 @pytest.mark.parametrize("shape", [(32, 4), (12, 5), (4, 9)])
-def test_warm_start_matches_cold(shape):
+def test_lapack_factor_of_an_sgd_walk_matches_jacobi(shape):
     a, moves = _sgd_walk(13, shape, 30)
     for move in moves:
         a += move
-        cold = jacobi_svd(a)
-        warm = decompose(a, Backend("tsvd"), portable=False)
-        assert warm.stats == {}  # no Jacobi sweep ran
+        jac = jacobi_svd(a)
+        lapack = decompose(a, Backend("tsvd"), portable=False)
+        assert lapack.stats == {}  # no Jacobi sweep ran
         # entrywise: the same order and sign convention
-        for c, w in zip(cold, (warm.p_factor, warm.aux["s"], warm.aux["v"])):
+        for c, w in zip(jac, (lapack.p_factor, lapack.aux["s"], lapack.aux["v"])):
             assert np.abs(c - w).max() <= 1e-12
 
 
@@ -317,9 +317,9 @@ def _degenerate_latents():
 
 @pytest.mark.parametrize("name", ["zero column", "equal columns", "graded", "wide"])
 @pytest.mark.parametrize("start_from", ["nearby matrix", "random rotation"])
-def test_warm_start_on_degenerate_latents(name, start_from):
-    # the warm refresh of a degenerate latent, after the cache held the factor of a nearby
-    # matrix or of a random rotation of the latent (same singular values, other vectors)
+def test_refresh_of_degenerate_latents(name, start_from):
+    # the refresh of a degenerate latent, after the cache held the factor of a nearby matrix
+    # or of a random rotation of the latent (same singular values, other vectors)
     a = _degenerate_latents()[name]
     k = min(a.shape)
     rng = make_rng(20)
@@ -330,19 +330,19 @@ def test_warm_start_on_degenerate_latents(name, start_from):
     # refresh reads only the config and the latent
     cfg = AdapterConfig("deft", k, backend=Backend("tsvd"))
     state = AdapterState(cfg=cfg, w0=np.zeros(a.shape), p_latent=before)
-    refresh(state, portable=False)
+    refresh(state)
     state.p_latent = a.copy()
-    warm = refresh(state, portable=False).cache[1]
+    got = refresh(state).cache[1]
     fresh = decompose(a, Backend("tsvd"), k, portable=False)
-    for x, y in ((warm.p_factor, fresh.p_factor), (warm.aux["s"], fresh.aux["s"]),
-                 (warm.aux["v"], fresh.aux["v"])):
+    for x, y in ((got.p_factor, fresh.p_factor), (got.aux["s"], fresh.aux["s"]),
+                 (got.aux["v"], fresh.aux["v"])):
         assert x.tobytes() == y.tobytes()  # nothing of the earlier factor carries over
-    u, s, v = warm.p_factor, warm.aux["s"], warm.aux["v"]
-    cold = jacobi_svd(a)
+    u, s, v = got.p_factor, got.aux["s"], got.aux["v"]
+    jac = jacobi_svd(a)
     # where singular values (nearly) coincide only the span is defined, so u and v are
-    # checked as bases, not entrywise against the cold ones
-    assert np.abs(s - cold[1]).max() <= 1e-12 * cold[1][0]
-    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * cold[1][0]
+    # checked as bases, not entrywise against the Jacobi ones
+    assert np.abs(s - jac[1]).max() <= 1e-12 * jac[1][0]
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * jac[1][0]
     # the dependent directions are filled: u and v are whole orthonormal bases
     assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
     assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12

@@ -14,7 +14,8 @@ from deft.train import (
     DivergenceError,
     ToyTask,
     _batch,
-    _loss_and_grads,
+    _gradients,
+    _residual,
     grad,
     loss_mse,
     make_teacher_noise_task,
@@ -202,7 +203,7 @@ def step_and_reference(state, task):
     x, y = _batch(state, task)
     out = forward(state, x, y)
     z = state.z
-    grads = _loss_and_grads(state, x, y, task.targets)[1]
+    grads = _gradients(state, x, y, _residual(state, x, y, task.targets))
     return (out, z, grads), matmul_step(state, x, y, task.targets)
 
 
@@ -230,7 +231,7 @@ class TestLowRankStep:
     def test_grad_reuses_the_forward_coefficient_bit_for_bit(self, method, kind):
         state, task = rect_state(method, kind, seed=61)
         x, y = _batch(state, task)
-        got = _loss_and_grads(state, x, y, task.targets)[1]
+        got = _gradients(state, x, y, _residual(state, x, y, task.targets))
         _, z, want = matmul_step(state, x, y, task.targets)  # z recomputed from y
         assert state.z.tobytes() == z.tobytes()
         assert list(got) == list(want)
@@ -280,7 +281,7 @@ class TestLowRankStep:
         state, task = rect_state(method, kind, seed=57)
         x, y = _batch(state, task)
         before = [a.copy() for a in (x, y, task.targets)]
-        _loss_and_grads(state, x, y, task.targets)
+        _gradients(state, x, y, _residual(state, x, y, task.targets))
         for was, now in zip(before, (x, y, task.targets)):
             assert was.tobytes() == now.tobytes()
 
@@ -482,9 +483,8 @@ class TestReporting:
         assert "final_loss=" in line
 
 
-class TestWarmRefresh:
-    """run_finetune refactorizes each step's tsvd/lrmf latent with LAPACK ("warm"), then the
-    final loss's with the portable Jacobi SVD ("cold")."""
+class TestAdapterFactor:
+    """run_finetune, and every later reader of its latent, factor tsvd/lrmf with LAPACK."""
 
     def job(self, kind):
         """w0, config and task of a small deft run with backend `kind`."""
@@ -494,20 +494,20 @@ class TestWarmRefresh:
         return w0, cfg, task
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
-    def test_warm_call_after_an_sgd_step_takes_fewer_sweeps(self, kind):
+    def test_refresh_after_an_sgd_step_takes_lapacks_svd(self, kind):
         w0, cfg, task = self.job(kind)
         state = init_adapter(w0, cfg)
         refresh(state)
         sgd_step(state, grad(state, task), cfg)
-        cold = decompose(state.p_latent, cfg.backend, cfg.rank)
-        fast = refresh(state, portable=False).cache[1]
-        assert cold.stats["sweeps"] >= 1 and fast.stats == {}  # no Jacobi SVD ran
-        assert refresh(state).cache[1] is fast  # a cold reader of the same bytes reuses it
-        assert np.abs(fast.p_factor - cold.p_factor).max() <= 1e-12
-        for key in cold.aux:
-            assert np.abs(fast.aux[key] - cold.aux[key]).max() <= 1e-12, key
+        jac = decompose(state.p_latent, cfg.backend, cfg.rank)
+        fast = refresh(state).cache[1]
+        assert jac.stats["sweeps"] >= 1 and fast.stats == {}  # no Jacobi SVD ran
+        assert refresh(state).cache[1] is fast  # a second reader of the same bytes reuses it
+        assert np.abs(fast.p_factor - jac.p_factor).max() <= 1e-12
+        for key in jac.aux:
+            assert np.abs(fast.aux[key] - jac.aux[key]).max() <= 1e-12, key
 
-    def test_loop_starts_warm_and_the_final_loss_cold(self, monkeypatch):
+    def test_every_factor_of_a_run_is_lapacks(self, monkeypatch):
         calls = []
         real = adapters.decompose
 
@@ -518,7 +518,7 @@ class TestWarmRefresh:
         monkeypatch.setattr(adapters, "decompose", recording)
         w0, cfg, task = self.job("tsvd")
         run_finetune(w0, cfg, task, steps=5)
-        assert calls == [False] * 5 + [True]  # one LAPACK factor per step; the final loss
+        assert calls == [False] * 6  # one LAPACK factor per step, and the final loss's
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_trained_state_and_its_reload_agree_bit_for_bit(self, kind, tmp_path):
@@ -531,18 +531,44 @@ class TestWarmRefresh:
         assert forward(loaded, task.inputs).tobytes() == forward(state, task.inputs).tobytes()
         assert loss_mse(loaded, task) == loss_mse(state, task) == report.losses[-1]
 
-    def test_final_factor_is_cold_when_the_last_step_moves_nothing(self, monkeypatch):
+    def test_final_factor_is_the_loops_when_the_last_step_moves_nothing(self, monkeypatch):
         steps = []
 
         def all_but_the_last(state, grads, cfg):
-            steps.append(None)
+            steps.append(state.cache[1])
             return state if len(steps) == 3 else sgd_step(state, grads, cfg)
 
         monkeypatch.setattr(train, "sgd_step", all_but_the_last)
         w0, cfg, task = self.job("tsvd")
-        _, state = run_finetune(w0, cfg, task, steps=3)  # step 2 factors with LAPACK, step 3 is void
-        cold = decompose(state.p_latent, cfg.backend, cfg.rank)
-        assert projection_factor(state).tobytes() == cold.p_factor.tobytes()
+        _, state = run_finetune(w0, cfg, task, steps=3)  # step 3 is void
+        assert state.cache[1] is steps[-1]  # the final loss reused step 3's factor
+        lapack = decompose(state.p_latent, cfg.backend, cfg.rank, portable=False)
+        assert projection_factor(state).tobytes() == lapack.p_factor.tobytes()
+
+    @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
+    def test_final_loss_is_the_trained_models_at_a_repeated_singular_value(
+            self, kind, monkeypatch, tmp_path):
+        # only the span of the top two singular vectors is defined, and R is trained in the
+        # factor's coordinates, so a final loss on another SVD's basis is another model's
+        w0, cfg, task = self.job(kind)
+        rng = make_rng(64)
+        q = np.linalg.qr(rng.normal(size=(12, 3)))[0]
+        rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        latent = (q * [1.0, 1.0, 0.5]) @ rot
+        r = rng.normal(size=(3, 8))
+        real_init = train.init_adapter
+
+        def degenerate(w0, cfg):
+            state = real_init(w0, cfg)
+            state.p_latent, state.r = latent.copy(), r.copy()
+            return state
+
+        monkeypatch.setattr(train, "init_adapter", degenerate)
+        monkeypatch.setattr(train, "sgd_step", lambda state, grads, cfg: state)  # moves nothing
+        report, state = run_finetune(w0, cfg, task, steps=1)
+        assert report.losses[-1] == report.losses[-2]
+        store.save_adapter(state, tmp_path / "a.adpt")
+        assert loss_mse(store.load_adapter(tmp_path / "a.adpt", w0), task) == report.losses[-1]
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_fixed_seed_reproduces_its_bytes(self, kind):

@@ -17,7 +17,8 @@ in-process on them:
 - decompose: 7 kinds x a tall, a wide and a non-negative input;
 - adapt-init: lora, deft/tsvd and para/nmf with nmf knobs;
 - displacement: the seeded probe at seeds 0 and 4, and the trained c08
-  deft/relax checkpoint.
+  deft/relax and deft/tsvd checkpoints; the tsvd one reloads a
+  factorizing adapter, which refactorizes its latent.
 
 An artefact is a written file, or a run's exit code with its stdout and
 stderr. Output and input paths are masked as <out> and <in>, and
@@ -127,9 +128,10 @@ def _jobs(work):
     for seed in (0, 4):
         jobs.append((f"displacement/probe-seed{seed}",
                      ["displacement", "--seed", str(seed), "--out", "{out}/d.csv"]))
-    jobs.append(("displacement/c08-deft-relax",
-                 ["displacement", "--state", f"{work}/out/train/c08/deft-relax/adapter.adpt",
-                  "--w0", f"{inp}/c08.mat", "--out", "{out}/d.csv"]))
+    for kind in ("relax", "tsvd"):
+        jobs.append((f"displacement/c08-deft-{kind}",
+                     ["displacement", "--state", f"{work}/out/train/c08/deft-{kind}/adapter.adpt",
+                      "--w0", f"{inp}/c08.mat", "--out", "{out}/d.csv"]))
     return jobs
 
 
