@@ -174,6 +174,11 @@ class TestForwardAndMerge:
         with pytest.raises(ShapeError):
             forward(state, np.ones((6, 3)))
 
+    def test_empty_batch_refused(self):
+        state = init_adapter(random_w0(15), AdapterConfig("deft", 2))
+        with pytest.raises(ShapeError, match=r"^x must be non-empty, got shape \(7, 0\)$"):
+            forward(state, np.zeros((7, 0)))
+
     def test_projection_factor_refused_for_lora(self):
         state = init_adapter(random_w0(16), AdapterConfig("lora", 2))
         with pytest.raises(ConfigError):

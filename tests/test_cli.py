@@ -192,6 +192,13 @@ class TestAdaptInit:
         with open("env.adpt", "rb") as f1, open("flag.adpt", "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_zero_alpha_is_usage_error(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=8)
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "lora", "--rank", "2",
+                     "--alpha", "0", "--out", "a.adpt"]) == 2
+        assert capsys.readouterr().err == "usage error: alpha must be positive, got 0.0\n"
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["w0.mat"]
+
     @pytest.mark.parametrize("method", ["deft", "lora"])
     def test_overflowing_init_draw_is_usage_error(self, in_tmp, capsys, method):
         # stddev 1e308 takes some of the 32 p-side entries past float64's range
@@ -246,6 +253,28 @@ class TestTrain:
             with open(f"{out}/report.csv", "rb") as f1, open(f"{out}/adapter.adpt", "rb") as f2:
                 blobs.append((f1.read(), f2.read()))
         assert blobs[0] == blobs[1]
+
+    def test_zero_alpha_in_config_is_io_error(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=10, m=8, n=8)
+        write_config("run.cfg", ["method = deft", "rank = 2", "backend = relax", "alpha = 0"])
+        assert main(["train", "--w0", "w0.mat", "--config", "run.cfg",
+                     "--steps", "3", "--out", "run"]) == 3
+        assert capsys.readouterr().err == (
+            "io error: invalid config: alpha must be positive, got 0.0\n")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["run.cfg", "w0.mat"]
+
+    def test_diverging_c08_lrmf_run_prints_one_line(self, in_tmp, capsys):
+        # the benchmark's c08 deft/lrmf job: its sums of squares overflow on the way to
+        # inf, and none of them may add a warning line before the error
+        store.save_matrix(make_rng(6000).normal(size=(32, 32)), "w0.mat")
+        write_config("lrmf.cfg", ["method = deft", "rank = 4", "backend = lrmf",
+                                  "lr_p = 0.001", "lr_r = 0.01", "init_stddev = 0.1",
+                                  "seed = 0"])
+        assert main(["train", "--w0", "w0.mat", "--config", "lrmf.cfg", "--steps", "2000",
+                     "--task-seed", "1", "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: loss diverged to a non-finite value at step 12;")
 
     def test_divergence_exits_one(self, in_tmp, capsys):
         write_mat("w0.mat", seed=14, m=6, n=6)
@@ -593,6 +622,28 @@ class TestMalformedFiles:
         buf[6] = 7  # one past relax_nmf
         assert self._displacement(buf) == 3
         assert capsys.readouterr().err == "io error: a.adpt: unsupported backend tag 7\n"
+        assert not (in_tmp / "d.csv").exists()
+
+    def test_section_of_the_wrong_shape(self, in_tmp, capsys):
+        w0 = write_mat("w0.mat", seed=22, m=8, n=8)
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--out", "a.adpt"]) == 0
+        with open("a.adpt", "rb") as f:
+            buf = bytearray(f.read())
+        # r's 2 x 8 header becomes 8 x 2: the same byte count, so only the shape check sees it
+        at = buf.index(struct.pack("<Q", 1) + b"rMAT1") + 13
+        assert struct.unpack_from("<QQ", buf, at) == (2, 8)
+        struct.pack_into("<QQ", buf, at, 8, 2)
+        with open("a.adpt", "wb") as f:
+            f.write(bytes(buf))
+        with pytest.raises(store.FormatError) as exc:
+            store.load_adapter("a.adpt", w0)
+        assert str(exc.value) == "a.adpt: section 'r' has shape (8, 2), expected (2, 8)"
+        capsys.readouterr()
+        assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat",
+                     "--out", "d.csv"]) == 3
+        assert capsys.readouterr().err == (
+            "io error: a.adpt: section 'r' has shape (8, 2), expected (2, 8)\n")
         assert not (in_tmp / "d.csv").exists()
 
     def test_non_utf8_section_name(self, in_tmp, capsys):

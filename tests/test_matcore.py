@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import deft
+from deft import matcore
 from deft.matcore import (
     ShapeError,
     as_matrix,
@@ -8,7 +15,9 @@ from deft.matcore import (
     gaussian,
     make_rng,
     numerical_rank,
+    sum_of_squares,
 )
+from deft.train import _mse
 
 
 def elimination_rank(a, tol=1e-9):
@@ -55,13 +64,65 @@ class TestFrobeniusNorm:
             m = rng.normal(size=(5, 3)) * 10.0 ** rng.uniform(-100.0, 100.0)
             norm = frobenius_norm(m)
             assert type(norm) is float
-            assert norm == float(np.sqrt(np.einsum("ij,ij->", m, m)))
+            assert norm == float(np.sqrt(np.vdot(m, m)))
 
     def test_extreme_scale(self):
         # the plain sum of squares would overflow to inf or underflow to 0
         assert frobenius_norm(np.array([[3e300, 4e300]])) == pytest.approx(5e300, rel=1e-15)
         assert frobenius_norm(np.array([[3e-300, 4e-300]])) == pytest.approx(5e-300, rel=1e-15)
         assert frobenius_norm(np.array([[1e-170, 0.0]])) == 1e-170
+
+
+class TestSumOfSquares:
+    CUTOFF = matcore._VDOT_MAX_SIZE
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (32, 4), (4, 32), (32, 32), (64, 48),
+                                       (64, 64)])
+    def test_vdot_up_to_the_cutoff(self, shape):
+        assert shape[0] * shape[1] <= self.CUTOFF
+        a = make_rng(30).normal(size=shape)
+        assert sum_of_squares(a) == float(np.vdot(a, a))
+        assert frobenius_norm(a) == math.sqrt(np.vdot(a, a))
+        assert _mse(a) == float(np.vdot(a, a)) / a.size
+
+    @pytest.mark.parametrize("shape", [(1, 4097), (17, 241), (1024, 8), (1024, 1024)])
+    def test_einsum_above_the_cutoff(self, shape):
+        # finetune-1k's 1024 x 1024 residual and its 1024 x 8 gradients keep einsum's bits
+        assert shape[0] * shape[1] > self.CUTOFF
+        a = make_rng(31).normal(size=shape)
+        total = np.einsum("ij,ij->", a, a)
+        assert sum_of_squares(a) == float(total)
+        assert frobenius_norm(a) == float(np.sqrt(total))
+        assert _mse(a) == float(total) / a.size
+
+    def test_overflow_is_silent(self):
+        # ndarray.dot and np.inner would warn "overflow encountered in dot" here
+        a = np.full((2, 2), 1e300)
+        assert sum_of_squares(a) == math.inf
+        assert frobenius_norm(a) == 2e300
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at the cutoff, and at 12000 entries, where a threaded ddot changes the last bit
+        # of some of these sums
+        script = (
+            "import numpy as np\n"
+            "from deft.matcore import frobenius_norm, make_rng, sum_of_squares\n"
+            "for seed in range(4):\n"
+            "    for shape in ((64, 64), (120, 100)):\n"
+            "        a = make_rng(seed).normal(size=shape)\n"
+            "        print(sum_of_squares(a).hex(), frobenius_norm(a).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(deft.__file__))
+        outputs = []
+        for threads in ("1", "2"):  # each count in a fresh process: OpenBLAS reads it at load
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 8
+        assert outputs[0] == outputs[1]
 
 
 # Each rank case must hold at any overall scale: the cutoff is relative to sigma_max.
