@@ -12,11 +12,11 @@ of extra matrices, differing in how the effective weight is assembled:
   It is computed as W = w0 - P (P^T w0 - R); see _adapted.
 
 For para and deft, the projection factor (Q or P) is produced from a
-trainable latent matrix by a decomposition backend. The factorization is
-cached together with the bytes of the latent it was built from, and it is
-recomputed whenever the latent's bits differ from those, however the
-latent was changed: an optimizer step, an in-place edit or a reassignment
-(see refresh). lora takes no backend.
+trainable latent matrix by a decomposition backend; refresh returns it.
+The factorization is cached together with the bytes of the latent it was
+built from, and it is recomputed whenever the latent's bits differ from
+those, however the latent was changed: an optimizer step, an in-place
+edit or a reassignment. lora takes no backend and has no factor.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
 trainables in storage order with their shapes. The first is the p-side
@@ -147,10 +147,10 @@ class AdapterState:
     """Trainable state for one adapted layer.
 
     Only the method's own trainables (see _TRAINABLES) are set; the rest
-    stay None. w0 is a read-only array; writes raise. cache is None or a
-    (latent bytes, factorization) pair; see refresh. z is the para/deft
-    coefficient of the last forward or merge pass (see _adapted), which
-    _gradients reads.
+    stay None. w0 is a read-only array; writes raise. cache is None or the
+    (latent bytes, factorization) pair behind the factor refresh returns.
+    z is the para/deft coefficient of the last forward or merge pass (see
+    _adapted), which _gradients reads.
     """
 
     cfg: AdapterConfig
@@ -205,11 +205,12 @@ def trainables(state):
 
 
 def refresh(state):
-    """Factorize the p-side latent unless the cache was built from the same bytes.
+    """The current P (deft) or Q (para), refactorized unless the cache holds these latent bytes.
 
     The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
     a factor. Any change to the latent, in place or by reassignment, is
-    seen here; nothing has to mark the cache out of date.
+    seen here; nothing has to mark the cache out of date. lora has no
+    factor: ConfigError.
 
     tsvd and lrmf always factor with LAPACK's thin SVD (decompose's
     portable=False), so every reader of a latent, in training or after a
@@ -219,21 +220,14 @@ def refresh(state):
     and the loss go through BLAS gemm.
     """
     cfg = state.cfg
-    if cfg.backend is None:  # lora: nothing to factorize
-        return state
+    if cfg.backend is None:
+        raise ConfigError("lora has no projection factor")
     latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
     key = latent.tobytes()
     if state.cache is None or state.cache[0] != key:
         state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed,
                                       portable=False))
-    return state
-
-
-def projection_factor(state):
-    """Current P (deft) or Q (para) from the cached factorization."""
-    if state.cfg.backend is None:
-        raise ConfigError("lora has no projection factor")
-    return refresh(state).cache[1].p_factor
+    return state.cache[1].p_factor
 
 
 def _adapted(state, base, x=None):
@@ -250,7 +244,7 @@ def _adapted(state, base, x=None):
         out *= cfg.alpha / cfg.rank
         out += base
         return out
-    p = projection_factor(state)
+    p = refresh(state)
     z = state.z = p.T.dot(base)
     if state.r is not None:
         z -= state.r if x is None else state.r.dot(x)

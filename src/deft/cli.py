@@ -229,7 +229,7 @@ def cmd_verify(args):
         identity_ok = identity_resid < 1e-12
 
         # containment of the merged weight
-        q_fac = adapters.projection_factor(state)
+        q_fac = adapters.refresh(state)
         report = subspace.check_containment(w0, q_fac, w_total)
 
         # reduced weight stays inside col(w0) when q is built from it; at unit scale,
@@ -275,12 +275,14 @@ def cmd_displacement(args):
         w0 = store.load_matrix(args.w0)
         state = store.load_adapter(args.state, w0)
     else:
-        # default probe: a small seeded deft state, arbitrary but reproducible
+        # default probe: a small seeded deft state whose latent, like r, comes from this rng,
+        # as in cmd_verify (init_adapter's own draw would copy w0's first entries)
         rng = make_rng(args.seed)
         w0 = gaussian(rng, 2, 2, 1.0)
-        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.5, seed=args.seed)
+        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.0, seed=args.seed)
         state = adapters.init_adapter(w0, cfg)
         state.r = gaussian(rng, 1, 2, 1.0)
+        state.p_latent = gaussian(rng, 2, 1, 0.5)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below

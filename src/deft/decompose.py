@@ -30,8 +30,9 @@ By default the SVD behind tsvd and lrmf is the one-sided Jacobi routine
 in ``deft._jacobi``, which acceptance check c10 times: a LAPACK thin SVD
 of a 3072 x 8 latent would beat nmf and invert that speed ordering. Only
 a direct call takes that portable default; an adapter always factors
-with LAPACK (see deft.adapters.refresh). What ``portable`` changes is
-said once, in ``decompose``'s docstring.
+with LAPACK (see deft.adapters.refresh), and so does eig, through tsvd's
+``_svd`` call. What ``portable`` changes is said once, in ``decompose``'s
+docstring.
 """
 
 from __future__ import annotations
@@ -120,28 +121,21 @@ def _qr(b, r, backend, seed, portable):
     return DecompositionResult("qr", q, {"r_tri": r_tri}, notes)
 
 
-def _lapack_svd(b):
-    """LAPACK's thin SVD of b as (u, s, v), signed by the package convention."""
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    v = vt.T
-    _fix_signs(u, v)
-    return u, s, v
-
-
 def _svd(b, portable):
     """Thin SVD of b and its stats: the Jacobi SVD, or LAPACK's when not `portable`.
 
     LAPACK factors a wide b transposed, as the Jacobi SVD does, so that both
     sign the singular vectors of b's longer side.
     """
-    if not portable:
-        if b.shape[0] < b.shape[1]:
-            v, s, u = _lapack_svd(b.T)
-            return u, s, v, {}
-        return (*_lapack_svd(b), {})
-    stats = {}
-    u, s, v = jacobi_svd(b, stats=stats)
-    return u, s, v, stats
+    if portable:
+        stats = {}
+        u, s, v = jacobi_svd(b, stats=stats)
+        return u, s, v, stats
+    wide = b.shape[0] < b.shape[1]
+    u, s, vt = np.linalg.svd(b.T if wide else b, full_matrices=False)
+    v = vt.T
+    _fix_signs(u, v)
+    return (v, s, u, {}) if wide else (u, s, v, {})
 
 
 def _tsvd(b, r, backend, seed, portable):
@@ -236,11 +230,11 @@ def _nmf(b, r, backend, seed, portable):
 def _eig(b, r, backend, seed, portable):
     """Top-r eigenvectors of b @ b.T as the projection factor.
 
-    They are b's top-r left singular vectors, taken from its thin LAPACK SVD
-    without forming b @ b.T. aux carries ``lambda``, the matching
-    eigenvalues: the squared singular values, sorted non-increasing.
+    They are b's top-r left singular vectors, tsvd's factor with
+    portable=False, so b @ b.T is never formed. aux carries ``lambda``, the
+    matching eigenvalues: the squared singular values, sorted non-increasing.
     """
-    u, s, _ = _lapack_svd(b)
+    u, s, _, _ = _svd(b, False)
     return DecompositionResult("eig", np.ascontiguousarray(u[:, :r]), {"lambda": s[:r] ** 2})
 
 
@@ -301,9 +295,9 @@ def decompose(b, backend, rank=None, seed=0, portable=True):
     singular values agree to rounding, and so do the vectors where the
     singular values are well apart; where they (nearly) coincide, only the
     span is defined and the two may pick different bases of it. Either way
-    the bits of qr (``np.linalg.qr``), eig (``np.linalg.svd``) and nmf
-    (BLAS ``@``) depend on the BLAS and LAPACK libraries; relax and
-    relax_nmf are exact.
+    the bits of qr (``np.linalg.qr``), eig (always LAPACK's SVD, as tsvd
+    with portable=False) and nmf (BLAS ``@``) depend on the BLAS and
+    LAPACK libraries; relax and relax_nmf are exact.
     """
     b = as_matrix(b, "b")
     kind = _KINDS[backend.kind]

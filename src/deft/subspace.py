@@ -138,7 +138,7 @@ def displacement_field(state, lo=-1.0, hi=1.0, n=21):
     if state.cfg.method == "lora":
         delta_nonneg = delta_full
     else:
-        p = adapters.projection_factor(state)
+        p = adapters.refresh(state)
         p_nn = np.maximum(p, 0.0)
         delta_nonneg = -p_nn @ (p_nn.T @ state.w0)
         if state.r is not None:  # deft

@@ -19,7 +19,7 @@ from deft.adapters import (
     init_adapter,
     merge,
     param_count,
-    projection_factor,
+    refresh,
     trainables,
 )
 from deft.decompose import KINDS, Backend, decompose, reconstruct
@@ -85,7 +85,7 @@ def test_c03_total_weight_containment():
             state.r = gaussian(rng, rank, 18, 1.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # nmf clamps signed latents here
-                q = projection_factor(state)
+                q = refresh(state)
                 w_total = merge(state)
             rep = check_containment(w0, q, w_total)
             assert rep.containment_holds, (

@@ -9,7 +9,6 @@ from deft.adapters import (
     init_adapter,
     merge,
     param_count,
-    projection_factor,
     refresh,
     trainables,
 )
@@ -150,7 +149,7 @@ class TestForwardAndMerge:
         w0 = random_w0(12)
         state = init_adapter(w0, AdapterConfig("para", 3, init_stddev=0.5, seed=15))
         x = make_rng(16).normal(size=(7, 5))
-        p = projection_factor(state)
+        p = refresh(state)
         out = forward(state, x)
         assert np.abs(p.T @ out).max() < 1e-10
 
@@ -158,7 +157,7 @@ class TestForwardAndMerge:
         w0 = random_w0(13)
         state = init_adapter(w0, AdapterConfig("deft", 2, init_stddev=0.4, seed=17))
         state.r = make_rng(18).normal(size=(2, 7))
-        p = projection_factor(state)
+        p = refresh(state)
         expected = w0 - p @ (p.T @ w0) + p @ state.r
         assert rel_error(merge(state), expected) < 1e-14
 
@@ -179,10 +178,10 @@ class TestForwardAndMerge:
         with pytest.raises(ShapeError, match=r"^x must be non-empty, got shape \(7, 0\)$"):
             forward(state, np.zeros((7, 0)))
 
-    def test_projection_factor_refused_for_lora(self):
+    def test_refresh_refused_for_lora(self):
         state = init_adapter(random_w0(16), AdapterConfig("lora", 2))
-        with pytest.raises(ConfigError):
-            projection_factor(state)
+        with pytest.raises(ConfigError, match="^lora has no projection factor$"):
+            refresh(state)
 
 
 class TestRefresh:
@@ -201,19 +200,23 @@ class TestRefresh:
             edit(state)
             fresh = init_adapter(state.w0, state.cfg)
             fresh.p_latent, fresh.r = state.p_latent.copy(), state.r
-            assert np.array_equal(projection_factor(state), projection_factor(fresh)), kind
+            assert np.array_equal(refresh(state), refresh(fresh)), kind
             assert np.array_equal(forward(state, x), forward(fresh, x)), kind
             assert np.array_equal(merge(state), merge(fresh)), kind
             assert np.abs(forward(state, x) - before).max() > 1e-6, kind
 
     def test_cache_reused_until_latent_changes(self):
         state = init_adapter(random_w0(17), AdapterConfig("deft", 3, init_stddev=0.3))
-        first = refresh(state).cache
-        assert refresh(state).cache is first
+        assert refresh(state) is state.cache[1].p_factor
+        first = state.cache
+        refresh(state)
+        assert state.cache is first
         state.r += 1.0  # R is not an input of the factorization
-        assert refresh(state).cache is first
+        refresh(state)
+        assert state.cache is first
         state.p_latent[0, 0] += 1.0
-        assert refresh(state).cache is not first
+        assert refresh(state) is state.cache[1].p_factor
+        assert state.cache is not first
 
     def test_in_place_edit_reaches_every_reader(self):
         def edit(state):
@@ -229,13 +232,13 @@ class TestRefresh:
         state = init_adapter(random_w0(23), AdapterConfig(
             "deft", 2, backend=Backend("relax"), init_stddev=0.5))
         state.p_latent[0, 0] = 0.0
-        assert not np.signbit(projection_factor(state)[0, 0])
+        assert not np.signbit(refresh(state)[0, 0])
         state.p_latent[0, 0] = -0.0
-        assert np.signbit(projection_factor(state)[0, 0])
+        assert np.signbit(refresh(state)[0, 0])
 
     def test_orthonormal_projector_for_qr(self):
         state = init_adapter(random_w0(19), AdapterConfig("deft", 4, init_stddev=0.2))
-        p = projection_factor(state)
+        p = refresh(state)
         assert np.abs(p.T @ p - np.eye(4)).max() < 1e-12
 
 

@@ -556,6 +556,17 @@ class TestDisplacement:
         assert lines[0] == "x0,x1,full_0,full_1,nonneg_0,nonneg_1"
         assert len(lines) == 27  # header + 25 grid points + trailing newline
 
+    @pytest.mark.parametrize("seed", ["0", "3", "4"])
+    def test_probe_latent_is_drawn_apart_from_w0(self, in_tmp, capsys, monkeypatch, seed):
+        states = []
+        field = deft.cli.subspace.displacement_field
+        monkeypatch.setattr(deft.cli.subspace, "displacement_field",
+                            lambda s, **kw: states.append(s) or field(s, **kw))
+        assert main(["displacement", "--seed", seed, "--grid-n", "3", "--out", "d.csv"]) == 0
+        (state,) = states
+        # the same seed's generator gives w0's entries; no latent entry may be one of them
+        assert np.intersect1d(state.p_latent / 0.5, state.w0).size == 0
+
     def test_overflowing_grid_span_is_usage_error(self, in_tmp, capsys):
         assert main(["displacement", "--grid-lo=-1e308", "--grid-hi", "1e308"]) == 2
         assert capsys.readouterr().err == (

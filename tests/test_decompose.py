@@ -305,6 +305,15 @@ class TestEig:
         with pytest.raises(ShapeError):
             decompose(make_rng(22).normal(size=(9, 4)), Backend("eig"), 5)
 
+    @pytest.mark.parametrize("shape", [(12, 5), (6, 6), (5, 12)])
+    def test_is_tsvds_lapack_factor(self, shape):
+        # one SVD call site: a wide input too is factored transposed and signed by its v
+        b = make_rng(23).normal(size=shape)
+        eig = decompose(b, Backend("eig"), 3)
+        tsvd = decompose(b, Backend("tsvd"), 3, portable=False)
+        assert eig.p_factor.tobytes() == tsvd.p_factor.tobytes()
+        assert eig.aux["lambda"].tobytes() == (tsvd.aux["s"] ** 2).tobytes()
+
 
 class TestRelax:
     def test_identity_on_nonneg(self):
@@ -472,8 +481,8 @@ class TestPortable:
                 assert np.abs(fast.aux[key] - jac.aux[key]).max() <= 1e-12, key
             assert fast.notes == jac.notes
 
-    def test_other_kinds_and_other_starts_are_ignored(self):
-        # of a start, only portable=False is left, and only tsvd and lrmf read it
+    def test_other_kinds_ignore_portable(self):
+        # only tsvd and lrmf read portable; eig is always on LAPACK, the rest take no SVD
         b = self.latent()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # nmf's clamp of the signed latent

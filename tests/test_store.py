@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from deft.adapters import AdapterConfig, forward, init_adapter, projection_factor
+from deft.adapters import AdapterConfig, forward, init_adapter, refresh
 from deft.decompose import Backend
 from deft.matcore import freeze, make_rng
 from deft.store import (
@@ -291,12 +291,12 @@ class TestAdapterCheckpoints:
     def test_loaded_state_refactorizes_its_latent(self, tmp_path):
         # the factorization cache is never persisted, only the latents
         w0, state = trained_state("para", seed=10)
-        p = projection_factor(state)
+        p = refresh(state)
         path = tmp_path / "st.adpt"
         save_adapter(state, path)
         back = load_adapter(path, w0)
         assert back.cache is None
-        assert np.array_equal(projection_factor(back), p)
+        assert np.array_equal(refresh(back), p)
 
 
 def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0):

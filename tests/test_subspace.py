@@ -71,9 +71,9 @@ class TestContainment:
                 w0, AdapterConfig("deft", 3, backend=Backend(kind), init_stddev=0.4, seed=6)
             )
             state.r = rng.normal(size=(3, 8))
-            from deft.adapters import projection_factor
+            from deft.adapters import refresh
 
-            rep = check_containment(w0, projection_factor(state), merge(state))
+            rep = check_containment(w0, refresh(state), merge(state))
             assert rep.containment_holds, kind
             assert rep.rank_union_total == rep.rank_union
 
@@ -198,9 +198,9 @@ class TestGridAndField:
     def test_nonneg_uses_clipped_projector(self):
         w0 = make_rng(17).normal(size=(5, 4))
         state = init_adapter(w0, AdapterConfig("para", 2, init_stddev=0.6, seed=18))
-        from deft.adapters import projection_factor
+        from deft.adapters import refresh
 
-        p_nn = np.maximum(projection_factor(state), 0.0)
+        p_nn = np.maximum(refresh(state), 0.0)
         delta_nn = -p_nn @ (p_nn.T @ w0)
         field = displacement_field(state, n=3)
         for g, row in zip(field.grid_points, field.displacements_nonneg):
