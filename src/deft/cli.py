@@ -186,6 +186,21 @@ def _extension_witness_ok():
     return rank_w0_total > rank_w0 and report.containment_holds
 
 
+def _probe(w0, rank, kind, rng, seed):
+    """A seeded deft adapter on w0 whose r and then latent are drawn from rng.
+
+    The caller's rng drew w0. init_adapter's own latent draw would restart
+    that stream from the same seed and copy w0's first entries, so the
+    adapter starts with init_stddev=0.0 and both trainables continue rng.
+    """
+    m, n = w0.shape
+    cfg = config_from_fields("deft", rank, kind, init_stddev=0.0, seed=seed)
+    state = adapters.init_adapter(w0, cfg)
+    state.r = gaussian(rng, rank, n, 1.0)
+    state.p_latent = gaussian(rng, m, rank, 0.5)
+    return state
+
+
 def cmd_verify(args):
     if args.seed + args.trials - 1 >= 2**64:  # trial t's adapter config takes seed + t
         raise UsageError(f"--seed (or DEFT_SEED) plus --trials - 1 must be below 2**64, got "
@@ -205,17 +220,9 @@ def cmd_verify(args):
     for t in range(args.trials):
         trial_seed = args.seed + t
         rng = make_rng(trial_seed)
-        w0 = w0_fixed if w0_fixed is not None else gaussian(rng, *_VERIFY_W0_SHAPE, 1.0)
-        rank = args.rank
-        q_orth, _ = np.linalg.qr(gaussian(rng, m, rank, 1.0))
-
-        # a freshly trained-looking adapter state
-        # the latent, like r, comes from the trial's rng: init_adapter's own draw would
-        # restart the stream that drew w0 and copy w0's first entries
-        cfg = config_from_fields("deft", rank, args.backend, init_stddev=0.0, seed=trial_seed)
-        state = adapters.init_adapter(w0, cfg)
-        state.r = gaussian(rng, rank, n, 1.0)
-        state.p_latent = gaussian(rng, m, rank, 0.5)
+        w0 = w0_fixed if w0_fixed is not None else gaussian(rng, m, n, 1.0)
+        q_orth, _ = np.linalg.qr(gaussian(rng, m, args.rank, 1.0))
+        state = _probe(w0, args.rank, args.backend, rng, trial_seed)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below
             w_total = adapters.merge(state)
             w0_norm = frobenius_norm(w0)
@@ -235,7 +242,7 @@ def cmd_verify(args):
         # reduced weight stays inside col(w0) when q is built from it; at unit scale,
         # as check_containment takes it, so a subnormal w0 keeps its column space
         w0_u = np.ldexp(w0, -unit_exponent(w0))
-        q_in, _ = np.linalg.qr(w0_u[:, :rank])
+        q_in, _ = np.linalg.qr(w0_u[:, :args.rank])
         w_reduce = w0_u - q_in @ (q_in.T @ w0_u)
         subset_ok = numerical_rank(np.hstack([w0_u, w_reduce])) == report.rank_w0
 
@@ -275,14 +282,9 @@ def cmd_displacement(args):
         w0 = store.load_matrix(args.w0)
         state = store.load_adapter(args.state, w0)
     else:
-        # default probe: a small seeded deft state whose latent, like r, comes from this rng,
-        # as in cmd_verify (init_adapter's own draw would copy w0's first entries)
-        rng = make_rng(args.seed)
+        rng = make_rng(args.seed)  # default probe: a small seeded deft/relax state
         w0 = gaussian(rng, 2, 2, 1.0)
-        cfg = config_from_fields("deft", 1, "relax", init_stddev=0.0, seed=args.seed)
-        state = adapters.init_adapter(w0, cfg)
-        state.r = gaussian(rng, 1, 2, 1.0)
-        state.p_latent = gaussian(rng, 2, 1, 0.5)
+        state = _probe(w0, 1, "relax", rng, args.seed)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails closed below

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deft import adapters, store
-from deft.matcore import as_matrix, frobenius_norm, numerical_rank, unit_exponent
+from deft.matcore import as_matrix, frobenius_norm, numerical_rank, rel_error, unit_exponent
 
 
 @dataclass
@@ -68,10 +68,7 @@ def verify_decomposition_identity(w, q):
     if gram_dev > 1e-8:
         raise ValueError(f"q columns are not orthonormal: |q^T q - I| = {gram_dev:.3e}")
     kept = q @ (q.T @ w)
-    split = kept + (w - kept)
-    denom = frobenius_norm(w)
-    resid = frobenius_norm(w - split)
-    return resid / denom if denom > 0.0 else resid
+    return rel_error(kept + (w - kept), w)
 
 
 def check_containment(w0, q, w_total):
@@ -128,30 +125,27 @@ def displacement_field(state, lo=-1.0, hi=1.0, n=21):
     """Displacement (merge(state) - w0) @ x over a 2-D input grid.
 
     For layers wider than 2 inputs the grid lives in the first two input
-    coordinates and the remaining ones are held at zero. The nonneg field
-    replaces the projection factor P with max(P, 0) before merging; for
-    lora states there is no P, so both fields coincide by construction.
+    coordinates and the remaining ones are held at zero, so only the first
+    two columns of each delta (one, for a one-input layer) meet the grid.
+    The nonneg field replaces the projection factor P with max(P, 0) before
+    merging; for lora states there is no P, so both fields coincide by
+    construction.
     """
     grid = make_grid(lo, hi, n)
-    m, width = state.w0.shape
     delta_full = adapters.merge(state) - state.w0
     if state.cfg.method == "lora":
         delta_nonneg = delta_full
     else:
-        p = adapters.refresh(state)
-        p_nn = np.maximum(p, 0.0)
+        p_nn = np.maximum(adapters.refresh(state), 0.0)
         delta_nonneg = -p_nn @ (p_nn.T @ state.w0)
         if state.r is not None:  # deft
             delta_nonneg = delta_nonneg + p_nn @ state.r
 
-    x = np.zeros((width, grid.shape[0]))
-    x[0, :] = grid[:, 0]
-    if width > 1:
-        x[1, :] = grid[:, 1]
+    k = min(state.w0.shape[1], 2)
     return DisplacementField(
         grid_points=grid,
-        displacements_full=(delta_full @ x).T,
-        displacements_nonneg=(delta_nonneg @ x).T,
+        displacements_full=grid[:, :k] @ delta_full[:, :k].T,
+        displacements_nonneg=grid[:, :k] @ delta_nonneg[:, :k].T,
     )
 
 
@@ -179,5 +173,5 @@ def field_to_csv(field, path):
     """Write the field as CSV, one row per grid point (see deft.store.save_csv)."""
     m = field.displacements_full.shape[1]
     cols = ["x0", "x1", *(f"full_{i}" for i in range(m)), *(f"nonneg_{i}" for i in range(m))]
-    store.save_csv(path, cols, ((*g, *df, *dn) for g, df, dn in zip(
-        field.grid_points, field.displacements_full, field.displacements_nonneg)))
+    store.save_csv(path, cols, np.hstack([field.grid_points, field.displacements_full,
+                                          field.displacements_nonneg]).tolist())

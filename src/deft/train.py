@@ -133,13 +133,14 @@ def grad(state, task):
     return _gradients(state, x, y, _residual(state, x, y, task.targets))
 
 
-def sgd_step(state, grads, cfg):
-    """One in-place SGD update of each trainable at its rate.
+def sgd_step(state, grads):
+    """One in-place SGD update of each trainable at its rate in state.cfg.
 
     The next forward pass refactorizes the moved latent on its own: the
     factor cache is keyed on the latent's bits (see deft.adapters.refresh).
     """
-    for (name, _, _), lr in zip(_TRAINABLES[state.cfg.method], (cfg.lr_p, cfg.lr_r)):
+    cfg = state.cfg
+    for (name, _, _), lr in zip(_TRAINABLES[cfg.method], (cfg.lr_p, cfg.lr_r)):
         mat = getattr(state, name)
         mat -= lr * grads[name]
     return state
@@ -177,7 +178,7 @@ def run_finetune(w0, cfg, task, steps):
         gp, *gr = grads.values()
         report.grad_norm_p.append(frobenius_norm(gp))
         report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
-        sgd_step(state, grads, cfg)
+        sgd_step(state, grads)
     report.final_state_hash = store.state_hash(state)
     report.w0_hash_after = store.matrix_hash(state.w0).hex()
     return report, state

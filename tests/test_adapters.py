@@ -293,7 +293,7 @@ class TestUpdateRulesExact:
         assert np.array_equal(forward(state, x), w0 @ x + 2.0 * (b @ (a @ x)))
         assert np.array_equal(merge(state), w0 + 2.0 * (b @ a))
         g = {"a": self.rng.normal(size=(3, 7)), "b_lo": self.rng.normal(size=(10, 3))}
-        sgd_step(state, g, cfg)
+        sgd_step(state, g)
         assert np.array_equal(state.a, a - 0.1 * g["a"])
         assert np.array_equal(state.b_lo, b - 0.4 * g["b_lo"])
 
@@ -305,7 +305,7 @@ class TestUpdateRulesExact:
         assert np.array_equal(forward(state, x), y - q @ (q.T @ y))
         assert np.array_equal(merge(state), w0 - q @ (q.T @ w0))
         g = {"q_latent": self.rng.normal(size=(10, 3))}
-        sgd_step(state, g, cfg)
+        sgd_step(state, g)
         assert np.array_equal(state.q_latent, q - 0.1 * g["q_latent"])
         q = state.q_latent  # the forward pass after a step reads the moved latent
         assert np.array_equal(forward(state, x), y - q @ (q.T @ y))
@@ -319,6 +319,6 @@ class TestUpdateRulesExact:
         assert np.array_equal(forward(state, x), y - p @ (p.T @ y - r @ x))
         assert np.array_equal(merge(state), w0 - p @ (p.T @ w0 - r))
         g = {"p_latent": self.rng.normal(size=(10, 3)), "r": self.rng.normal(size=(3, 7))}
-        sgd_step(state, g, cfg)
+        sgd_step(state, g)
         assert np.array_equal(state.p_latent, p - 0.1 * g["p_latent"])
         assert np.array_equal(state.r, r - 0.4 * g["r"])

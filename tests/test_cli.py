@@ -586,6 +586,20 @@ class TestDisplacement:
         assert err.count("\n") == 1
         assert sorted(p.name for p in in_tmp.iterdir()) == ["s.adpt", "w0.mat"]
 
+    def test_overflow_in_an_input_held_at_zero_is_not_the_fields(self, in_tmp, capsys):
+        # only W0's last column overflows the merge; the grid moves the first two inputs
+        w0 = make_rng(24).normal(size=(4, 4))
+        w0[:, 3] = 1.5e308
+        store.save_matrix(w0, "w0.mat")
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--backend", "relax", "--init-stddev", "1", "--out", "s.adpt"]) == 0
+        assert main(["displacement", "--state", "s.adpt", "--w0", "w0.mat", "--grid-n", "3",
+                     "--out", "d.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        with open("d.csv", encoding="utf-8") as f:
+            cells = [float(v) for line in f.read().splitlines()[1:] for v in line.split(",")]
+        assert len(cells) == 9 * 10 and np.isfinite(cells).all()
+
     def test_state_requires_w0(self, in_tmp, capsys):
         assert main(["displacement", "--state", "a.adpt"]) == 2
         assert "requires --w0" in capsys.readouterr().err
@@ -725,6 +739,15 @@ class TestParamCount:
         assert main(["param-count", "--method", "para", "--rank", "4",
                      "--m", "32", "--n", "16"]) == 0
         assert "params=128" in capsys.readouterr().out
+
+    def test_module_entry_point(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(deft.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "deft.cli", "param-count", "--method", "deft",
+                               "--rank", "2", "--m", "4", "--n", "4"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "method=deft rank=2 m=4 n=4 params=16\n", "")
 
 
 class TestFloatFlags:

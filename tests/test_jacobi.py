@@ -45,6 +45,16 @@ def test_reconstruction_and_orthogonality():
         assert (np.diff(s) <= 1e-15).all()
 
 
+def test_equal_norm_columns_rotate_by_45_degrees():
+    # both columns have norm 5, so the pair's tau is exactly 0
+    a = np.array([[3.0, 4.0], [4.0, 3.0]])
+    u, s, v = jacobi_svd(a)
+    assert np.abs(s - [7.0, 1.0]).max() < 1e-14
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() < 1e-14
+    assert np.abs(u.T @ u - np.eye(2)).max() < 1e-15
+    assert np.abs(v.T @ v - np.eye(2)).max() < 1e-15
+
+
 def test_singular_values_match_lapack():
     rng = make_rng(1)
     for _ in range(20):

@@ -115,7 +115,7 @@ class TestGradients:
         )
         state = init_adapter(w0, cfg)
         before = loss_mse(state, task)
-        sgd_step(state, grad(state, task), cfg)
+        sgd_step(state, grad(state, task))
         assert loss_mse(state, task) < before
 
 
@@ -350,7 +350,7 @@ class TestSgdStep:
         g = grad(state, task)
         p_before = state.p_latent.copy()
         r_before = state.r.copy()
-        sgd_step(state, g, cfg)
+        sgd_step(state, g)
         assert np.allclose(state.p_latent, p_before - 0.5 * g["p_latent"])
         assert np.allclose(state.r, r_before - 2.0 * g["r"])
         assert np.array_equal(refresh(state), state.p_latent)  # relax: P is the latent
@@ -363,7 +363,7 @@ class TestSgdStep:
         g = grad(state, task)
         a_before = state.a.copy()
         b_before = state.b_lo.copy()
-        sgd_step(state, g, cfg)
+        sgd_step(state, g)
         assert np.allclose(state.a, a_before - 0.1 * g["a"])
         assert np.allclose(state.b_lo, b_before - 0.3 * g["b_lo"])
 
@@ -498,7 +498,7 @@ class TestAdapterFactor:
         w0, cfg, task = self.job(kind)
         state = init_adapter(w0, cfg)
         refresh(state)
-        sgd_step(state, grad(state, task), cfg)
+        sgd_step(state, grad(state, task))
         jac = decompose(state.p_latent, cfg.backend, cfg.rank)
         refresh(state)
         fast = state.cache[1]
@@ -536,9 +536,9 @@ class TestAdapterFactor:
     def test_final_factor_is_the_loops_when_the_last_step_moves_nothing(self, monkeypatch):
         steps = []
 
-        def all_but_the_last(state, grads, cfg):
+        def all_but_the_last(state, grads):
             steps.append(state.cache[1])
-            return state if len(steps) == 3 else sgd_step(state, grads, cfg)
+            return state if len(steps) == 3 else sgd_step(state, grads)
 
         monkeypatch.setattr(train, "sgd_step", all_but_the_last)
         w0, cfg, task = self.job("tsvd")
@@ -566,7 +566,7 @@ class TestAdapterFactor:
             return state
 
         monkeypatch.setattr(train, "init_adapter", degenerate)
-        monkeypatch.setattr(train, "sgd_step", lambda state, grads, cfg: state)  # moves nothing
+        monkeypatch.setattr(train, "sgd_step", lambda state, grads: state)  # moves nothing
         report, state = run_finetune(w0, cfg, task, steps=1)
         assert report.losses[-1] == report.losses[-2]
         store.save_adapter(state, tmp_path / "a.adpt")
