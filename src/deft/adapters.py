@@ -165,18 +165,21 @@ class AdapterState:
 
 
 def trainable_shapes(cfg, m, n):
-    """Name -> (rows, cols) of cfg's trainables over an m x n layer, in storage order."""
+    """Name -> (rows, cols) of cfg's trainables over an m x n layer, in storage order.
+
+    The one rule for whether cfg fits a layer: a dim below 1 is a
+    ShapeError, a rank above min(m, n) a ConfigError.
+    """
+    if m < 1 or n < 1:
+        raise ShapeError(f"matrix dims must be positive, got {m}x{n}")
+    if cfg.rank > min(m, n):
+        raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)} for shape ({m}, {n})")
     dims = {"m": m, "n": n, "rank": cfg.rank}
     return {name: (dims[rows], dims[cols]) for name, rows, cols in _TRAINABLES[cfg.method]}
 
 
-def _check_rank(cfg, m, n):
-    if cfg.rank > min(m, n):
-        raise ConfigError(f"rank {cfg.rank} exceeds min(m, n) = {min(m, n)} for shape ({m}, {n})")
-
-
 def init_adapter(w0, cfg):
-    """Fresh adapter state over frozen `w0`.
+    """Fresh adapter state over frozen `w0`, which cfg must fit (see trainable_shapes).
 
     The p-side trainable is gaussian-initialized from cfg.init_stddev and
     cfg.seed; the r-side one, if any, starts at zero, making the adapter
@@ -184,19 +187,14 @@ def init_adapter(w0, cfg):
     ConfigError naming init_stddev: no checkpoint could hold it.
     """
     w0 = freeze(as_matrix(w0, "w0"))
-    m, n = w0.shape
-    _check_rank(cfg, m, n)
-    state = AdapterState(cfg=cfg, w0=w0)
-    (p_name, p_shape), *r_side = trainable_shapes(cfg, m, n).items()
+    (p_name, p_shape), *r_side = trainable_shapes(cfg, *w0.shape).items()
     rng = make_rng(cfg.seed) if cfg.init_stddev > 0 else None  # gaussian draws nothing at 0
     draw = gaussian(rng, *p_shape, cfg.init_stddev)
     if not np.isfinite(draw).all():
         raise ConfigError(f"init_stddev {cfg.init_stddev} overflows float64 in the initial "
                           f"{p_name} draw")
-    setattr(state, p_name, draw)
-    for name, shape in r_side:
-        setattr(state, name, np.zeros(shape))
-    return state
+    return AdapterState(cfg, w0, **{p_name: draw},
+                        **{name: np.zeros(shape) for name, shape in r_side})
 
 
 def trainables(state):
@@ -323,10 +321,7 @@ def param_count(cfg, m, n):
     """Trainable-parameter count for a cfg applied to an m x n layer.
 
     lora and deft both spend rank * (m + n); para spends rank * m. The
-    deft/para ratio is therefore (m + n) / m regardless of rank. A rank
-    above min(m, n) raises ConfigError, as in init_adapter.
+    deft/para ratio is therefore (m + n) / m regardless of rank. A cfg that
+    does not fit the layer is refused as in trainable_shapes.
     """
-    if m < 1 or n < 1:
-        raise ShapeError(f"matrix dims must be positive, got {m}x{n}")
-    _check_rank(cfg, m, n)
     return sum(rows * cols for rows, cols in trainable_shapes(cfg, m, n).values())

@@ -35,8 +35,8 @@ from deft import adapters, store, subspace, train
 from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, ConfigError, config_from_fields
 from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
-from deft.matcore import (ShapeError, frobenius_norm, gaussian, make_rng, numerical_rank,
-                          rel_error, unit_exponent)
+from deft.matcore import (ShapeError, freeze, frobenius_norm, gaussian, make_rng,
+                          numerical_rank, rel_error, unit_exponent)
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
@@ -189,16 +189,13 @@ def _extension_witness_ok():
 def _probe(w0, rank, kind, rng, seed):
     """A seeded deft adapter on w0 whose r and then latent are drawn from rng.
 
-    The caller's rng drew w0. init_adapter's own latent draw would restart
-    that stream from the same seed and copy w0's first entries, so the
-    adapter starts with init_stddev=0.0 and both trainables continue rng.
+    The caller's rng drew w0, and both trainables continue that stream. The
+    caller checks that rank fits w0 (see adapters.trainable_shapes).
     """
     m, n = w0.shape
-    cfg = config_from_fields("deft", rank, kind, init_stddev=0.0, seed=seed)
-    state = adapters.init_adapter(w0, cfg)
-    state.r = gaussian(rng, rank, n, 1.0)
-    state.p_latent = gaussian(rng, m, rank, 0.5)
-    return state
+    r = gaussian(rng, rank, n, 1.0)
+    return adapters.AdapterState(config_from_fields("deft", rank, kind, seed=seed), freeze(w0),
+                                 p_latent=gaussian(rng, m, rank, 0.5), r=r)
 
 
 def cmd_verify(args):
@@ -389,7 +386,8 @@ def _build_parser():
     p.add_argument("--steps", type=_number(int, 1), required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task-seed", type=_number(int, 0), default=None,
-                   help="task seed (default: the config seed)")
+                   help="task seed (default: the config seed, whose Philox stream then also "
+                        "draws the initial latent; pass this to decouple the two)")
     p.add_argument("--shift-scale", type=_number(float), default=1.0)
     p.add_argument("--input-scale", type=_number(float), default=64.0)
     p.add_argument("--noise-stddev", type=_number(float, 0), default=0.01)

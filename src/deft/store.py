@@ -34,7 +34,8 @@ Adapter checkpoint (ADPT1)::
 
 The tags are tuple positions, so METHODS and KINDS may only grow at the
 end. The sections are the method's trainables in the order and shapes of
-adapters.trainable_shapes.
+adapters.trainable_shapes, which also refuses a stored rank above
+min(m, n) of the paired base weight (the CLI exits 3).
 
 The header carries the full adapter configuration, not just the method
 tags, because reloading must reproduce the original forward pass bit for
@@ -229,8 +230,8 @@ def load_adapter(path, w0):
 
     The stored base-weight hash must match `w0` exactly; a mismatch raises
     PairingError because the checkpoint was trained against a different
-    base weight. The sections must then be exactly those the stored config
-    implies over w0 (see adapters.trainable_shapes), in order.
+    base weight. The stored config must then fit w0, or FormatError, and the
+    sections must be exactly those it implies, in order (adapters.trainable_shapes).
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -251,24 +252,22 @@ def load_adapter(path, w0):
         if backend_tag >= len(KINDS):
             raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
         backend = dict(backend=KINDS[backend_tag], nmf_iters=nmf_iters, nmf_tol=nmf_tol)
-    try:
+    try:  # the config's own rules, then the pairing, then whether the config fits w0
         cfg = config_from_fields(method, rank, alpha=alpha, lr_p=lr_p, lr_r=lr_r,
                                  init_stddev=init_stddev, seed=seed, **backend)
+        w0 = freeze(as_matrix(w0, "w0"))
+        if matrix_hash(w0) != stored_hash:
+            raise PairingError(
+                f"{label}: checkpoint was trained against a different base weight "
+                "(stored hash does not match the supplied w0)"
+            )
+        shapes = trainable_shapes(cfg, *w0.shape)
     except ConfigError as exc:
         raise FormatError(f"{label}: invalid stored config: {exc}") from exc
-
-    w0 = freeze(as_matrix(w0, "w0"))
-    if matrix_hash(w0) != stored_hash:
-        raise PairingError(
-            f"{label}: checkpoint was trained against a different base weight "
-            "(stored hash does not match the supplied w0)"
-        )
-
-    shapes = trainable_shapes(cfg, *w0.shape)
     if count != len(shapes):
         raise FormatError(f"{label}: holds {count} sections, expected {len(shapes)}: "
                           f"{tuple(shapes)}")
-    state = AdapterState(cfg=cfg, w0=w0)
+    mats = {}
     offset = _ADPT_HEADER.size
     for i, (name, shape) in enumerate(shapes.items()):
         tag = _section_tag(name)
@@ -277,10 +276,10 @@ def load_adapter(path, w0):
         mat, offset = _parse_matrix(buf, offset + len(tag), f"{label}: section {name!r}")
         if mat.shape != shape:
             raise FormatError(f"{label}: section {name!r} has shape {mat.shape}, expected {shape}")
-        setattr(state, name, mat)
+        mats[name] = mat
     if len(buf) != offset:
         raise FormatError(f"{label}: trailing bytes, expected {offset}, file has {len(buf)}")
-    return state
+    return AdapterState(cfg, w0, **mats)
 
 
 def parse_config(text):

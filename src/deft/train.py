@@ -21,7 +21,7 @@ import numpy as np
 
 from deft import store
 from deft.adapters import _TRAINABLES, _gradients, check_inputs, forward, init_adapter
-from deft.matcore import as_matrix, frobenius_norm, make_rng, sum_of_squares
+from deft.matcore import ShapeError, as_matrix, frobenius_norm, make_rng, sum_of_squares
 
 
 class DivergenceError(RuntimeError):
@@ -113,13 +113,16 @@ def _residual(state, x, y, targets):
 
 def loss_mse(state, task):
     """Mean squared error of the adapted forward pass against the targets."""
-    return _mse(_residual(state, task.inputs, None, task.targets))
+    return _mse(_residual(state, *_batch(state, task), task.targets))
 
 
 def _batch(state, task):
-    """The validated task inputs x and the frozen base output y = w0 @ x."""
+    """Validated task inputs x and base output y = w0 @ x; targets of another shape: ShapeError."""
     x = check_inputs(state, task.inputs)
-    return x, state.w0 @ x
+    y = state.w0 @ x
+    if np.shape(task.targets) != y.shape:  # entries unchecked: a non-finite one diverges
+        raise ShapeError(f"targets have shape {np.shape(task.targets)}, expected {y.shape}")
+    return x, y
 
 
 def grad(state, task):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import deft.cli
-from deft import store, subspace
+from deft import adapters, store, subspace
 from deft.cli import _warning_lines, main
-from deft.decompose import _KINDS
+from deft.decompose import _KINDS, Backend
 from deft.matcore import make_rng
 
 
@@ -670,6 +670,24 @@ class TestMalformedFiles:
         assert capsys.readouterr().err == (
             "io error: a.adpt: section 'r' has shape (8, 2), expected (2, 8)\n")
         assert not (in_tmp / "d.csv").exists()
+
+    @pytest.mark.parametrize("method, kind, shape", [
+        ("deft", "qr", (2, 8)), ("deft", "tsvd", (2, 8)), ("deft", "relax", (2, 8)),
+        ("lora", None, (8, 2)), ("para", "nmf", (8, 2)),
+    ], ids=["deft-qr-wide", "deft-tsvd-wide", "deft-relax-wide", "lora-tall", "para-nmf-tall"])
+    def test_rank_above_min_dim(self, in_tmp, capsys, method, kind, shape):
+        # save_adapter writes the state it is given; no deft command builds this rank-3 one
+        w0 = write_mat("w0.mat", seed=23, m=shape[0], n=shape[1])
+        dims = {"m": shape[0], "n": shape[1], "rank": 3}
+        mats = {name: make_rng(24).normal(size=(dims[r], dims[c]))
+                for name, r, c in adapters._TRAINABLES[method]}
+        cfg = adapters.AdapterConfig(method, 3, backend=None if kind is None else Backend(kind))
+        store.save_adapter(adapters.AdapterState(cfg, w0, **mats), "a.adpt")
+        assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat",
+                     "--out", "d.csv"]) == 3
+        assert capsys.readouterr().err == ("io error: a.adpt: invalid stored config: rank 3 "
+                                           f"exceeds min(m, n) = 2 for shape {shape}\n")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["a.adpt", "w0.mat"]
 
     def test_non_utf8_section_name(self, in_tmp, capsys):
         buf = self._checkpoint()

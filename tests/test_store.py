@@ -299,10 +299,10 @@ class TestAdapterCheckpoints:
         assert np.array_equal(refresh(back), p)
 
 
-def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0):
+def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0, rank=2):
     """ADPT1 bytes written field by field, independent of save_adapter."""
     iters, tol = (0, 0.0) if method_tag == 0 else (15, 1e-6)
-    buf = b"ADPT1" + struct.pack("<BBQddddQQd", method_tag, backend_tag, 2, alpha,
+    buf = b"ADPT1" + struct.pack("<BBQddddQQd", method_tag, backend_tag, rank, alpha,
                                  1e-3, 1e-2, 0.01, 0, iters, tol)
     buf += matrix_hash(w0) + struct.pack("<Q", len(sections))
     for name, mat in sections:
@@ -353,6 +353,26 @@ class TestLiteralTags:
         with pytest.raises(FormatError) as info:
             load_adapter(path, self.w0)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("m, n", [(8, 2), (2, 8)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("tag, sections", [
+        (0, [("a", "rank", "n"), ("b_lo", "m", "rank")]),
+        (1, [("q_latent", "m", "rank")]),
+        (2, [("p_latent", "m", "rank"), ("r", "rank", "n")]),
+    ], ids=["lora", "para", "deft"])
+    def test_rank_above_min_dim_rejected(self, tmp_path, m, n, tag, sections):
+        # well-formed sections of the shapes a rank-3 header implies; only the rank rule fails
+        dims = {"m": m, "n": n, "rank": 3}
+        w0 = make_rng(35).normal(size=(m, n))
+        mats = [(name, make_rng(36).normal(size=(dims[r], dims[c]))) for name, r, c in sections]
+        path = tmp_path / "over.adpt"
+        path.write_bytes(hand_built_adpt1(w0, tag, 5, mats, rank=3))
+        with pytest.raises(FormatError) as info:
+            load_adapter(path, w0)
+        assert str(info.value) == (f"{path}: invalid stored config: rank 3 exceeds min(m, n) = 2 "
+                                   f"for shape ({m}, {n})")
+        with pytest.raises(PairingError):  # the pairing is checked first
+            load_adapter(path, w0 + 1.0)
 
     def test_nan_alpha_rejected(self, tmp_path):
         mats = [("q_latent", make_rng(33).normal(size=(5, 2)))]

@@ -319,6 +319,17 @@ class TestLowRankStep:
         with pytest.raises(ShapeError, match="x has 23 rows"):
             run_finetune(state.w0, state.cfg, task, steps=3)
 
+    @pytest.mark.parametrize("shape", [(40, 1), (1, 16), (40, 15)])
+    @pytest.mark.parametrize("fn", [grad, loss_mse, lambda s, t: run_finetune(s.w0, s.cfg, t, 3)],
+                             ids=["grad", "loss_mse", "run_finetune"])
+    def test_wrong_shape_targets_rejected(self, fn, shape):
+        # the first two would broadcast against the 40 x 16 output and train to a number
+        state, task = rect_state("deft", "relax", seed=57)
+        task.targets = make_rng(58).normal(size=shape)
+        with pytest.raises(ShapeError) as info:
+            fn(state, task)
+        assert str(info.value) == f"targets have shape {shape}, expected (40, 16)"
+
 
 @pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
 def test_run_finetune_peak_memory(method, kind):
