@@ -49,6 +49,9 @@ class UsageError(ValueError):
 
 
 _VERIFY_W0_SHAPE = (64, 48)  # the seeded W0 of a verify trial without --w0
+# --task -> (its builder's name in deft.train, looked up per call; the scale flag's keyword)
+_TASKS = {"teacher-shift": ("make_teacher_shift_task", "shift_scale"),
+          "teacher-noise": ("make_teacher_noise_task", "noise_stddev")}
 
 
 def _number(convert, low=-math.inf):
@@ -139,20 +142,14 @@ def cmd_train(args):
     w0 = store.load_matrix(args.w0)
     cfg = store.read_config(args.config)
     task_seed = cfg.seed if args.task_seed is None else args.task_seed
-    if args.task == "teacher-shift":
-        task = train.make_teacher_shift_task(
-            w0, task_seed, shift_scale=args.shift_scale, input_scale=args.input_scale,
-        )
-    else:
-        task = train.make_teacher_noise_task(
-            w0, task_seed, noise_stddev=args.noise_stddev, input_scale=args.input_scale,
-        )
+    make_task, scale = _TASKS[args.task]
+    task = getattr(train, make_task)(w0, task_seed, input_scale=args.input_scale,
+                                     **{scale: getattr(args, scale)})
     try:
         report, state = train.run_finetune(w0, cfg, task, args.steps)
     except DivergenceError as exc:
         if exc.step > 0:
             raise
-        scale = "shift_scale" if args.task == "teacher-shift" else "noise_stddev"
         raise UsageError(
             f"--task {args.task} is out of float64's range: the loss before the first step is "
             f"not finite with --{scale.replace('_', '-')} {getattr(args, scale):g}, "
@@ -381,8 +378,7 @@ def _build_parser():
     p = sub.add_parser("train", help="fine-tune an adapter on a synthetic task")
     p.add_argument("--w0", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--task", choices=("teacher-shift", "teacher-noise"),
-                   default="teacher-shift")
+    p.add_argument("--task", choices=tuple(_TASKS), default="teacher-shift")
     p.add_argument("--steps", type=_number(int, 1), required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task-seed", type=_number(int, 0), default=None,

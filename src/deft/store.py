@@ -67,7 +67,7 @@ import numpy as np
 from deft.adapters import (METHODS, AdapterState, ConfigError, config_from_fields,
                            trainable_shapes, trainables)
 from deft.decompose import KINDS
-from deft.matcore import as_matrix, freeze
+from deft.matcore import ShapeError, as_matrix, freeze
 
 MAT_MAGIC = b"MAT1"
 ADPT_MAGIC = b"ADPT1"
@@ -207,14 +207,22 @@ def _section_tag(name):
 
 
 def save_adapter(state, path):
-    """Write an adapter checkpoint in ADPT1 format."""
+    """Write an ADPT1 checkpoint; first refuse a state that load_adapter would not read back.
+
+    cfg must fit w0 (a ConfigError), and each trainable must be a finite matrix of its shape.
+    """
     cfg = state.cfg
+    mats = {}
+    for name, shape in trainable_shapes(cfg, *state.w0.shape).items():
+        mat = getattr(state, name)
+        if np.shape(mat) != shape:  # a missing trainable, None, has shape ()
+            raise ShapeError(f"{name} has shape {np.shape(mat)}, expected {shape}")
+        mats[name] = as_matrix(mat, name)
     if cfg.backend is None:
         backend_tag, nmf_iters, nmf_tol = 0, 0, 0.0
     else:
         backend_tag = KINDS.index(cfg.backend.kind)
         nmf_iters, nmf_tol = cfg.backend.nmf_iters, cfg.backend.nmf_tol
-    mats = trainables(state)
     parts = [_ADPT_HEADER.pack(
         ADPT_MAGIC, METHODS.index(cfg.method), backend_tag, cfg.rank, cfg.alpha,
         cfg.lr_p, cfg.lr_r, cfg.init_stddev, cfg.seed, nmf_iters, nmf_tol,

@@ -1,8 +1,9 @@
 """A differential-rate SGD loop over adapters, and synthetic tasks.
 
 The gradient it follows, what a step costs and which SVD factors a tsvd
-or lrmf latent are in deft.adapters. The loop's last pass is the final
-loss, on the factor every later reader of the trained latent gets.
+or lrmf latent are in deft.adapters. The loop, grad and loss_mse share
+one pass, _pass. The report keeps one row per pass; the last is the
+final loss, on the factor every later reader of the trained latent gets.
 
 The loss and each grad norm in the report are sums of squares taken by
 deft.matcore.sum_of_squares: np.vdot up to 4096 entries, as at the
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -51,12 +51,17 @@ class ToyTask:
 
 @dataclass
 class TrainReport:
-    losses: list = field(default_factory=list)  # losses[i] = loss before step i; last entry is final
-    grad_norm_p: list = field(default_factory=list)
-    grad_norm_r: list = field(default_factory=list)
+    """One row per pass, (step, loss, grad_norm_p, grad_norm_r); the final one's norms are None."""
+
+    rows: list = field(default_factory=list)  # grad_norm_r is 0.0 for para, which has no R
     final_state_hash: str = ""
     w0_hash_before: str = ""
     w0_hash_after: str = ""
+
+    @property
+    def losses(self):
+        """The loss column of rows: the loss before each step, then the final loss."""
+        return tuple(row[1] for row in self.rows)
 
 
 def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
@@ -99,21 +104,21 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0):
     return ToyTask(teacher=w0.copy(), inputs=inputs, targets=targets)
 
 
-def _mse(diff):
-    m, k = diff.shape
-    return sum_of_squares(diff) / (m * k)
+def _pass(state, x, y, targets, with_grads):
+    """(mean squared error against targets, gradients if with_grads) of forward on x and y.
 
-
-def _residual(state, x, y, targets):
-    """forward(state, x, y) - targets, subtracted in forward's fresh output."""
+    The gradients read the factor and z that this forward pass left on the state.
+    """
     diff = forward(state, x, y)
     diff -= targets
-    return diff
+    m, k = diff.shape
+    loss = sum_of_squares(diff) / (m * k)
+    return loss, _gradients(state, x, y, diff) if with_grads else None
 
 
 def loss_mse(state, task):
     """Mean squared error of the adapted forward pass against the targets."""
-    return _mse(_residual(state, *_batch(state, task), task.targets))
+    return _pass(state, *_batch(state, task), task.targets, False)[0]
 
 
 def _batch(state, task):
@@ -132,8 +137,7 @@ def grad(state, task):
     are exact; for factorizing backends they are the straight-through
     estimates described in deft.adapters.
     """
-    x, y = _batch(state, task)
-    return _gradients(state, x, y, _residual(state, x, y, task.targets))
+    return _pass(state, *_batch(state, task), task.targets, True)[1]
 
 
 def sgd_step(state, grads):
@@ -153,8 +157,8 @@ def run_finetune(w0, cfg, task, steps):
     """Train a fresh adapter on `task` for `steps` SGD steps.
 
     Deterministic given cfg.seed. Raises DivergenceError the moment the
-    loss stops being finite. The report's losses list has steps + 1
-    entries: the loss before each step, then the final loss.
+    loss stops being finite. The report has steps + 1 rows, one per pass:
+    (i, loss before step i, its grad norms) per step, then (steps, final loss, None, None).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -162,25 +166,18 @@ def run_finetune(w0, cfg, task, steps):
     report = TrainReport()
     report.w0_hash_before = store.matrix_hash(state.w0).hex()
     x, y = _batch(state, task)  # w0 is frozen: one base product serves every step
-
-    last_finite = None
     for i in range(steps + 1):  # the last pass is the final loss
         try:
-            diff = _residual(state, x, y, task.targets)
+            loss, grads = _pass(state, x, y, task.targets, i < steps)
         except ValueError:  # as_matrix's refusal of a latent that the last step overflowed
-            raise DivergenceError(i, last_finite) from None
-        loss = _mse(diff)
-        grads = _gradients(state, x, y, diff) if i < steps else None
-        del diff  # the next pass's residual is allocated without this one
+            loss = math.nan
         if not math.isfinite(loss):
-            raise DivergenceError(i, last_finite)
-        last_finite = loss
-        report.losses.append(loss)
-        if i == steps:
+            raise DivergenceError(i, report.rows[-1][1] if report.rows else None)
+        if grads is None:
+            report.rows.append((i, loss, None, None))
             break
         gp, *gr = grads.values()
-        report.grad_norm_p.append(frobenius_norm(gp))
-        report.grad_norm_r.append(frobenius_norm(gr[0]) if gr else 0.0)
+        report.rows.append((i, loss, frobenius_norm(gp), frobenius_norm(gr[0]) if gr else 0.0))
         sgd_step(state, grads)
     report.final_state_hash = store.state_hash(state)
     report.w0_hash_after = store.matrix_hash(state.w0).hex()
@@ -188,15 +185,14 @@ def run_finetune(w0, cfg, task, steps):
 
 
 def report_to_csv(report, path):
-    """Write the CSV trace: step, loss, grad norms. The final row has no gradients."""
-    store.save_csv(path, ("step", "loss", "grad_norm_p", "grad_norm_r"),
-                   zip_longest(range(len(report.losses)), report.losses,
-                               report.grad_norm_p, report.grad_norm_r))
+    """Write the report's rows as CSV: step, loss, grad norms; the final row's norms are empty."""
+    store.save_csv(path, ("step", "loss", "grad_norm_p", "grad_norm_r"), report.rows)
 
 
 def summary_line(report):
     frozen = report.w0_hash_before == report.w0_hash_after
+    steps, loss, _, _ = report.rows[-1]
     return (
-        f"steps={len(report.losses) - 1} final_loss={report.losses[-1]:.6e} "
+        f"steps={steps} final_loss={loss:.6e} "
         f"w0_frozen={str(frozen).lower()} state_hash={report.final_state_hash[:16]}"
     )

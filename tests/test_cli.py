@@ -12,8 +12,8 @@ import pytest
 import deft.cli
 from deft import adapters, store, subspace
 from deft.cli import _warning_lines, main
-from deft.decompose import _KINDS, Backend
-from deft.matcore import make_rng
+from deft.decompose import _KINDS, KINDS, Backend
+from deft.matcore import ShapeError, make_rng
 
 
 def _failing_svd(*args, **kwargs):
@@ -614,6 +614,38 @@ class TestDisplacement:
             assert len(f.read().decode().split("\r\n")) == 11  # header + 9 points + trailing
 
 
+# the rank-3 adapters over a 2 x 8 or 8 x 2 W0 that load_adapter refuses
+RANK_ABOVE_MIN_DIM = pytest.mark.parametrize("method, kind, shape", [
+    ("deft", "qr", (2, 8)), ("deft", "tsvd", (2, 8)), ("deft", "relax", (2, 8)),
+    ("lora", None, (8, 2)), ("para", "nmf", (8, 2)),
+], ids=["deft-qr-wide", "deft-tsvd-wide", "deft-relax-wide", "lora-tall", "para-nmf-tall"])
+
+
+def rank3_state(method, kind, shape):
+    """A rank-3 adapter over the seed-23 W0 of `shape`, written to w0.mat, which cannot hold it."""
+    w0 = write_mat("w0.mat", seed=23, m=shape[0], n=shape[1])
+    dims = {"m": shape[0], "n": shape[1], "rank": 3}
+    mats = {name: make_rng(24).normal(size=(dims[r], dims[c]))
+            for name, r, c in adapters._TRAINABLES[method]}
+    cfg = adapters.AdapterConfig(method, 3, backend=None if kind is None else Backend(kind))
+    return adapters.AdapterState(cfg, w0, **mats)
+
+
+def write_unchecked_adpt1(state, path):
+    """Write `state` in ADPT1, field by field as save_adapter packs it, without its checks."""
+    cfg, b = state.cfg, state.cfg.backend
+    tag, iters, tol = (0, 0, 0.0) if b is None else (KINDS.index(b.kind), b.nmf_iters, b.nmf_tol)
+    mats = adapters.trainables(state)
+    buf = store._ADPT_HEADER.pack(
+        store.ADPT_MAGIC, adapters.METHODS.index(cfg.method), tag, cfg.rank, cfg.alpha,
+        cfg.lr_p, cfg.lr_r, cfg.init_stddev, cfg.seed, iters, tol, store.matrix_hash(state.w0),
+        len(mats))
+    for name, mat in mats.items():
+        buf += store._section_tag(name) + store.matrix_bytes(mat)
+    with open(path, "wb") as f:
+        f.write(buf)
+
+
 class TestMalformedFiles:
     """Bad file contents exit 3 with a message naming the place, never a traceback."""
 
@@ -671,23 +703,51 @@ class TestMalformedFiles:
             "io error: a.adpt: section 'r' has shape (8, 2), expected (2, 8)\n")
         assert not (in_tmp / "d.csv").exists()
 
-    @pytest.mark.parametrize("method, kind, shape", [
-        ("deft", "qr", (2, 8)), ("deft", "tsvd", (2, 8)), ("deft", "relax", (2, 8)),
-        ("lora", None, (8, 2)), ("para", "nmf", (8, 2)),
-    ], ids=["deft-qr-wide", "deft-tsvd-wide", "deft-relax-wide", "lora-tall", "para-nmf-tall"])
+    @RANK_ABOVE_MIN_DIM
     def test_rank_above_min_dim(self, in_tmp, capsys, method, kind, shape):
-        # save_adapter writes the state it is given; no deft command builds this rank-3 one
-        w0 = write_mat("w0.mat", seed=23, m=shape[0], n=shape[1])
-        dims = {"m": shape[0], "n": shape[1], "rank": 3}
-        mats = {name: make_rng(24).normal(size=(dims[r], dims[c]))
-                for name, r, c in adapters._TRAINABLES[method]}
-        cfg = adapters.AdapterConfig(method, 3, backend=None if kind is None else Backend(kind))
-        store.save_adapter(adapters.AdapterState(cfg, w0, **mats), "a.adpt")
+        # no deft command builds this rank-3 state, and save_adapter refuses it
+        write_unchecked_adpt1(rank3_state(method, kind, shape), "a.adpt")
         assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat",
                      "--out", "d.csv"]) == 3
         assert capsys.readouterr().err == ("io error: a.adpt: invalid stored config: rank 3 "
                                            f"exceeds min(m, n) = 2 for shape {shape}\n")
         assert sorted(p.name for p in in_tmp.iterdir()) == ["a.adpt", "w0.mat"]
+
+    @RANK_ABOVE_MIN_DIM
+    def test_save_adapter_refuses_a_rank_above_min_dim(self, in_tmp, method, kind, shape):
+        # with load's text, before the file is opened: the bytes already there stay
+        state = rank3_state(method, kind, shape)
+        with open("a.adpt", "wb") as f:
+            f.write(b"kept")
+        with pytest.raises(adapters.ConfigError) as info:
+            store.save_adapter(state, "a.adpt")
+        assert str(info.value) == f"rank 3 exceeds min(m, n) = 2 for shape {shape}"
+        with open("a.adpt", "rb") as f:
+            assert f.read() == b"kept"
+        write_unchecked_adpt1(state, "a.adpt")
+        with pytest.raises(store.FormatError) as loaded:
+            store.load_adapter("a.adpt", state.w0)
+        assert str(loaded.value) == f"a.adpt: invalid stored config: {info.value}"
+
+    @pytest.mark.parametrize("name, value, error, message", [
+        ("r", np.zeros((2, 5)), ShapeError, "r has shape (2, 5), expected (2, 4)"),
+        ("r", np.zeros(8), ShapeError, "r has shape (8,), expected (2, 4)"),
+        ("r", None, ShapeError, "r has shape (), expected (2, 4)"),
+        ("p_latent", np.full((4, 2), np.inf), ValueError,
+         "p_latent contains non-finite entries"),
+    ], ids=["wrong-shape", "flat", "missing", "non-finite"])
+    def test_save_adapter_refuses_a_trainable_load_would(self, in_tmp, name, value, error,
+                                                         message):
+        w0 = write_mat("w0.mat", seed=22, m=4, n=4)
+        state = adapters.init_adapter(w0, adapters.AdapterConfig("deft", 2))
+        store.save_adapter(state, "a.adpt")
+        with open("a.adpt", "rb") as f:
+            before = f.read()
+        with pytest.raises(error) as info:
+            store.save_adapter(dataclasses.replace(state, **{name: value}), "a.adpt")
+        assert str(info.value) == message
+        with open("a.adpt", "rb") as f:
+            assert f.read() == before
 
     def test_non_utf8_section_name(self, in_tmp, capsys):
         buf = self._checkpoint()

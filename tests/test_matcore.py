@@ -8,6 +8,7 @@ import pytest
 
 import deft
 from deft import matcore
+from deft.adapters import AdapterConfig, init_adapter
 from deft.matcore import (
     ShapeError,
     as_matrix,
@@ -17,7 +18,19 @@ from deft.matcore import (
     numerical_rank,
     sum_of_squares,
 )
-from deft.train import _mse
+from deft.train import ToyTask, loss_mse
+
+
+def mse_of(a):
+    """loss_mse of a lora adapter whose output is exactly zero, against targets -a: mean(a**2).
+
+    An all-zero m x 1 base weight and lora's zero-initialized b_lo make
+    every output entry zero, so the residual is 0.0 - (-a) = a, bit for bit.
+    """
+    m, k = a.shape
+    w0 = np.zeros((m, 1))
+    task = ToyTask(teacher=w0, inputs=np.ones((1, k)), targets=-a)
+    return loss_mse(init_adapter(w0, AdapterConfig("lora", 1)), task)
 
 
 def elimination_rank(a, tol=1e-9):
@@ -83,7 +96,7 @@ class TestSumOfSquares:
         a = make_rng(30).normal(size=shape)
         assert sum_of_squares(a) == float(np.vdot(a, a))
         assert frobenius_norm(a) == math.sqrt(np.vdot(a, a))
-        assert _mse(a) == float(np.vdot(a, a)) / a.size
+        assert mse_of(a) == float(np.vdot(a, a)) / a.size
 
     @pytest.mark.parametrize("shape", [(1, 4097), (17, 241), (1024, 8), (1024, 1024)])
     def test_einsum_above_the_cutoff(self, shape):
@@ -93,7 +106,7 @@ class TestSumOfSquares:
         total = np.einsum("ij,ij->", a, a)
         assert sum_of_squares(a) == float(total)
         assert frobenius_norm(a) == float(np.sqrt(total))
-        assert _mse(a) == float(total) / a.size
+        assert mse_of(a) == float(total) / a.size
 
     def test_overflow_is_silent(self):
         # ndarray.dot and np.inner would warn "overflow encountered in dot" here

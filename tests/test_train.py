@@ -14,8 +14,7 @@ from deft.train import (
     DivergenceError,
     ToyTask,
     _batch,
-    _gradients,
-    _residual,
+    _pass,
     grad,
     loss_mse,
     make_teacher_noise_task,
@@ -203,7 +202,7 @@ def step_and_reference(state, task):
     x, y = _batch(state, task)
     out = forward(state, x, y)
     z = state.z
-    grads = _gradients(state, x, y, _residual(state, x, y, task.targets))
+    _, grads = _pass(state, x, y, task.targets, True)
     return (out, z, grads), matmul_step(state, x, y, task.targets)
 
 
@@ -231,7 +230,7 @@ class TestLowRankStep:
     def test_grad_reuses_the_forward_coefficient_bit_for_bit(self, method, kind):
         state, task = rect_state(method, kind, seed=61)
         x, y = _batch(state, task)
-        got = _gradients(state, x, y, _residual(state, x, y, task.targets))
+        _, got = _pass(state, x, y, task.targets, True)
         _, z, want = matmul_step(state, x, y, task.targets)  # z recomputed from y
         assert state.z.tobytes() == z.tobytes()
         assert list(got) == list(want)
@@ -281,7 +280,7 @@ class TestLowRankStep:
         state, task = rect_state(method, kind, seed=57)
         x, y = _batch(state, task)
         before = [a.copy() for a in (x, y, task.targets)]
-        _gradients(state, x, y, _residual(state, x, y, task.targets))
+        _pass(state, x, y, task.targets, True)
         for was, now in zip(before, (x, y, task.targets)):
             assert was.tobytes() == now.tobytes()
 
@@ -494,6 +493,39 @@ class TestReporting:
         assert "final_loss=" in line
 
 
+class TestReportRows:
+    """report.rows holds one row per pass, and report.csv, losses and DivergenceError read it."""
+
+    @pytest.mark.parametrize("method,kind", [("lora", None), ("para", "qr"), ("deft", "relax")])
+    def test_one_row_per_pass(self, method, kind, tmp_path):
+        state, task = rect_state(method, kind, seed=65)
+        steps = 3
+        report, trained = run_finetune(state.w0, state.cfg, task, steps)
+        rows = report.rows
+        assert len(rows) == steps + 1
+        assert [row[0] for row in rows] == list(range(steps + 1))
+        assert rows[-1] == (steps, loss_mse(trained, task), None, None)
+        assert all(isinstance(norm, float) for row in rows[:-1] for norm in row[2:])
+        assert report.losses == tuple(row[1] for row in rows)
+        report_to_csv(report, tmp_path / "report.csv")
+        store.save_csv(tmp_path / "rows.csv", ("rows",), rows)
+        data = [(tmp_path / name).read_bytes().split(b"\r\n", 1)[1]
+                for name in ("report.csv", "rows.csv")]
+        assert data[0] == data[1]
+
+    def test_divergence_names_the_last_rows_loss(self):
+        # c08's deft/lrmf run: its loss is last finite before step 12
+        w0 = make_rng(6000).normal(size=(32, 32))
+        task = make_teacher_shift_task(w0, seed=1)
+        cfg = AdapterConfig("deft", 4, backend=Backend("lrmf"), lr_p=1e-3, lr_r=1e-2,
+                            init_stddev=0.1, seed=0)
+        with pytest.raises(DivergenceError) as info:
+            run_finetune(w0, cfg, task, steps=2000)
+        assert info.value.step == 12
+        report, _ = run_finetune(w0, cfg, task, steps=11)
+        assert info.value.last_loss == report.rows[-1][1]
+
+
 class TestAdapterFactor:
     """run_finetune, and every later reader of its latent, factor tsvd/lrmf with LAPACK."""
 
@@ -587,6 +619,6 @@ class TestAdapterFactor:
     def test_fixed_seed_reproduces_its_bytes(self, kind):
         w0, cfg, task = self.job(kind)
         (r1, s1), (r2, s2) = (run_finetune(w0, cfg, task, steps=40) for _ in range(2))
-        assert r1.losses == r2.losses and r1.grad_norm_p == r2.grad_norm_p
+        assert r1.rows == r2.rows
         assert r1.final_state_hash == r2.final_state_hash
         assert merge(s1).tobytes() == merge(s2).tobytes()
