@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import math
 import os
 import statistics
@@ -49,9 +50,10 @@ class UsageError(ValueError):
 
 
 _VERIFY_W0_SHAPE = (64, 48)  # the seeded W0 of a verify trial without --w0
-# --task -> (its builder's name in deft.train, looked up per call; the scale flag's keyword)
-_TASKS = {"teacher-shift": ("make_teacher_shift_task", "shift_scale"),
-          "teacher-noise": ("make_teacher_noise_task", "noise_stddev")}
+# --task -> its builder's name in deft.train, looked up per call; the builder's keyword
+# parameters with defaults are the task's scales, each set by the flag of the same name
+_TASKS = {"teacher-shift": "make_teacher_shift_task",
+          "teacher-noise": "make_teacher_noise_task"}
 
 
 def _number(convert, low=-math.inf):
@@ -141,19 +143,22 @@ def cmd_adapt_init(args):
 def cmd_train(args):
     w0 = store.load_matrix(args.w0)
     cfg = store.read_config(args.config)
-    task_seed = cfg.seed if args.task_seed is None else args.task_seed
-    make_task, scale = _TASKS[args.task]
-    task = getattr(train, make_task)(w0, task_seed, input_scale=args.input_scale,
-                                     **{scale: getattr(args, scale)})
+    # by default a Philox key derived from the config seed, so the task never replays the
+    # stream that init_adapter draws the initial latent from (make_rng(cfg.seed))
+    task_seed = (int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1, np.uint64)[0])
+                 if args.task_seed is None else args.task_seed)
+    make_task = getattr(train, _TASKS[args.task])
+    scales = {k: p.default if getattr(args, k) is None else getattr(args, k)
+              for k, p in inspect.signature(make_task).parameters.items() if p.default != p.empty}
     try:
-        report, state = train.run_finetune(w0, cfg, task, args.steps)
+        report, state = train.run_finetune(w0, cfg, make_task(w0, task_seed, **scales), args.steps)
     except DivergenceError as exc:
         if exc.step > 0:
             raise
+        flags = ", ".join(f"--{k.replace('_', '-')} {v:g}" for k, v in scales.items())
         raise UsageError(
             f"--task {args.task} is out of float64's range: the loss before the first step is "
-            f"not finite with --{scale.replace('_', '-')} {getattr(args, scale):g}, "
-            f"--input-scale {args.input_scale:g} and W0's max |entry| {np.abs(w0).max():.3e}"
+            f"not finite with {flags} and W0's max |entry| {np.abs(w0).max():.3e}"
         ) from None
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
@@ -382,11 +387,13 @@ def _build_parser():
     p.add_argument("--steps", type=_number(int, 1), required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task-seed", type=_number(int, 0), default=None,
-                   help="task seed (default: the config seed, whose Philox stream then also "
-                        "draws the initial latent; pass this to decouple the two)")
-    p.add_argument("--shift-scale", type=_number(float), default=1.0)
-    p.add_argument("--input-scale", type=_number(float), default=64.0)
-    p.add_argument("--noise-stddev", type=_number(float, 0), default=0.01)
+                   help="task seed (default: derived from the config seed, so the task's "
+                        "Philox stream is not the one that draws the initial latent)")
+    # an unset scale flag takes the task builder's own default; a flag the task has no
+    # scale of is ignored
+    p.add_argument("--shift-scale", type=_number(float))
+    p.add_argument("--input-scale", type=_number(float))
+    p.add_argument("--noise-stddev", type=_number(float, 0))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the column-space property suite")

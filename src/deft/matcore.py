@@ -26,19 +26,26 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible."""
 
 
+class NonFiniteError(ValueError):
+    """A matrix holds a NaN or an infinite entry."""
+
+
 def as_matrix(a, name="matrix"):
     """`a` as a 2-D float64 C-contiguous matrix, copied only when coercion requires it.
 
-    `a` must already be two-dimensional, non-empty and finite; `name`
-    labels the error otherwise raised.
+    `a` must be given (not None), two-dimensional, non-empty and finite;
+    `name` labels the error otherwise raised: ShapeError, or NonFiniteError
+    for a non-finite entry.
     """
+    if a is None:
+        raise ShapeError(f"{name} is missing")
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must be non-empty, got shape {out.shape}")
     if np.count_nonzero(np.isfinite(out)) != out.size:
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from deft import store
 from deft.adapters import _TRAINABLES, _gradients, check_inputs, forward, init_adapter
-from deft.matcore import ShapeError, as_matrix, frobenius_norm, make_rng, sum_of_squares
+from deft.matcore import (NonFiniteError, ShapeError, as_matrix, frobenius_norm, make_rng,
+                          sum_of_squares)
 
 
 class DivergenceError(RuntimeError):
@@ -157,8 +158,11 @@ def run_finetune(w0, cfg, task, steps):
     """Train a fresh adapter on `task` for `steps` SGD steps.
 
     Deterministic given cfg.seed. Raises DivergenceError the moment the
-    loss stops being finite. The report has steps + 1 rows, one per pass:
-    (i, loss before step i, its grad norms) per step, then (steps, final loss, None, None).
+    loss stops being finite, or a pass refuses a latent that the last step
+    overflowed (NonFiniteError); any other error of a pass, a LAPACK
+    LinAlgError say, propagates as itself. The report has steps + 1 rows,
+    one per pass: (i, loss before step i, its grad norms) per step, then
+    (steps, final loss, None, None).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -169,7 +173,7 @@ def run_finetune(w0, cfg, task, steps):
     for i in range(steps + 1):  # the last pass is the final loss
         try:
             loss, grads = _pass(state, x, y, task.targets, i < steps)
-        except ValueError:  # as_matrix's refusal of a latent that the last step overflowed
+        except NonFiniteError:  # as_matrix's refusal of a latent that the last step overflowed
             loss = math.nan
         if not math.isfinite(loss):
             raise DivergenceError(i, report.rows[-1][1] if report.rows else None)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import struct
 import subprocess
@@ -217,6 +218,12 @@ def write_config(path, lines):
         f.write("\n".join(lines) + "\n")
 
 
+def run_bytes(out):
+    """The bytes of the report.csv and adapter.adpt that a `deft train` run wrote to out."""
+    with open(f"{out}/report.csv", "rb") as f1, open(f"{out}/adapter.adpt", "rb") as f2:
+        return f1.read(), f2.read()
+
+
 class TestTrain:
     def test_happy_path(self, in_tmp, capsys):
         w0 = write_mat("w0.mat", seed=10, m=8, n=8)
@@ -352,6 +359,54 @@ class TestTrain:
         assert main(["train", "--w0", "w0.mat", "--config", "nan.cfg",
                      "--steps", "5", "--out", "x"]) == 3
         assert "alpha must be finite" in capsys.readouterr().err
+
+    def test_noise_task_at_its_builders_defaults_converges(self, in_tmp, capsys):
+        # --input-scale once defaulted to teacher-shift's 64 for every task; teacher-noise's
+        # Gaussian inputs at 64 diverged at step 108 of this run
+        store.save_matrix(np.random.default_rng(0).normal(size=(8, 8)), "w0.mat")
+        write_config("qr.cfg", ["method = deft", "rank = 2", "backend = qr"])
+        argv = ["train", "--w0", "w0.mat", "--config", "qr.cfg", "--task", "teacher-noise",
+                "--task-seed", "0", "--steps", "200"]
+        assert main([*argv, "--out", "run"]) == 0
+        assert "steps=200 final_loss=2.297307e+00 " in capsys.readouterr().out
+        # a flag the task takes no scale of is ignored; the builder's defaults, spelled out
+        assert main([*argv, "--shift-scale", "5", "--out", "shift5"]) == 0
+        assert main([*argv, "--noise-stddev", "0.01", "--input-scale", "1", "--out", "own"]) == 0
+        assert run_bytes("shift5") == run_bytes("run") == run_bytes("own")
+
+    def test_shift_task_at_its_builders_defaults_keeps_its_bytes(self, in_tmp):
+        write_mat("w0.mat", seed=20, m=8, n=8)
+        write_config("qr.cfg", ["method = deft", "rank = 2", "backend = qr"])
+        argv = ["train", "--w0", "w0.mat", "--config", "qr.cfg", "--task-seed", "1",
+                "--steps", "20"]
+        assert main([*argv, "--out", "run"]) == 0
+        assert main([*argv, "--shift-scale", "1", "--input-scale", "64", "--out", "own"]) == 0
+        assert main([*argv, "--noise-stddev", "5", "--out", "noise5"]) == 0
+        assert run_bytes("own") == run_bytes("run") == run_bytes("noise5")
+
+    def test_default_task_stream_is_not_the_initial_latents(self, in_tmp, monkeypatch):
+        # without --task-seed the task's Philox key is derived from the config seed; the
+        # config seed's own stream draws the initial latent, whose first m entries would
+        # otherwise be init_stddev times the teacher's raw shift direction
+        w0 = make_rng(21).normal(size=(32, 32))
+        store.save_matrix(w0, "w0.mat")
+        write_config("qr.cfg", ["method = deft", "rank = 4", "backend = qr",
+                                "init_stddev = 0.1", "seed = 0"])
+        build, seeds = deft.train.make_teacher_shift_task, []
+
+        @functools.wraps(build)
+        def recording(w0, seed, **scales):
+            seeds.append(seed)
+            return build(w0, seed, **scales)
+
+        monkeypatch.setattr(deft.train, "make_teacher_shift_task", recording)
+        assert main(["train", "--w0", "w0.mat", "--config", "qr.cfg", "--steps", "1",
+                     "--out", "run"]) == 0
+        derived = np.random.SeedSequence(0).spawn(1)[0].generate_state(1, np.uint64)[0]
+        assert seeds == [int(derived)]
+        head = adapters.init_adapter(w0, store.read_config("qr.cfg")).p_latent.ravel()[:32]
+        assert np.array_equal(head, 0.1 * make_rng(0).normal(size=32))
+        assert not np.array_equal(head, 0.1 * make_rng(seeds[0]).normal(size=32))
 
     def test_noise_task_runs(self, in_tmp):
         write_mat("w0.mat", seed=17, m=6, n=6)

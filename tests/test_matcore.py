@@ -10,6 +10,7 @@ import deft
 from deft import matcore
 from deft.adapters import AdapterConfig, init_adapter
 from deft.matcore import (
+    NonFiniteError,
     ShapeError,
     as_matrix,
     frobenius_norm,
@@ -215,6 +216,10 @@ class TestAsMatrix:
         with pytest.raises(ShapeError):
             as_matrix(np.ones(3))
 
+    def test_names_a_missing_matrix(self):
+        with pytest.raises(ShapeError, match="^r is missing$"):
+            as_matrix(None, "r")
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix(np.array([[1.0, np.nan]]))
@@ -224,7 +229,7 @@ class TestAsMatrix:
     def test_rejects_a_non_finite_first_or_last_entry(self, value, index):
         a = make_rng(5).normal(size=(3, 4))
         a.flat[index] = value
-        with pytest.raises(ValueError, match="x contains non-finite entries"):
+        with pytest.raises(NonFiniteError, match="x contains non-finite entries"):
             as_matrix(a, "x")
 
     def test_accepts_every_finite_extreme(self):

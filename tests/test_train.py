@@ -451,6 +451,24 @@ class TestRunFinetune:
         assert exc.value.step >= 1
         assert np.isfinite(exc.value.last_loss)
 
+    def test_a_failed_svd_inside_a_pass_is_not_divergence(self, monkeypatch):
+        # only as_matrix's refusal of an overflowed latent reads as divergence: an SVD that
+        # fails from its 4th call on, at step 3 of a finite run, reaches the caller as itself
+        svd, calls = np.linalg.svd, []
+
+        def failing_from_the_4th_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= 4:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        w0 = np.random.default_rng(0).normal(size=(8, 8))
+        task = make_teacher_shift_task(w0, seed=1)
+        monkeypatch.setattr(np.linalg, "svd", failing_from_the_4th_call)
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            run_finetune(w0, AdapterConfig("deft", 2, backend=Backend("tsvd")), task, steps=10)
+        assert len(calls) == 4
+
     def test_bad_steps(self):
         w0 = make_rng(38).normal(size=(4, 4))
         cfg = AdapterConfig("deft", 1, backend=Backend("relax"))
