@@ -56,6 +56,12 @@ _TASKS = {"teacher-shift": "make_teacher_shift_task",
           "teacher-noise": "make_teacher_noise_task"}
 
 
+def _task_scales(task):
+    """{scale: default} of a --task: its builder's keyword parameters with defaults."""
+    params = inspect.signature(getattr(train, _TASKS[task])).parameters
+    return {k: p.default for k, p in params.items() if p.default != p.empty}
+
+
 def _number(convert, low=-math.inf):
     """An argparse type: the text through `convert` (int or float), then finite and >= low."""
     bound = "" if low == -math.inf else f" and >= {low}"
@@ -147,11 +153,11 @@ def cmd_train(args):
     # stream that init_adapter draws the initial latent from (make_rng(cfg.seed))
     task_seed = (int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1, np.uint64)[0])
                  if args.task_seed is None else args.task_seed)
-    make_task = getattr(train, _TASKS[args.task])
-    scales = {k: p.default if getattr(args, k) is None else getattr(args, k)
-              for k, p in inspect.signature(make_task).parameters.items() if p.default != p.empty}
+    scales = {k: v if getattr(args, k) is None else getattr(args, k)
+              for k, v in _task_scales(args.task).items()}
+    task = getattr(train, _TASKS[args.task])(w0, task_seed, **scales)
     try:
-        report, state = train.run_finetune(w0, cfg, make_task(w0, task_seed, **scales), args.steps)
+        report, state = train.run_finetune(w0, cfg, task, args.steps)
     except DivergenceError as exc:
         if exc.step > 0:
             raise
@@ -389,11 +395,15 @@ def _build_parser():
     p.add_argument("--task-seed", type=_number(int, 0), default=None,
                    help="task seed (default: derived from the config seed, so the task's "
                         "Philox stream is not the one that draws the initial latent)")
-    # an unset scale flag takes the task builder's own default; a flag the task has no
-    # scale of is ignored
-    p.add_argument("--shift-scale", type=_number(float))
-    p.add_argument("--input-scale", type=_number(float))
-    p.add_argument("--noise-stddev", type=_number(float, 0))
+    # an unset scale flag takes the task builder's own default, which its help names per
+    # task; a flag the task has no scale of is ignored
+    defaults = {task: _task_scales(task) for task in _TASKS}
+    for scale, low in (("shift_scale", -math.inf), ("input_scale", -math.inf),
+                       ("noise_stddev", 0)):
+        ignored = [t for t, d in defaults.items() if scale not in d]
+        p.add_argument("--" + scale.replace("_", "-"), type=_number(float, low), help=(
+            "default: " + ", ".join(f"{t} {d[scale]:g}" for t, d in defaults.items() if scale in d)
+            + (f"; ignored by {', '.join(ignored)}" if ignored else "")))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the column-space property suite")

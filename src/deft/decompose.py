@@ -81,7 +81,7 @@ class Backend:
             raise ConfigError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class DecompositionResult:
     """A kind's factor, the aux factors that rebuild the input, notes and stats.
 
@@ -90,6 +90,12 @@ class DecompositionResult:
     ``reconstruct`` nor ``deft decompose`` reads them. ``"sweeps"``, the
     sweeps of the converged Jacobi run, is present exactly when a Jacobi
     SVD ran: for tsvd and lrmf unless ``portable=False``.
+
+    The record is not frozen. Freezing would guard nothing: the factor
+    arrays are writable and aux and stats are dicts, no code assigns to a
+    field, and the adapter cache is keyed on the latent's bytes, not on
+    the record. A frozen __init__ costs about four times a plain one, and
+    a training run builds one record per step.
     """
 
     kind: str

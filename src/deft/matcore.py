@@ -36,6 +36,15 @@ def as_matrix(a, name="matrix"):
     `a` must be given (not None), two-dimensional, non-empty and finite;
     `name` labels the error otherwise raised: ShapeError, or NonFiniteError
     for a non-finite entry.
+
+    Finiteness is first read off one sum of squares, and the elementwise
+    scan runs only when that sum is not finite. This is sound under IEEE
+    754: an inf or NaN entry squares to inf or NaN, and a sum of
+    non-negative terms that holds one is inf or NaN, so a finite sum proves
+    every entry finite. The converse fails, since the squares of finite
+    entries past about 1.3e154 overflow; such a matrix takes the exact scan
+    and is accepted. Both paths of sum_of_squares (vdot and einsum) return
+    inf on overflow without a warning.
     """
     if a is None:
         raise ShapeError(f"{name} is missing")
@@ -44,7 +53,7 @@ def as_matrix(a, name="matrix"):
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must be non-empty, got shape {out.shape}")
-    if np.count_nonzero(np.isfinite(out)) != out.size:
+    if not math.isfinite(sum_of_squares(out)) and np.count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
@@ -89,11 +98,13 @@ def frobenius_norm(a):
     A sum of squares outside (1e-280, 1e280) may have overflowed, or lost
     entries whose squares underflowed; it is then retaken over the entries
     brought to unit scale (see unit_exponent), so the norm is right
-    anywhere in float64 range.
+    anywhere in float64 range. An all-zero array (-0.0 included) skips that
+    rescale: its sum is exactly 0.0, and so is its norm. Tiny nonzero
+    entries whose squares underflow to a zero sum are still rescaled.
     """
     a = np.asarray(a, dtype=np.float64)
     total = sum_of_squares(a)
-    if not 1e-280 < total < 1e280:
+    if not 1e-280 < total < 1e280 and a.any():
         shift = unit_exponent(a)
         return float(np.ldexp(math.sqrt(sum_of_squares(np.ldexp(a, -shift))), shift))
     return math.sqrt(total)  # correctly rounded, as np.sqrt is: the same bits

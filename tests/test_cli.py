@@ -384,6 +384,28 @@ class TestTrain:
         assert main([*argv, "--noise-stddev", "5", "--out", "noise5"]) == 0
         assert run_bytes("own") == run_bytes("run") == run_bytes("noise5")
 
+    def test_help_names_each_tasks_scale_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap at a hyphen
+        assert main(["train", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--shift-scale SHIFT_SCALE default: teacher-shift 1; ignored by teacher-noise" in out
+        assert "--input-scale INPUT_SCALE default: teacher-shift 64, teacher-noise 1 " in out
+        assert "--noise-stddev NOISE_STDDEV default: teacher-noise 0.01; ignored by teacher-shift" in out
+
+        # the numbers are read off the builders when the (cached) parser is built
+        def noise_task(w0, seed, noise_stddev=0.25, input_scale=2.5):
+            raise AssertionError("help builds no task")
+
+        monkeypatch.setattr(deft.train, "make_teacher_noise_task", noise_task)
+        deft.cli._build_parser.cache_clear()
+        try:
+            assert main(["train", "--help"]) == 0
+        finally:
+            deft.cli._build_parser.cache_clear()  # the next test rebuilds it from the real builder
+        out = " ".join(capsys.readouterr().out.split())
+        assert "default: teacher-shift 64, teacher-noise 2.5 " in out
+        assert "default: teacher-noise 0.25; ignored by teacher-shift" in out
+
     def test_default_task_stream_is_not_the_initial_latents(self, in_tmp, monkeypatch):
         # without --task-seed the task's Philox key is derived from the config seed; the
         # config seed's own stream draws the initial latent, whose first m entries would

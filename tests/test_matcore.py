@@ -60,6 +60,17 @@ class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((4, 4))) == 0.0
 
+    @pytest.mark.parametrize("a", [np.zeros((4, 32)), np.zeros((1024, 8)), np.array([[-0.0]])],
+                             ids=["4x32", "1024x8", "negative_zero"])
+    def test_all_zero_skips_the_rescale(self, a, monkeypatch):
+        # c08's dead deft/nmf steps take this norm of an exactly zero gradient
+        def no_rescale(_):
+            raise AssertionError("an all-zero array was rescaled")
+
+        monkeypatch.setattr(matcore, "unit_exponent", no_rescale)
+        norm = frobenius_norm(a)
+        assert type(norm) is float and norm == 0.0 and math.copysign(1.0, norm) == 1.0
+
     def test_three_four_five(self):
         assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
 
@@ -227,10 +238,19 @@ class TestAsMatrix:
     @pytest.mark.parametrize("index", [0, -1])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_first_or_last_entry(self, value, index):
-        a = make_rng(5).normal(size=(3, 4))
-        a.flat[index] = value
-        with pytest.raises(NonFiniteError, match="x contains non-finite entries"):
-            as_matrix(a, "x")
+        # (65, 65) lies above matcore._VDOT_MAX_SIZE: its sum of squares takes einsum
+        for shape in [(3, 4), (65, 65)]:
+            a = make_rng(5).normal(size=shape)
+            a.flat[index] = value
+            with pytest.raises(NonFiniteError, match="x contains non-finite entries"):
+                as_matrix(a, "x")
+
+    @pytest.mark.parametrize("shape", [(3, 4), (65, 65)])
+    def test_accepts_finite_entries_whose_squares_overflow(self, shape):
+        # the sum of squares is inf, so the elementwise scan is what accepts the matrix
+        a = np.full(shape, 1e200)
+        assert sum_of_squares(a) == math.inf
+        assert as_matrix(a).tobytes() == a.tobytes()
 
     def test_accepts_every_finite_extreme(self):
         a = np.array([[-0.0, 5e-324], [1.7e308, -1.7e308]])
