@@ -281,9 +281,10 @@ def cmd_displacement(args):
     if not math.isfinite(args.grid_hi - args.grid_lo):  # the grid's ticks would overflow
         raise UsageError(f"--grid-hi minus --grid-lo overflows float64, got --grid-lo "
                          f"{args.grid_lo} and --grid-hi {args.grid_hi}")
+    if (args.state is None) != (args.w0 is None):
+        raise UsageError("--state requires --w0 and --w0 requires --state (checkpoints bind "
+                         "to a base weight)")
     if args.state is not None:
-        if args.w0 is None:
-            raise UsageError("--state requires --w0 (checkpoints bind to a base weight)")
         w0 = store.load_matrix(args.w0)
         state = store.load_adapter(args.state, w0)
     else:
@@ -407,7 +408,8 @@ def _build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the column-space property suite")
-    p.add_argument("--w0", default=None, help="MAT1 base weight (default: seeded random 64x48)")
+    p.add_argument("--w0", default=None,
+                   help="MAT1 base weight (default: seeded random %dx%d)" % _VERIFY_W0_SHAPE)
     p.add_argument("--rank", type=_number(int, 1), default=8)
     p.add_argument("--backend", default="qr", help=_KIND_HELP)
     p.add_argument("--trials", type=_number(int, 1), default=3)

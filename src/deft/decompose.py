@@ -47,12 +47,6 @@ import numpy as np
 from deft._jacobi import _fix_signs, jacobi_svd
 from deft.matcore import ShapeError, as_matrix, make_rng, unit_exponent
 
-# The nmf backend's multiplicative-update budget unless nmf_iters says
-# otherwise. Deliberately small: a training run refactorizes the latent on
-# every step, so the per-step cost must sit in the same cheap tier as
-# qr/relax, and a warm-ish approximate factor is all the adapter math needs.
-PER_STEP_NMF_ITERS = 15
-
 
 class ConfigError(ValueError):
     """Invalid adapter or backend configuration."""
@@ -68,7 +62,11 @@ class Backend:
     """
 
     kind: str
-    nmf_iters: int = field(default=PER_STEP_NMF_ITERS, kw_only=True)
+    # The nmf multiplicative-update budget. Deliberately small: a training run
+    # refactorizes the latent on every step, so the per-step cost must sit in the
+    # same cheap tier as qr/relax, and a warm-ish approximate factor is all the
+    # adapter math needs.
+    nmf_iters: int = field(default=15, kw_only=True)
     nmf_tol: float = field(default=1e-6, kw_only=True)
 
     def __post_init__(self):

@@ -681,6 +681,14 @@ class TestDisplacement:
         assert main(["displacement", "--state", "a.adpt"]) == 2
         assert "requires --w0" in capsys.readouterr().err
 
+    def test_w0_requires_state(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=21, m=6, n=5)
+        assert main(["displacement", "--w0", "w0.mat", "--out", "d.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "requires --state" in err
+        assert err.count("\n") == 1
+        assert [p.name for p in in_tmp.iterdir()] == ["w0.mat"]
+
     def test_saved_state(self, in_tmp):
         write_mat("w0.mat", seed=21, m=4, n=4)
         assert main(["adapt-init", "--w0", "w0.mat", "--method", "para", "--rank", "2",

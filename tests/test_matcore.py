@@ -221,6 +221,14 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian(make_rng(0), 2, 2, -1.0)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_rejects_an_empty_shape_without_drawing(self, rows, cols):
+        rng = make_rng(0)
+        before = repr(rng.bit_generator.state)  # the Philox counter and key are arrays
+        with pytest.raises(ShapeError, match=f"^matrix dims must be positive, got {rows}x{cols}$"):
+            gaussian(rng, rows, cols, 1.0)
+        assert repr(rng.bit_generator.state) == before
+
 
 class TestAsMatrix:
     def test_rejects_non_2d(self):

@@ -460,7 +460,7 @@ class TestConfigText:
             read_config(path)
 
 
-def _csv_line_reference(row):
+def _reference_csv_row(row):
     """A CSV line by the rule save_csv documents, one isinstance chain per cell."""
     cells = []
     for value in row:
@@ -487,6 +487,6 @@ def test_csv_cells_keep_their_bytes(tmp_path):
     header = ("a", "b", "c")
     path = tmp_path / "cells.csv"
     save_csv(path, header, rows)
-    lines = [",".join(header)] + [_csv_line_reference(row) for row in rows]
+    lines = [",".join(header)] + [_reference_csv_row(row) for row in rows]
     assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode("utf-8")
     assert lines[1] == "0,-0.0,5e-324,1e+300"
