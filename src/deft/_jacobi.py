@@ -119,17 +119,15 @@ def _fix_signs(u, v):
 
     A column whose entry is negative is negated in u and in v, which may be
     a view (qr passes r_tri.T). The entries are read with one gather; on a
-    magnitude tie the first row counts. When some column flips, u and v are
-    multiplied by one row of +1.0 and -1.0. That is exact: x * 1.0 is x and
-    x * -1.0 is -x, -0.0 and 0.0 included, so the bits are those of
-    negating the flipped columns alone, without a boolean gather and
-    scatter of them.
+    magnitude tie the first row counts. u and v are multiplied by one row
+    of +1.0 and -1.0. That is exact: x * 1.0 is x and x * -1.0 is -x, -0.0
+    and 0.0 included, so the bits are those of negating the flipped
+    columns alone, without a boolean gather and scatter of them.
     """
     peaks = u[abs(u).argmax(0), np.arange(u.shape[1])]
-    if min(peaks.tolist()) < 0.0:
-        signs = np.where(peaks < 0.0, -1.0, 1.0)
-        u *= signs
-        v *= signs
+    signs = np.where(peaks < 0.0, -1.0, 1.0)
+    u *= signs
+    v *= signs
 
 
 def jacobi_svd(a, stats=None):

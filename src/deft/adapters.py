@@ -188,8 +188,7 @@ def init_adapter(w0, cfg):
     """
     w0 = freeze(as_matrix(w0, "w0"))
     (p_name, p_shape), *r_side = trainable_shapes(cfg, *w0.shape).items()
-    rng = make_rng(cfg.seed) if cfg.init_stddev > 0 else None  # gaussian draws nothing at 0
-    draw = gaussian(rng, *p_shape, cfg.init_stddev)
+    draw = gaussian(make_rng(cfg.seed), *p_shape, cfg.init_stddev)
     if not np.isfinite(draw).all():
         raise ConfigError(f"init_stddev {cfg.init_stddev} overflows float64 in the initial "
                           f"{p_name} draw")

@@ -375,7 +375,7 @@ def _build_parser():
     p.add_argument("--w0", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--rank", type=_number(int, 1), required=True)
-    # unset flags take AdapterConfig's and Backend's defaults; the nmf knobs need --backend
+    # unset flags take AdapterConfig's and Backend's defaults; only --backend nmf takes nmf knobs
     p.add_argument("--alpha", type=_number(float))
     p.add_argument("--backend", help=_KIND_HELP)
     p.add_argument("--lr-p", type=_number(float))
@@ -418,13 +418,14 @@ def _build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("displacement", help="displacement field of an adapter update")
-    p.add_argument("--state", default=None, help="ADPT1 checkpoint (default: seeded 2x2 probe)")
+    probe = p.add_mutually_exclusive_group()  # --seed draws the probe that --state replaces
+    probe.add_argument("--state", help="ADPT1 checkpoint (default: seeded 2x2 probe)")
     p.add_argument("--w0", default=None, help="MAT1 base weight for --state")
     p.add_argument("--grid-lo", type=_number(float), default=-1.0)
     p.add_argument("--grid-hi", type=_number(float), default=1.0)
     p.add_argument("--grid-n", type=_number(int, 1), default=21)
     p.add_argument("--out", default="displacement.csv")
-    add_seed(p)
+    add_seed(probe)
     p.set_defaults(func=cmd_displacement)
 
     p = sub.add_parser("bench", help="time each backend on a seeded latent")

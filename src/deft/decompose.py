@@ -57,7 +57,8 @@ class Backend:
     """Selects a factorization kind and its nmf knobs.
 
     kind may use ``-`` for ``_``; the ``_`` form is stored. The knobs are
-    keyword-only. The rank of the factor is not a backend field:
+    keyword-only, and only the nmf kind reads them: every other kind holds
+    their defaults. The rank of the factor is not a backend field:
     ``decompose`` takes it.
     """
 
@@ -77,6 +78,9 @@ class Backend:
             raise ConfigError(f"nmf_iters must be in [1, 2**64), got {self.nmf_iters}")
         if not 0 <= self.nmf_tol < math.inf:
             raise ConfigError(f"nmf_tol must be finite and >= 0, got {self.nmf_tol}")
+        knobs = (self.nmf_iters, self.nmf_tol)
+        if self.kind != "nmf" and knobs != (Backend.nmf_iters, Backend.nmf_tol):
+            raise ConfigError(f"{self.kind} takes the default nmf_iters, nmf_tol; got {knobs}")
 
 
 @dataclass
@@ -179,9 +183,9 @@ def _nmf(b, r, backend, seed, portable):
 
     The updates guard each denominator with an absolute 1e-12, which would
     swamp small data, and the squared norm of an input with entries near
-    1e154 overflows. An input whose largest entry is below 2**-10 or at
-    least 2**500 is factored at unit scale, times an even power of two
-    4**-k; W and H are scaled back by 2**k each and err_trace by 4**k.
+    1e154 overflows. The input is factored times 4**-k, W and H are scaled
+    back by 2**k each and err_trace by 4**k. k is 0 while the largest
+    entry lies in [2**-10, 2**500), and otherwise brings it to unit scale.
     """
     m, n = b.shape
     notes = ()
@@ -194,8 +198,7 @@ def _nmf(b, r, backend, seed, portable):
         return DecompositionResult("nmf", np.zeros((m, r)), zero_aux, notes)
     top = b.max()
     half = 0 if 2.0**-10 <= top < 2.0**500 else unit_exponent(b) // 2
-    if half:
-        b = np.ldexp(b, -2 * half)
+    b = np.ldexp(b, -2 * half)
 
     rng = make_rng(seed)
     scale = np.sqrt(float(b.mean()) / r)
@@ -225,10 +228,8 @@ def _nmf(b, r, backend, seed, portable):
         diff = b - w @ h
         trace.append(float(np.sqrt(np.einsum("ij,ij->", diff, diff))))
 
-    if half:  # back to the input's scale
-        w, h, trace = np.ldexp(w, half), np.ldexp(h, half), np.ldexp(trace, 2 * half)
-    aux = {"h": h, "err_trace": np.asarray(trace)}
-    return DecompositionResult("nmf", w, aux, notes)
+    aux = {"h": np.ldexp(h, half), "err_trace": np.ldexp(trace, 2 * half)}  # input's scale
+    return DecompositionResult("nmf", np.ldexp(w, half), aux, notes)
 
 
 def _eig(b, r, backend, seed, portable):

@@ -33,7 +33,8 @@ Adapter checkpoint (ADPT1)::
     111     ...   sections: name length u64, name utf-8, embedded MAT1
 
 The tags are tuple positions, so METHODS and KINDS may only grow at the
-end. The sections are the method's trainables in the order and shapes of
+end. The two nmf fields hold Backend's defaults for every backend kind but
+nmf. The sections are the method's trainables in the order and shapes of
 adapters.trainable_shapes, which also refuses a stored rank above
 min(m, n) of the paired base weight (the CLI exits 3).
 
@@ -53,8 +54,9 @@ an adapter (``CONFIG_KEYS``): method, rank, alpha, backend, lr_p, lr_r,
 init_stddev, seed, nmf_iters, nmf_tol. Unknown or duplicate keys are
 errors. A config file, an ADPT1 header and ``deft adapt-init`` flags all
 become an AdapterConfig through ``adapters.config_from_fields``, so one
-rule holds for all three: nmf_iters and nmf_tol need a backend, and a
-backend kind may be spelled with ``-`` or ``_``.
+rule holds for all three: nmf_iters and nmf_tol need a backend, every
+backend kind but nmf holds their defaults, and a backend kind may be
+spelled with ``-`` or ``_``.
 """
 
 from __future__ import annotations

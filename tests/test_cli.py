@@ -157,6 +157,15 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err == "error: SVD did not converge\n"
 
+    @pytest.mark.parametrize("knob", [["--nmf-iters", "3"], ["--nmf-tol", "1e-4"]],
+                             ids=["nmf-iters", "nmf-tol"])
+    def test_nmf_knobs_on_another_kind_exit_2(self, in_tmp, capsys, knob):
+        write_mat("w0.mat", seed=5)
+        assert main(["decompose", "--in", "w0.mat", "--method", "qr", *knob, "--out", "f"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: qr takes the default nmf_iters, nmf_tol; got (")
+        assert [p.name for p in in_tmp.iterdir()] == ["w0.mat"]
+
     def test_relax_nmf_hyphen_accepted(self, in_tmp):
         write_mat("b.mat", seed=5, m=5, n=2)
         assert main(["decompose", "--in", "b.mat", "--method", "relax-nmf",
@@ -688,6 +697,31 @@ class TestDisplacement:
         assert err.startswith("usage error: ") and "requires --state" in err
         assert err.count("\n") == 1
         assert [p.name for p in in_tmp.iterdir()] == ["w0.mat"]
+
+    def test_seed_with_state_is_usage_error(self, in_tmp, capsys):
+        write_mat("w0.mat", seed=21, m=4, n=4)
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--out", "a.adpt"]) == 0
+        capsys.readouterr()
+        # the seed draws only the default probe, which --state replaces
+        assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat", "--seed", "1",
+                     "--out", "d.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: not allowed with argument --state\n")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["a.adpt", "w0.mat"]
+
+    def test_env_seed_stays_a_default_beside_state(self, in_tmp, monkeypatch):
+        write_mat("w0.mat", seed=21, m=4, n=4)
+        assert main(["adapt-init", "--w0", "w0.mat", "--method", "deft", "--rank", "2",
+                     "--out", "a.adpt"]) == 0
+        monkeypatch.setenv("DEFT_SEED", "3")
+        assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat", "--grid-n", "3",
+                     "--out", "env.csv"]) == 0
+        monkeypatch.delenv("DEFT_SEED")
+        assert main(["displacement", "--state", "a.adpt", "--w0", "w0.mat", "--grid-n", "3",
+                     "--out", "flag.csv"]) == 0
+        with open("env.csv", "rb") as f1, open("flag.csv", "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_saved_state(self, in_tmp):
         write_mat("w0.mat", seed=21, m=4, n=4)

@@ -47,7 +47,8 @@ def valid_fields(draw):
     if fields["method"] != "lora" and draw(st.booleans()):  # lora takes no backend
         kind = draw(st.sampled_from(KINDS))
         fields["backend"] = kind.replace("_", "-") if draw(st.booleans()) else kind
-        optional.update(nmf_iters=st.integers(1, 50), nmf_tol=st.floats(0.0, 1e-2))
+        if kind == "nmf":  # every other kind holds the knobs' defaults
+            optional.update(nmf_iters=st.integers(1, 50), nmf_tol=st.floats(0.0, 1e-2))
     for key, values in optional.items():
         if draw(st.booleans()):
             fields[key] = draw(values)
@@ -58,11 +59,15 @@ def valid_fields(draw):
 def invalid_fields(draw):
     """A valid field set with one defect; returns (fields, defect)."""
     fields = draw(valid_fields())
-    defect = draw(st.sampled_from(("knobs_without_backend", "lr_r_below_lr_p",
-                                   "unknown_kind", "non_finite", "lora_with_backend",
-                                   "past_u64")))
+    defect = draw(st.sampled_from(("knobs_without_backend", "knobs_on_another_kind",
+                                   "lr_r_below_lr_p", "unknown_kind", "non_finite",
+                                   "lora_with_backend", "past_u64")))
     if defect == "knobs_without_backend":
         fields.pop("backend", None)
+        fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
+    elif defect == "knobs_on_another_kind":
+        fields.update(method=draw(st.sampled_from(("para", "deft"))),
+                      backend=draw(st.sampled_from([k for k in KINDS if k != "nmf"])))
         fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
     elif defect == "lr_r_below_lr_p":
         fields.update(lr_p=0.5, lr_r=0.1)
@@ -131,8 +136,9 @@ def workdir(tmp_path_factory):
 
 @DOORS
 @given(fields=valid_fields())
-@example(fields={"method": "deft", "rank": 2, "backend": "relax_nmf", "nmf_iters": 5})
-@example(fields={"method": "para", "rank": 3, "backend": "relax-nmf", "nmf_tol": 1e-4})
+@example(fields={"method": "deft", "rank": 2, "backend": "relax_nmf", "seed": 5})
+@example(fields={"method": "para", "rank": 3, "backend": "relax-nmf", "lr_p": 1e-4})
+@example(fields={"method": "para", "rank": 3, "backend": "nmf", "nmf_iters": 5, "nmf_tol": 1e-4})
 @example(fields={"method": "lora", "rank": 1, "seed": 2**64 - 1})
 def test_valid_fields_give_one_config_at_every_door(workdir, fields):
     from_text = parse_config(config_text(fields))
@@ -151,6 +157,10 @@ def test_valid_fields_give_one_config_at_every_door(workdir, fields):
 @DOORS
 @given(case=invalid_fields())
 @example(case=({"method": "deft", "rank": 2, "nmf_iters": 5}, "knobs_without_backend"))
+@example(case=({"method": "deft", "rank": 2, "backend": "relax_nmf", "nmf_iters": 5},
+               "knobs_on_another_kind"))
+@example(case=({"method": "para", "rank": 3, "backend": "relax-nmf", "nmf_tol": 1e-4},
+               "knobs_on_another_kind"))
 @example(case=({"method": "para", "rank": 2, "lr_p": 0.5, "lr_r": 0.1}, "lr_r_below_lr_p"))
 @example(case=({"method": "deft", "rank": 2, "backend": "cholesky"}, "unknown_kind"))
 @example(case=({"method": "lora", "rank": 2, "alpha": math.inf}, "non_finite"))
@@ -192,6 +202,36 @@ def test_nmf_knobs_without_backend_exit_2(workdir):
     assert code == 2
     assert err == "usage error: nmf_iters/nmf_tol given without a backend\n"
     assert sorted(os.listdir()) == ["w0.mat"]
+
+
+@pytest.mark.parametrize("door", ["adapt-init", "config", "header"])
+def test_nmf_knobs_on_another_kind_are_refused_at_every_door(workdir, door):
+    fields = {"method": "deft", "rank": 2, "backend": "qr", "nmf_iters": 3}
+    if door == "adapt-init":
+        assert run_cli(adapt_init_argv(fields))[0] == 2
+    elif door == "config":
+        with open("bad.cfg", "w", encoding="utf-8") as f:
+            f.write(config_text(fields))
+        assert run_cli(["train", "--w0", "w0.mat", "--config", "bad.cfg", "--steps", "1",
+                        "--out", "t"])[0] == 3
+        os.remove("bad.cfg")
+    else:
+        with open("bad.adpt", "wb") as f:
+            f.write(header_bytes(fields))
+        code, err = run_cli(["displacement", "--state", "bad.adpt", "--w0", "w0.mat",
+                             "--out", "d.csv"])
+        assert code == 3 and "invalid stored config: qr takes the default nmf_iters" in err
+        os.remove("bad.adpt")
+    assert sorted(os.listdir()) == ["w0.mat"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checkpoints_with_default_knobs_still_load(workdir, kind):
+    state = init_adapter(W0, config_from_fields("deft", 2, backend=kind, init_stddev=0.3))
+    save_adapter(state, "a.adpt")
+    loaded = load_adapter("a.adpt", W0)
+    os.remove("a.adpt")
+    assert loaded.cfg == state.cfg and store.state_hash(loaded) == store.state_hash(state)
 
 
 @pytest.mark.parametrize("argv", [

@@ -413,6 +413,16 @@ class TestDispatcherAndProperties:
         with pytest.raises(ValueError):
             decompose(np.ones((3, 2)), Backend("tsvd"), 0)
 
+    @pytest.mark.parametrize("knob, value", [("nmf_iters", 3), ("nmf_tol", 1e-4)])
+    def test_nmf_knobs_on_another_kind_are_refused(self, knob, value):
+        assert getattr(Backend("nmf", **{knob: value}), knob) == value
+        for kind in KINDS:
+            if kind != "nmf":
+                with pytest.raises(ValueError, match=f"{kind} takes the default nmf_iters"):
+                    Backend(kind, **{knob: value})
+        # the defaults, spelled out, are no knob
+        assert Backend("qr", nmf_iters=Backend.nmf_iters, nmf_tol=Backend.nmf_tol) == Backend("qr")
+
     def test_backend_knobs_are_keyword_only(self):
         # a positional second argument once meant the rank; it must not become nmf_iters
         with pytest.raises(TypeError):

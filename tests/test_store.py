@@ -394,7 +394,7 @@ class TestConfigText:
         # training setup
         method = deft
         rank = 3
-        backend = relax-nmf
+        backend = nmf
         alpha = 6.5
         lr_p = 0.001
         lr_r = 0.01
@@ -404,7 +404,7 @@ class TestConfigText:
         nmf_tol = 1e-7
         """
         cfg = parse_config(text)
-        assert cfg.backend.kind == "relax_nmf"
+        assert cfg.backend.kind == "nmf"
         assert cfg.backend.nmf_iters == 25
         assert cfg.backend.nmf_tol == 1e-7
         assert cfg.alpha == 6.5 and cfg.seed == 42
