@@ -85,9 +85,12 @@ class AdapterConfig:
     """Method selection plus every knob training and persistence need.
 
     alpha defaults to rank, making the lora scale factor alpha/rank equal
-    to 1. backend defaults to qr for para/deft; lora takes none. lr_r must
-    be at least lr_p: the in-subspace replacement term trains at a higher
-    rate than the projection factor.
+    to 1. backend defaults to qr for para/deft; lora takes none. For a
+    method with an r-side trainable (lora, deft), lr_r must be at least
+    lr_p: the replacement term trains at a higher rate than the projection
+    factor. A field the method never reads must hold its default, so that
+    no config or checkpoint carries a setting that changes nothing: alpha
+    is read by lora alone, and lr_r by lora and deft, not by para.
     """
 
     method: str
@@ -118,12 +121,20 @@ class AdapterConfig:
             object.__setattr__(self, "backend", Backend("qr"))
         if not self.lr_p > 0:
             raise ConfigError(f"lr_p must be positive, got {self.lr_p}")
-        if self.lr_r < self.lr_p:
+        r_side = len(_TRAINABLES[self.method]) > 1
+        if r_side and self.lr_r < self.lr_p:
             raise ConfigError(f"lr_r ({self.lr_r}) must be >= lr_p ({self.lr_p})")
         if self.init_stddev < 0:
             raise ConfigError(f"init_stddev must be >= 0, got {self.init_stddev}")
         if not 0 <= self.seed < 2**64:  # an ADPT1 header stores it as a u64
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        unread = {} if self.method == "lora" else {"alpha": float(self.rank)}
+        if not r_side:
+            unread["lr_r"] = AdapterConfig.lr_r
+        for name, default in unread.items():
+            if getattr(self, name) != default:
+                raise ConfigError(f"{self.method} does not read {name}: it must hold its "
+                                  f"default {default}, got {getattr(self, name)}")
 
 
 def config_from_fields(method, rank, backend=None, nmf_iters=None, nmf_tol=None, **rest):

@@ -19,7 +19,7 @@ Adapter checkpoint (ADPT1)::
                   (0 lora, 1 para, 2 deft)
     6       1     backend tag, u8: index into decompose.KINDS (0 qr,
                   1 tsvd, 2 lrmf, 3 nmf, 4 eig, 5 relax, 6 relax_nmf;
-                  0 and ignored for lora)
+                  0 for lora)
     7       8     rank, u64
     15      8     alpha, f64
     23      8     lr_p, f64
@@ -34,9 +34,11 @@ Adapter checkpoint (ADPT1)::
 
 The tags are tuple positions, so METHODS and KINDS may only grow at the
 end. The two nmf fields hold Backend's defaults for every backend kind but
-nmf. The sections are the method's trainables in the order and shapes of
-adapters.trainable_shapes, which also refuses a stored rank above
-min(m, n) of the paired base weight (the CLI exits 3).
+nmf. lora takes no backend: its backend tag and both nmf fields must be 0.
+alpha and lr_r hold their defaults for a method that does not read them
+(see adapters.AdapterConfig). The sections are the method's trainables
+in the order and shapes of adapters.trainable_shapes, which also refuses
+a stored rank above min(m, n) of the paired base weight (the CLI exits 3).
 
 The header carries the full adapter configuration, not just the method
 tags, because reloading must reproduce the original forward pass bit for
@@ -55,8 +57,9 @@ init_stddev, seed, nmf_iters, nmf_tol. Unknown or duplicate keys are
 errors. A config file, an ADPT1 header and ``deft adapt-init`` flags all
 become an AdapterConfig through ``adapters.config_from_fields``, so one
 rule holds for all three: nmf_iters and nmf_tol need a backend, every
-backend kind but nmf holds their defaults, and a backend kind may be
-spelled with ``-`` or ``_``.
+backend kind but nmf holds their defaults, a field the method does not
+read (alpha but for lora, lr_r for para) holds its default, and a backend
+kind may be spelled with ``-`` or ``_``.
 """
 
 from __future__ import annotations
@@ -145,16 +148,19 @@ def _csv_cell(value):
     return "" if value is None else str(value)
 
 
+def _write_lines(path, lines):
+    """Write the CSV lines as UTF-8 text, each ending CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("\r\n".join(lines) + "\r\n")
+
+
 def save_csv(path, header, rows):
     """Write a CSV report: the header, then one line per row, each ending CRLF.
 
     Each row is a sequence of cells. A float cell is its repr, a bool cell
     true or false, a None cell empty.
     """
-    lines = [",".join(header)]
-    lines += (",".join(map(_csv_cell, row)) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+    _write_lines(path, [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)])
 
 
 def _parse_matrix(buf, offset, label):
@@ -245,8 +251,14 @@ def load_adapter(path, w0):
         raise FormatError(f"{label}: unsupported method tag {method_tag}")
 
     method = METHODS[method_tag]
-    backend = {}  # lora's backend fields are ignored, whatever they hold
-    if method != "lora":
+    backend = {}
+    if method == "lora":  # save_adapter writes zeros: lora takes no backend
+        for name, value in (("backend tag", backend_tag), ("nmf_iters", nmf_iters),
+                            ("nmf_tol", nmf_tol)):
+            if value != 0:
+                raise FormatError(f"{label}: lora takes no backend, so its {name} must be 0, "
+                                  f"got {value}")
+    else:
         if backend_tag >= len(KINDS):
             raise FormatError(f"{label}: unsupported backend tag {backend_tag}")
         backend = dict(backend=KINDS[backend_tag], nmf_iters=nmf_iters, nmf_tol=nmf_tol)

@@ -52,7 +52,11 @@ class ToyTask:
 
 @dataclass
 class TrainReport:
-    """One row per pass, (step, loss, grad_norm_p, grad_norm_r); the final one's norms are None."""
+    """One row per pass, (step, loss, grad_norm_p, grad_norm_r); the final one's norms are None.
+
+    run_finetune fills rows with Python ints and floats, and the final
+    row's Nones; report_to_csv writes each float as its repr.
+    """
 
     rows: list = field(default_factory=list)  # grad_norm_r is 0.0 for para, which has no R
     final_state_hash: str = ""
@@ -73,6 +77,13 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
     tuned so the 32 x 32 reference task converges under the default
     learning rates (lr_p 1e-3, lr_r 1e-2) well within 2000 steps; smaller
     scales converge too, just slower.
+
+    The basis is the QR factor of a Gaussian draw, handed to
+    np.linalg.qr in Fortran order: numpy copies a QR input into column
+    order for LAPACK, and from a row-ordered n x n draw that copy is
+    strided. LAPACK gets the same matrix either way, so the bits do not
+    depend on the layout. The teacher is built after the QR, so it is not
+    held during it.
     """
     w0 = as_matrix(w0, "w0")
     m, n = w0.shape
@@ -81,9 +92,10 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
     v = rng.normal(size=n)
     u *= shift_scale / np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    teacher = w0 + np.outer(u, v)
-    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    inputs = np.ascontiguousarray(input_scale * basis)
+    inputs = np.ascontiguousarray(np.linalg.qr(np.asfortranarray(rng.normal(size=(n, n))))[0])
+    inputs *= input_scale
+    teacher = np.outer(u, v)
+    teacher += w0
     return ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
 
 
@@ -189,8 +201,16 @@ def run_finetune(w0, cfg, task, steps):
 
 
 def report_to_csv(report, path):
-    """Write the report's rows as CSV: step, loss, grad norms; the final row's norms are empty."""
-    store.save_csv(path, ("step", "loss", "grad_norm_p", "grad_norm_r"), report.rows)
+    """Write the report's rows as CSV: step, loss, grad norms; the final row's norms are empty.
+
+    The bytes are store.save_csv's for the same rows. Each row is one
+    f-string: the schema is fixed (see TrainReport), and a Python float's
+    !r is its repr.
+    """
+    *rows, (steps, loss, _, _) = report.rows
+    store._write_lines(path, ["step,loss,grad_norm_p,grad_norm_r",
+                              *(f"{i},{ls!r},{gp!r},{gr!r}" for i, ls, gp, gr in rows),
+                              f"{steps},{loss!r},,"])
 
 
 def summary_line(report):

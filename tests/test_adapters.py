@@ -45,6 +45,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AdapterConfig("deft", 2, lr_p=0.0)
 
+    def test_para_rate_is_not_capped_by_the_unread_lr_r(self):
+        assert AdapterConfig("para", 2, lr_p=0.05).lr_p == 0.05
+        with pytest.raises(ConfigError, match=r"lr_r \(0.01\) must be >= lr_p \(0.05\)"):
+            AdapterConfig("deft", 2, lr_p=0.05)
+
+    @pytest.mark.parametrize("method, field, value, default", [
+        ("para", "alpha", 9.0, 2.0), ("deft", "alpha", 9.0, 2.0), ("para", "lr_r", 5.0, 0.01),
+    ])
+    def test_unread_fields_must_hold_their_defaults(self, method, field, value, default):
+        with pytest.raises(ConfigError) as info:
+            AdapterConfig(method, 2, **{field: value})
+        assert str(info.value) == (f"{method} does not read {field}: it must hold its default "
+                                   f"{default}, got {value}")
+        assert getattr(AdapterConfig(method, 2, **{field: default}), field) == default
+        assert getattr(AdapterConfig("lora", 2, **{field: value}), field) == value
+
+    def test_positivity_is_checked_before_the_unread_rule(self):
+        with pytest.raises(ConfigError, match="alpha must be positive, got -1.0"):
+            AdapterConfig("deft", 2, alpha=-1.0)
+        with pytest.raises(ConfigError, match="lr_p must be positive, got 0.0"):
+            AdapterConfig("para", 2, lr_p=0.0, lr_r=5.0)
+
     def test_negative_stddev_rejected(self):
         with pytest.raises(ConfigError):
             AdapterConfig("deft", 2, init_stddev=-0.1)
@@ -277,8 +299,10 @@ class TestUpdateRulesExact:
 
     def cfg(self, method):
         backend = None if method == "lora" else Backend("relax")
-        return AdapterConfig(method, 3, alpha=6.0, backend=backend, lr_p=0.1, lr_r=0.4,
-                             init_stddev=0.3, seed=41)
+        # alpha and lr_r only where the method reads them (see AdapterConfig)
+        read = {"lora": {"alpha": 6.0, "lr_r": 0.4}, "deft": {"lr_r": 0.4}}.get(method, {})
+        return AdapterConfig(method, 3, backend=backend, lr_p=0.1, init_stddev=0.3, seed=41,
+                             **read)
 
     def test_lora(self):
         w0, x, cfg = self.w0, self.x, self.cfg("lora")

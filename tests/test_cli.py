@@ -258,7 +258,7 @@ class TestTrain:
         write_mat("w0.mat", seed=12, m=6, n=6)
         write_config("run.cfg", [
             "method = para", "rank = 2", "backend = qr",
-            "lr_p = 1e-4", "lr_r = 1e-4", "init_stddev = 0.2", "seed = 13",
+            "lr_p = 1e-4", "init_stddev = 0.2", "seed = 13",
         ])
         argv = ["train", "--w0", "w0.mat", "--config", "run.cfg",
                 "--steps", "20", "--input-scale", "8", "--out", None]

@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 import os
+import shutil
 import struct
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deft import store
-from deft.adapters import METHODS, config_from_fields, init_adapter
+from deft.adapters import _TRAINABLES, METHODS, config_from_fields, init_adapter
 from deft.cli import main
 from deft.decompose import KINDS
 from deft.matcore import make_rng
@@ -35,8 +36,13 @@ FLAGS = {"backend": "--backend", "nmf_iters": "--nmf-iters", "nmf_tol": "--nmf-t
 
 @st.composite
 def valid_fields(draw):
-    """A valid flat field set; a key left out takes its default."""
-    fields = {"method": draw(st.sampled_from(METHODS)), "rank": draw(st.integers(1, 4))}
+    """A valid flat field set; a key left out takes its default.
+
+    alpha is drawn only for lora and lr_r only for lora and deft: a method
+    holds the default of a field it does not read.
+    """
+    method = draw(st.sampled_from(METHODS))
+    fields = {"method": method, "rank": draw(st.integers(1, 4))}
     optional = {
         "alpha": st.floats(1e-3, 1e3),
         "lr_p": st.floats(1e-6, 1e-2),  # at most lr_r's default
@@ -44,6 +50,11 @@ def valid_fields(draw):
         "init_stddev": st.floats(0.0, 1.0),
         "seed": st.integers(0, 2**64 - 1),
     }
+    if method != "lora":
+        del optional["alpha"]
+    if method == "para":  # no r-side trainable, so no lr_r to stay below
+        del optional["lr_r"]
+        optional["lr_p"] = st.floats(1e-6, 1.0)
     if fields["method"] != "lora" and draw(st.booleans()):  # lora takes no backend
         kind = draw(st.sampled_from(KINDS))
         fields["backend"] = kind.replace("_", "-") if draw(st.booleans()) else kind
@@ -60,8 +71,8 @@ def invalid_fields(draw):
     """A valid field set with one defect; returns (fields, defect)."""
     fields = draw(valid_fields())
     defect = draw(st.sampled_from(("knobs_without_backend", "knobs_on_another_kind",
-                                   "lr_r_below_lr_p", "unknown_kind", "non_finite",
-                                   "lora_with_backend", "past_u64")))
+                                   "lr_r_below_lr_p", "unread_field", "unknown_kind",
+                                   "non_finite", "lora_with_backend", "past_u64")))
     if defect == "knobs_without_backend":
         fields.pop("backend", None)
         fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
@@ -69,8 +80,17 @@ def invalid_fields(draw):
         fields.update(method=draw(st.sampled_from(("para", "deft"))),
                       backend=draw(st.sampled_from([k for k in KINDS if k != "nmf"])))
         fields[draw(st.sampled_from(("nmf_iters", "nmf_tol")))] = 5
-    elif defect == "lr_r_below_lr_p":
+    elif defect == "lr_r_below_lr_p":  # only a method with an r-side trainable reads lr_r
+        if fields["method"] == "para":
+            fields["method"] = "deft"
         fields.update(lr_p=0.5, lr_r=0.1)
+    elif defect == "unread_field":  # alpha but on lora, lr_r on para: off its default
+        key = draw(st.sampled_from(("alpha", "lr_r")))
+        if key == "lr_r":
+            fields["method"] = "para"
+        elif fields["method"] == "lora":
+            fields["method"] = draw(st.sampled_from(("para", "deft")))
+        fields[key] = draw(st.sampled_from((0.5, 5.0)))
     elif defect == "unknown_kind":
         fields["backend"] = draw(st.sampled_from(("cholesky", "relax__nmf", "QR")))
     elif defect == "lora_with_backend":
@@ -104,15 +124,23 @@ def adapt_init_argv(fields):
 
 
 def header_bytes(fields):
-    """An ADPT1 header, written field by field, holding `fields` and no sections."""
+    """An ADPT1 header, written field by field, holding `fields` and no sections.
+
+    A lora header without a backend holds zeros in the backend fields, as
+    save_adapter writes it.
+    """
     method_tag = METHODS.index(fields["method"])
-    kind = fields.get("backend", "qr").replace("-", "_")
-    backend_tag = KINDS.index(kind) if kind in KINDS else len(KINDS)
+    if fields["method"] == "lora" and "backend" not in fields:
+        backend_tag, iters, tol = 0, 0, 0.0
+    else:
+        kind = fields.get("backend", "qr").replace("-", "_")
+        backend_tag = KINDS.index(kind) if kind in KINDS else len(KINDS)
+        iters, tol = fields.get("nmf_iters", 15), fields.get("nmf_tol", 1e-6)
     return b"ADPT1" + struct.pack(
         "<BBQddddQQd", method_tag, backend_tag, fields["rank"],
         fields.get("alpha", float(fields["rank"])), fields.get("lr_p", 1e-3),
         fields.get("lr_r", 1e-2), fields.get("init_stddev", 0.01), fields.get("seed", 0),
-        fields.get("nmf_iters", 15), fields.get("nmf_tol", 1e-6),
+        iters, tol,
     ) + store.matrix_hash(W0) + struct.pack("<Q", 0)
 
 
@@ -140,6 +168,7 @@ def workdir(tmp_path_factory):
 @example(fields={"method": "para", "rank": 3, "backend": "relax-nmf", "lr_p": 1e-4})
 @example(fields={"method": "para", "rank": 3, "backend": "nmf", "nmf_iters": 5, "nmf_tol": 1e-4})
 @example(fields={"method": "lora", "rank": 1, "seed": 2**64 - 1})
+@example(fields={"method": "para", "rank": 2, "lr_p": 0.05})
 def test_valid_fields_give_one_config_at_every_door(workdir, fields):
     from_text = parse_config(config_text(fields))
     assert from_text == config_from_fields(**fields)
@@ -161,7 +190,9 @@ def test_valid_fields_give_one_config_at_every_door(workdir, fields):
                "knobs_on_another_kind"))
 @example(case=({"method": "para", "rank": 3, "backend": "relax-nmf", "nmf_tol": 1e-4},
                "knobs_on_another_kind"))
-@example(case=({"method": "para", "rank": 2, "lr_p": 0.5, "lr_r": 0.1}, "lr_r_below_lr_p"))
+@example(case=({"method": "deft", "rank": 2, "lr_p": 0.5, "lr_r": 0.1}, "lr_r_below_lr_p"))
+@example(case=({"method": "deft", "rank": 2, "alpha": 9.0}, "unread_field"))
+@example(case=({"method": "para", "rank": 2, "lr_r": 5.0}, "unread_field"))
 @example(case=({"method": "deft", "rank": 2, "backend": "cholesky"}, "unknown_kind"))
 @example(case=({"method": "lora", "rank": 2, "alpha": math.inf}, "non_finite"))
 @example(case=({"method": "lora", "rank": 2, "backend": "nmf", "nmf_iters": 5},
@@ -182,15 +213,12 @@ def test_invalid_fields_fail_closed_at_every_door(workdir, case):
     code, err = run_cli(adapt_init_argv(fields))
     assert code == 2, err
 
-    # an ADPT1 header always holds a backend tag, lora ignores its backend fields (an
-    # unknown tag included), and a u64 field cannot hold a value past u64
-    lora_ignores = fields["method"] == "lora" and (
-        defect == "unknown_kind" or not math.isfinite(fields.get("nmf_tol", 0.0)))
-    header_door = defect not in ("knobs_without_backend", "lora_with_backend", "past_u64")
-    if header_door and not lora_ignores:
+    # an ADPT1 header always holds a backend tag, and a u64 field cannot hold a value past u64
+    if defect not in ("knobs_without_backend", "past_u64"):
         with open("bad.adpt", "wb") as f:
             f.write(header_bytes(fields))
-        with pytest.raises(FormatError, match="invalid stored config|unsupported backend tag"):
+        with pytest.raises(FormatError, match="invalid stored config|unsupported backend tag|"
+                                              "lora takes no backend"):
             load_adapter("bad.adpt", W0)
         os.remove("bad.adpt")
     assert sorted(os.listdir()) == ["w0.mat"]  # nothing written
@@ -222,6 +250,90 @@ def test_nmf_knobs_on_another_kind_are_refused_at_every_door(workdir, door):
                              "--out", "d.csv"])
         assert code == 3 and "invalid stored config: qr takes the default nmf_iters" in err
         os.remove("bad.adpt")
+    assert sorted(os.listdir()) == ["w0.mat"]
+
+
+def checkpoint_bytes(fields):
+    """header_bytes(fields), then the method's sections over W0, drawn from a fixed seed."""
+    dims = dict(zip("mn", W0.shape), rank=fields["rank"])
+    sections = _TRAINABLES[fields["method"]]
+    buf = header_bytes(fields)[:-8] + struct.pack("<Q", len(sections))
+    for name, rows, cols in sections:
+        buf += store._section_tag(name) + store.matrix_bytes(
+            make_rng(4).normal(size=(dims[rows], dims[cols])))
+    return buf
+
+
+def run_door(door, fields):
+    """(exit code, stderr) of the config door `door` given `fields`; each writes into t/."""
+    if door == "adapt-init":
+        argv = adapt_init_argv(fields)
+        argv[argv.index("a.adpt")] = "t/a.adpt"
+        os.makedirs("t")
+    elif door == "config":
+        with open("run.cfg", "w", encoding="utf-8") as f:
+            f.write(config_text(fields))
+        argv = ["train", "--w0", "w0.mat", "--config", "run.cfg", "--steps", "2", "--out", "t"]
+    else:
+        with open("run.adpt", "wb") as f:
+            f.write(checkpoint_bytes(fields))
+        os.makedirs("t")
+        argv = ["displacement", "--state", "run.adpt", "--w0", "w0.mat", "--out", "t/d.csv"]
+    code, err = run_cli(argv)
+    for path in ("run.cfg", "run.adpt"):
+        if os.path.exists(path):
+            os.remove(path)
+    written = sorted(os.listdir("t")) if os.path.isdir("t") else []
+    shutil.rmtree("t", ignore_errors=True)
+    assert sorted(os.listdir()) == ["w0.mat"]
+    return code, err, written
+
+
+DOOR_NAMES = ["adapt-init", "config", "header"]
+
+
+@pytest.mark.parametrize("door", DOOR_NAMES)
+def test_para_lr_p_is_not_capped_by_the_unread_lr_r_at_any_door(workdir, door):
+    code, err, written = run_door(door, {"method": "para", "rank": 2, "lr_p": 0.05})
+    assert (code, err) == (0, "")
+    assert written == {"adapt-init": ["a.adpt"], "config": ["adapter.adpt", "report.csv"],
+                       "header": ["d.csv"]}[door]
+
+
+@pytest.mark.parametrize("door", DOOR_NAMES)
+@pytest.mark.parametrize("fields, message", [
+    ({"method": "deft", "rank": 2, "alpha": 9.0}, "deft does not read alpha: it must hold its "
+                                                  "default 2.0, got 9.0"),
+    ({"method": "para", "rank": 3, "alpha": 6.0}, "para does not read alpha: it must hold its "
+                                                  "default 3.0, got 6.0"),
+    ({"method": "para", "rank": 2, "lr_r": 5.0}, "para does not read lr_r: it must hold its "
+                                                 "default 0.01, got 5.0"),
+], ids=["deft-alpha", "para-alpha", "para-lr_r"])
+def test_unread_fields_off_their_defaults_are_refused_at_every_door(workdir, door, fields,
+                                                                    message):
+    code, err, written = run_door(door, fields)
+    assert written == []
+    if door == "adapt-init":
+        assert (code, err) == (2, f"usage error: {message}\n")
+    elif door == "config":
+        assert (code, err) == (3, f"io error: invalid config: {message}\n")
+    else:
+        assert (code, err) == (3, f"io error: run.adpt: invalid stored config: {message}\n")
+
+
+def test_lora_backend_bytes_are_refused_through_the_cli(workdir):
+    state = init_adapter(W0, config_from_fields("lora", 2, init_stddev=0.3))
+    save_adapter(state, "lora.adpt")
+    with open("lora.adpt", "r+b") as f:  # backend tag 3 (nmf), nmf_iters 15, nmf_tol 1e-6
+        f.seek(6)
+        f.write(b"\x03")
+        f.seek(55)
+        f.write(struct.pack("<Qd", 15, 1e-6))
+    code, err = run_cli(["displacement", "--state", "lora.adpt", "--w0", "w0.mat",
+                         "--out", "d.csv"])
+    os.remove("lora.adpt")
+    assert (code, err) == (3, "io error: lora.adpt: lora takes no backend, so its backend tag "
+                              "must be 0, got 3\n")
     assert sorted(os.listdir()) == ["w0.mat"]
 
 

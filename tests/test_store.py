@@ -242,18 +242,23 @@ class TestAdapterCheckpoints:
         with pytest.raises(FormatError, match="method tag"):
             load_adapter(path, w0)
 
-    @pytest.mark.parametrize("tag", [9, 255])
-    def test_lora_ignores_its_backend_tag(self, tmp_path, tag):
+    @pytest.mark.parametrize("offset, fmt, value, name", [
+        (6, "<B", 3, "backend tag"), (6, "<B", 255, "backend tag"),
+        (55, "<Q", 15, "nmf_iters"), (63, "<d", 1e-6, "nmf_tol"),
+    ], ids=["tag-3", "tag-255", "nmf_iters", "nmf_tol"])
+    def test_lora_refuses_nonzero_backend_fields(self, tmp_path, offset, fmt, value, name):
         w0, state = trained_state("lora", seed=11)
         path = tmp_path / "lora.adpt"
         save_adapter(state, path)
         buf = bytearray(path.read_bytes())
-        assert buf[6] == 0
-        buf[6] = tag
+        size = struct.calcsize(fmt)
+        assert buf[offset:offset + size] == bytes(size)  # save_adapter writes zeros
+        struct.pack_into(fmt, buf, offset, value)
         path.write_bytes(bytes(buf))
-        back = load_adapter(path, w0)
-        assert back.cfg == state.cfg
-        assert np.array_equal(back.a, state.a) and np.array_equal(back.b_lo, state.b_lo)
+        with pytest.raises(FormatError) as info:
+            load_adapter(path, w0)
+        assert str(info.value) == (f"{path}: lora takes no backend, so its {name} must be 0, "
+                                   f"got {value}")
 
     @pytest.mark.parametrize("method", ["para", "deft"])
     def test_unknown_backend_tag(self, tmp_path, method):
@@ -299,8 +304,9 @@ class TestAdapterCheckpoints:
         assert np.array_equal(refresh(back), p)
 
 
-def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=2.0, rank=2):
-    """ADPT1 bytes written field by field, independent of save_adapter."""
+def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=None, rank=2):
+    """ADPT1 bytes written field by field, independent of save_adapter; alpha defaults to rank."""
+    alpha = float(rank) if alpha is None else alpha
     iters, tol = (0, 0.0) if method_tag == 0 else (15, 1e-6)
     buf = b"ADPT1" + struct.pack("<BBQddddQQd", method_tag, backend_tag, rank, alpha,
                                  1e-3, 1e-2, 0.01, 0, iters, tol)
@@ -366,7 +372,7 @@ class TestLiteralTags:
         w0 = make_rng(35).normal(size=(m, n))
         mats = [(name, make_rng(36).normal(size=(dims[r], dims[c]))) for name, r, c in sections]
         path = tmp_path / "over.adpt"
-        path.write_bytes(hand_built_adpt1(w0, tag, 5, mats, rank=3))
+        path.write_bytes(hand_built_adpt1(w0, tag, 5 if tag else 0, mats, rank=3))  # lora: 0
         with pytest.raises(FormatError) as info:
             load_adapter(path, w0)
         assert str(info.value) == (f"{path}: invalid stored config: rank 3 exceeds min(m, n) = 2 "
@@ -395,7 +401,6 @@ class TestConfigText:
         method = deft
         rank = 3
         backend = nmf
-        alpha = 6.5
         lr_p = 0.001
         lr_r = 0.01
         init_stddev = 0.2
@@ -407,7 +412,7 @@ class TestConfigText:
         assert cfg.backend.kind == "nmf"
         assert cfg.backend.nmf_iters == 25
         assert cfg.backend.nmf_tol == 1e-7
-        assert cfg.alpha == 6.5 and cfg.seed == 42
+        assert cfg.alpha == 3.0 and cfg.seed == 42
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# top\n\nmethod = para\n   \nrank = 2\n# tail\n")

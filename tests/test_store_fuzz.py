@@ -97,10 +97,13 @@ def test_load_adapter_round_trips_or_fails_closed(adapter_dir, data):
 
 
 def config_text(cfg):
-    """Config-file text that describes `cfg` exactly."""
-    fields = {"method": cfg.method, "rank": cfg.rank, "alpha": repr(cfg.alpha),
-              "lr_p": repr(cfg.lr_p), "lr_r": repr(cfg.lr_r),
+    """Config-file text that describes `cfg` exactly, naming only the fields its method reads."""
+    fields = {"method": cfg.method, "rank": cfg.rank, "lr_p": repr(cfg.lr_p),
               "init_stddev": repr(cfg.init_stddev), "seed": cfg.seed}
+    if cfg.method == "lora":
+        fields["alpha"] = repr(cfg.alpha)
+    if cfg.method != "para":
+        fields["lr_r"] = repr(cfg.lr_r)
     if cfg.backend is not None:
         fields.update(backend=cfg.backend.kind, nmf_iters=cfg.backend.nmf_iters,
                       nmf_tol=repr(cfg.backend.nmf_tol))

@@ -403,6 +403,25 @@ class TestTasks:
         with pytest.raises(ValueError, match="noise_stddev must be finite and >= 0"):
             make_teacher_noise_task(make_rng(25).normal(size=(6, 5)), seed=26, noise_stddev=stddev)
 
+    @pytest.mark.parametrize("n", [1, 2, 33, 257])
+    def test_shift_task_matches_its_reference_construction(self, n):
+        # the construction written out plainly: w0 plus the shift first, and the QR
+        # of the row-ordered draw; the task must give the same bits and C order
+        w0 = make_rng(n).normal(size=(n + 3, n))
+        for seed in range(3):
+            rng = make_rng(seed)
+            u, v = rng.normal(size=n + 3), rng.normal(size=n)
+            u *= 0.75 / np.linalg.norm(u)
+            v /= np.linalg.norm(v)
+            teacher = w0 + np.outer(u, v)
+            basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            inputs = np.ascontiguousarray(5.0 * basis)
+            task = make_teacher_shift_task(w0, seed, shift_scale=0.75, input_scale=5.0)
+            assert task.teacher.tobytes() == teacher.tobytes()
+            assert task.inputs.tobytes() == inputs.tobytes()
+            assert task.targets.tobytes() == (teacher @ inputs).tobytes()
+            assert task.inputs.flags.c_contiguous and task.teacher.flags.c_contiguous
+
     def test_determinism(self):
         w0 = make_rng(27).normal(size=(6, 5))
         t1 = make_teacher_shift_task(w0, seed=28)
@@ -530,6 +549,18 @@ class TestReportRows:
         data = [(tmp_path / name).read_bytes().split(b"\r\n", 1)[1]
                 for name in ("report.csv", "rows.csv")]
         assert data[0] == data[1]
+
+    def test_csv_bytes_are_save_csvs_on_edge_floats(self, tmp_path):
+        floats = [-0.0, 5e-324, 1e-05, 0.0001, 9.999999999999998e15, 1e16,
+                  1.7976931348623157e308]
+        rows = [(i, floats[i], floats[(i + 1) % 7], floats[(i + 2) % 7]) for i in range(7)]
+        rows += [(7, 0.5, 2.5, 0.0), (8, 1e-05, None, None)]  # para's 0.0, then the final row
+        report_to_csv(train.TrainReport(rows=rows), tmp_path / "report.csv")
+        store.save_csv(tmp_path / "rows.csv", ("step", "loss", "grad_norm_p", "grad_norm_r"), rows)
+        data = (tmp_path / "report.csv").read_bytes()
+        assert data == (tmp_path / "rows.csv").read_bytes()
+        assert data.split(b"\r\n")[1] == b"0,-0.0,5e-324,1e-05"
+        assert data.endswith(b"\r\n7,0.5,2.5,0.0\r\n8,1e-05,,\r\n")
 
     def test_divergence_names_the_last_rows_loss(self):
         # c08's deft/lrmf run: its loss is last finite before step 12
