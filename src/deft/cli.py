@@ -36,8 +36,8 @@ from deft import adapters, store, subspace, train
 from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, ConfigError, config_from_fields
 from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
-from deft.matcore import (ShapeError, freeze, frobenius_norm, gaussian, make_rng,
-                          numerical_rank, rel_error, unit_exponent)
+from deft.matcore import (NonFiniteError, ShapeError, freeze, frobenius_norm, gaussian,
+                          make_rng, numerical_rank, rel_error, unit_exponent)
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
@@ -158,14 +158,14 @@ def cmd_train(args):
     task = getattr(train, _TASKS[args.task])(w0, task_seed, **scales)
     try:
         report, state = train.run_finetune(w0, cfg, task, args.steps)
-    except DivergenceError as exc:
-        if exc.step > 0:
+    except (DivergenceError, NonFiniteError) as exc:  # NonFiniteError: inputs that overflowed
+        if isinstance(exc, DivergenceError) and exc.step > 0:
             raise
+        what = ("its inputs are" if isinstance(exc, NonFiniteError)
+                else "the loss before the first step is")
         flags = ", ".join(f"--{k.replace('_', '-')} {v:g}" for k, v in scales.items())
-        raise UsageError(
-            f"--task {args.task} is out of float64's range: the loss before the first step is "
-            f"not finite with {flags} and W0's max |entry| {np.abs(w0).max():.3e}"
-        ) from None
+        raise UsageError(f"--task {args.task} is out of float64's range: {what} not finite with "
+                         f"{flags} and W0's max |entry| {np.abs(w0).max():.3e}") from None
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     train.report_to_csv(report, csv_path)
@@ -183,12 +183,16 @@ def _extension_witness_ok():
 
     w0 is rank 2 with zero third row; the projector direction e3 lies
     outside col(w0), so a nonzero replacement row extends the column
-    space by exactly one dimension. The answer never changes, so it is
-    computed once per process, on the first `deft verify` call.
+    space by exactly one dimension. The merged weight is adapters.merge
+    of a deft/relax adapter with latent e3 and r a row of ones, so the
+    witness checks the update rule the library ships. The answer never
+    changes, so it is computed once per process, on the first `deft
+    verify` call.
     """
-    w0 = np.diag([2.0, 3.0, 0.0, 0.0])
+    w0 = freeze(np.diag([2.0, 3.0, 0.0, 0.0]))
     q = np.array([[0.0], [0.0], [1.0], [0.0]])
-    w_total = w0 - q @ (q.T @ w0) + q @ np.ones((1, 4))
+    w_total = adapters.merge(adapters.AdapterState(config_from_fields("deft", 1, "relax"), w0,
+                                                   p_latent=q, r=np.ones((1, 4))))
     rank_w0, rank_w0_total = subspace.extension_ranks(w0, w_total)
     report = subspace.check_containment(w0, q, w_total)
     return rank_w0_total > rank_w0 and report.containment_holds

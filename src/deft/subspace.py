@@ -4,7 +4,10 @@ field probe for visualizing what the update does to inputs.
 The three facts these helpers make executable:
 
 1. For orthonormal q, any w splits exactly into w = q q^T w + (I - q q^T) w.
-2. The reduced weight (I - q q^T) w0 never leaves col(w0), and the merged
+2. When col(q) lies inside col(w0), the reduced weight (I - q q^T) w0
+   never leaves col(w0); for any q it may not (w0 = e1 and
+   q = (e1 + e2)/sqrt(2) give a reduced weight along e1 - e2), which is
+   why the CLI's subset check builds q from w0's own columns. The merged
    adapted weight never leaves col(w0) + col(q).
 3. With a q direction outside col(w0) and a nonzero replacement term, the
    merged weight's column space strictly extends col(w0).

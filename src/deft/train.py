@@ -39,13 +39,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class ToyTask:
-    """A linear regression target: match teacher @ inputs.
+    """A linear regression task: an n x k input batch and the m x k targets to match.
 
-    targets may include seeded noise (see make_teacher_noise_task); the
-    adapter then fits the noisy targets, not the teacher.
+    Each builder below makes its targets as a teacher times the inputs,
+    plus seeded noise for make_teacher_noise_task; the teacher itself is
+    not kept, since training reads only inputs and targets.
     """
 
-    teacher: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
 
@@ -83,7 +83,7 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
     order for LAPACK, and from a row-ordered n x n draw that copy is
     strided. LAPACK gets the same matrix either way, so the bits do not
     depend on the layout. The teacher is built after the QR, so it is not
-    held during it.
+    held during it, and it is dropped once the targets are formed.
     """
     w0 = as_matrix(w0, "w0")
     m, n = w0.shape
@@ -96,7 +96,7 @@ def make_teacher_shift_task(w0, seed, shift_scale=1.0, input_scale=64.0):
     inputs *= input_scale
     teacher = np.outer(u, v)
     teacher += w0
-    return ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
+    return ToyTask(inputs, teacher @ inputs)
 
 
 def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0):
@@ -113,8 +113,8 @@ def make_teacher_noise_task(w0, seed, noise_stddev=0.01, input_scale=1.0):
     inputs = input_scale * rng.normal(size=(n, n))
     targets = w0 @ inputs
     if noise_stddev > 0:
-        targets = targets + rng.normal(0.0, noise_stddev, size=targets.shape)
-    return ToyTask(teacher=w0.copy(), inputs=inputs, targets=targets)
+        targets += rng.normal(0.0, noise_stddev, size=targets.shape)
+    return ToyTask(inputs, targets)
 
 
 def _pass(state, x, y, targets, with_grads):

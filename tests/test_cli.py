@@ -335,9 +335,12 @@ class TestTrain:
         (None, ["--shift-scale", "1e308"], "--shift-scale 1e+308"),
         ("backend = qr", ["--task", "teacher-noise", "--noise-stddev", "1e300"],
          "--noise-stddev 1e+300"),
-    ], ids=["input-scale", "shift-scale", "noise-stddev"])
+        ("backend = qr", ["--task", "teacher-noise", "--input-scale", "1e308"],
+         "--input-scale 1e+308"),
+    ], ids=["input-scale", "shift-scale", "noise-stddev", "noise-input-scale"])
     def test_task_out_of_range_is_usage_error(self, in_tmp, capsys, config, flags, named):
-        # the loss overflows before any step has run: the task, not training, is at fault
+        # the loss or the inputs overflow before any step has run: the task, not training, is
+        # at fault
         write_mat("w0.mat", seed=17)
         method = ["method = lora"] if config is None else ["method = deft", config]
         write_config("run.cfg", [*method, "rank = 2"])

@@ -30,7 +30,7 @@ def mse_of(a):
     """
     m, k = a.shape
     w0 = np.zeros((m, 1))
-    task = ToyTask(teacher=w0, inputs=np.ones((1, k)), targets=-a)
+    task = ToyTask(inputs=np.ones((1, k)), targets=-a)
     return loss_mse(init_adapter(w0, AdapterConfig("lora", 1)), task)
 
 

@@ -51,7 +51,7 @@ def small_task(seed, m=6, n=4):
     w0 = rng.normal(size=(m, n))
     teacher = w0 + rng.normal(size=(m, n))
     inputs = rng.normal(size=(n, 5))
-    return w0, ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
+    return w0, ToyTask(inputs=inputs, targets=teacher @ inputs)
 
 
 class TestGradients:
@@ -157,7 +157,7 @@ def rect_state(method, kind, seed, m=40, n=24, k=16, rank=3):
     state = init_adapter(w0, AdapterConfig(method, rank, backend=backend, init_stddev=0.5, seed=seed))
     for name, mat in list(trainables(state).items())[1:]:
         mat[...] = rng.normal(size=mat.shape)
-    return state, ToyTask(teacher=teacher, inputs=inputs, targets=teacher @ inputs)
+    return state, ToyTask(inputs=inputs, targets=teacher @ inputs)
 
 
 PARITY_CASES = [("lora", None)] + [
@@ -349,6 +349,26 @@ def test_run_finetune_peak_memory(method, kind):
     assert buffers <= 3.5, f"{method}/{kind}: peak of {buffers:.2f} m x k buffers"
 
 
+def test_teacher_shift_job_peak_memory():
+    """Task build plus training peaks at about 5.4 W0-sized buffers above W0.
+
+    The bound, 5.8, fails if the task holds one more W0-sized buffer, such as its teacher.
+    """
+    n = 256
+    w0 = make_rng(61).normal(size=(n, n))
+    cfg = AdapterConfig("deft", 8, backend=Backend("relax"), seed=62)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        task = make_teacher_shift_task(w0, seed=63)
+        run_finetune(w0, cfg, task, steps=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = (peak - start) / w0.nbytes
+    assert buffers <= 5.8, f"peak of {buffers:.2f} W0-sized buffers"
+
+
 class TestSgdStep:
     def test_rate_mapping(self):
         w0, task = small_task(15)
@@ -382,13 +402,13 @@ class TestTasks:
     def test_shift_task_geometry(self):
         w0 = make_rng(21).normal(size=(8, 6))
         task = make_teacher_shift_task(w0, seed=22, shift_scale=1.5, input_scale=4.0)
-        shift = task.teacher - w0
+        gram = task.inputs.T @ task.inputs
+        assert np.abs(gram - 16.0 * np.eye(6)).max() < 1e-10
+        # the inputs are 4 times an orthonormal basis, so they fix the teacher the targets imply
+        shift = task.targets @ task.inputs.T / 16.0 - w0
         s = np.linalg.svd(shift, compute_uv=False)
         assert abs(s[0] - 1.5) < 1e-12  # rank-1 with the requested magnitude
         assert s[1:].max() < 1e-12
-        gram = task.inputs.T @ task.inputs
-        assert np.abs(gram - 16.0 * np.eye(6)).max() < 1e-10
-        assert np.array_equal(task.targets, task.teacher @ task.inputs)
 
     def test_noise_task_floor(self):
         w0 = make_rng(25).normal(size=(6, 5))
@@ -396,7 +416,12 @@ class TestTasks:
         assert np.array_equal(clean.targets, w0 @ clean.inputs)
         noisy = make_teacher_noise_task(w0, seed=26, noise_stddev=0.1)
         assert not np.array_equal(noisy.targets, w0 @ noisy.inputs)
-        assert noisy.teacher is not w0
+        # the construction written out: the teacher w0 on the inputs, then the noise draw
+        rng = make_rng(26)
+        inputs = 1.0 * rng.normal(size=(5, 5))
+        noise = rng.normal(0.0, 0.1, size=(6, 5))
+        assert noisy.inputs.tobytes() == inputs.tobytes()
+        assert noisy.targets.tobytes() == (w0 @ inputs + noise).tobytes()
 
     @pytest.mark.parametrize("stddev", [float("nan"), float("inf"), -1.0])
     def test_noise_task_rejects_bad_stddev(self, stddev):
@@ -417,10 +442,9 @@ class TestTasks:
             basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
             inputs = np.ascontiguousarray(5.0 * basis)
             task = make_teacher_shift_task(w0, seed, shift_scale=0.75, input_scale=5.0)
-            assert task.teacher.tobytes() == teacher.tobytes()
             assert task.inputs.tobytes() == inputs.tobytes()
             assert task.targets.tobytes() == (teacher @ inputs).tobytes()
-            assert task.inputs.flags.c_contiguous and task.teacher.flags.c_contiguous
+            assert task.inputs.flags.c_contiguous and task.targets.flags.c_contiguous
 
     def test_determinism(self):
         w0 = make_rng(27).normal(size=(6, 5))
