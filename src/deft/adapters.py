@@ -12,11 +12,12 @@ of extra matrices, differing in how the effective weight is assembled:
   It is computed as W = w0 - P (P^T w0 - R); see _adapted.
 
 For para and deft, the projection factor (Q or P) is produced from a
-trainable latent matrix by a decomposition backend; refresh returns it.
-The factorization is cached together with the bytes of the latent it was
-built from, and it is recomputed whenever the latent's bits differ from
-those, however the latent was changed: an optimizer step, an in-place
-edit or a reassignment. lora takes no backend and has no factor.
+trainable latent matrix by a decomposition backend; refresh returns it,
+factoring the latent as it is at the call, so no change to the latent
+(an optimizer step, an in-place edit or a reassignment) can leave a
+reader with a stale factor. Each forward or merge pass factors once and
+keeps that factor on the state for the pass's other readers. lora takes
+no backend and has no factor.
 
 Which matrices train is stated once, in ``_TRAINABLES``: per method, its
 trainables in storage order with their shapes. The first is the p-side
@@ -27,13 +28,13 @@ Initialization, parameter counts, the SGD step and the checkpoint layout
 all derive from this table.
 
 The training step's algebra lives here too: _adapted is the forward pass,
-_gradients its gradient, and both use the rank x k coefficient
-z = P^T base - R x, which _adapted computes and keeps on the state for
-_gradients to read. The gradients are exact for the relax backends, where
-the factor is the latent. For factorizing backends the same formulas apply
-straight-through: the factorization is frozen within the step, and the
-factor's gradient is applied to the latent. Differentiating through the
-factorizations is out of scope.
+_gradients its gradient, and both use the factor P and the rank x k
+coefficient z = P^T base - R x, which _adapted computes and keeps on the
+state for _gradients to read. The gradients are exact for the relax
+backends, where the factor is the latent. For factorizing backends the
+same formulas apply straight-through: the factorization is frozen within
+the step, and the factor's gradient is applied to the latent.
+Differentiating through the factorizations is out of scope.
 
 A step over an m x n layer with rank r and batch k costs O(r (m + n) k)
 plus a fixed number of passes over m x k arrays (eight for para and deft,
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from deft.decompose import _KINDS, Backend, ConfigError, DecompositionResult, decompose
+from deft.decompose import _KINDS, Backend, ConfigError, decompose
 from deft.matcore import ShapeError, as_matrix, freeze, gaussian, make_rng
 
 # method -> (name, rows, cols) per trainable in storage order, over an m x n
@@ -158,10 +159,10 @@ class AdapterState:
     """Trainable state for one adapted layer.
 
     Only the method's own trainables (see _TRAINABLES) are set; the rest
-    stay None. w0 is a read-only array; writes raise. cache is None or the
-    (latent bytes, factorization) pair behind the factor refresh returns.
-    z is the para/deft coefficient of the last forward or merge pass (see
-    _adapted), which _gradients reads.
+    stay None. w0 is a read-only array; writes raise. p and z are the
+    para/deft factor and coefficient of the last forward or merge pass (see
+    _adapted), which _gradients and the pass's caller read; they are None
+    before the first pass, and no checkpoint holds them.
     """
 
     cfg: AdapterConfig
@@ -171,7 +172,7 @@ class AdapterState:
     q_latent: np.ndarray | None = None
     p_latent: np.ndarray | None = None
     r: np.ndarray | None = None
-    cache: tuple[bytes, DecompositionResult] | None = None
+    p: np.ndarray | None = None
     z: np.ndarray | None = None
 
 
@@ -213,12 +214,10 @@ def trainables(state):
 
 
 def refresh(state):
-    """The current P (deft) or Q (para), refactorized unless the cache holds these latent bytes.
+    """The P (deft) or Q (para) of the state's current latent; the state is not written.
 
-    The key is the latent's bytes, so -0.0 and 0.0 differ, as they may in
-    a factor. Any change to the latent, in place or by reassignment, is
-    seen here; nothing has to mark the cache out of date. lora has no
-    factor: ConfigError.
+    Every call factors the latent anew, so any change to it, in place or
+    by reassignment, is seen here. lora has no factor: ConfigError.
 
     tsvd and lrmf always factor with LAPACK's thin SVD (decompose's
     portable=False), so every reader of a latent, in training or after a
@@ -231,18 +230,15 @@ def refresh(state):
     if cfg.backend is None:
         raise ConfigError("lora has no projection factor")
     latent = getattr(state, _TRAINABLES[cfg.method][0][0])  # the p-side factor
-    key = latent.tobytes()
-    if state.cache is None or state.cache[0] != key:
-        state.cache = (key, decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed,
-                                      portable=False))
-    return state.cache[1].p_factor
+    return decompose(latent, cfg.backend, cfg.rank, seed=cfg.seed, portable=False).p_factor
 
 
 def _adapted(state, base, x=None):
     """`base` (w0 or w0 @ x) plus the adapter's update, applied to x if given.
 
     para/deft: base - P z with z = P^T base - R x (R itself when x is None,
-    no R term for para), kept as state.z for _gradients. lora: base +
+    no R term for para), P = refresh(state); P and z are kept as state.p
+    and state.z for _gradients and the caller. lora: base +
     (alpha / rank) * b_lo (a x). The result is always a fresh array, never
     `base`; the module docstring gives the pass counts this association buys.
     """
@@ -252,7 +248,7 @@ def _adapted(state, base, x=None):
         out *= cfg.alpha / cfg.rank
         out += base
         return out
-    p = refresh(state)
+    p = state.p = refresh(state)
     z = state.z = p.T.dot(base)
     if state.r is not None:
         z -= state.r if x is None else state.r.dot(x)
@@ -275,7 +271,7 @@ def _gradients(state, x, y, diff):
         return {"a": scale * state.b_lo.T.dot(diff).dot(x.T),
                 "b_lo": scale * diff.dot(x.T.dot(state.a.T))}
     p_name = _TRAINABLES[cfg.method][0][0]
-    p = state.cache[1].p_factor
+    p = state.p
     pg = scale * p.T.dot(diff)
     dr = {} if state.r is None else {"r": pg.dot(x.T)}
     # dP = -g z^T - y g^T P with g = dL/dh

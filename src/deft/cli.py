@@ -37,7 +37,7 @@ from deft._jacobi import ConvergenceError
 from deft.adapters import METHODS, ConfigError, config_from_fields
 from deft.decompose import _KINDS, KINDS, Backend, decompose as run_decompose, reconstruct
 from deft.matcore import (NonFiniteError, ShapeError, freeze, frobenius_norm, gaussian,
-                          make_rng, numerical_rank, rel_error, unit_exponent)
+                          make_rng, numerical_rank, rel_error, sum_of_squares, unit_exponent)
 from deft.store import FormatError, PairingError
 from deft.train import DivergenceError
 
@@ -156,14 +156,24 @@ def cmd_train(args):
     scales = {k: v if getattr(args, k) is None else getattr(args, k)
               for k, v in _task_scales(args.task).items()}
     task = getattr(train, _TASKS[args.task])(w0, task_seed, **scales)
+    flags = ", ".join(f"--{k.replace('_', '-')} {v:g}" for k, v in scales.items())
+    if sum_of_squares(task.inputs) == 0:  # every square underflows: nothing to learn from
+        raise UsageError(f"--task {args.task} cannot train: its inputs' sum of squares is 0 "
+                         f"with {flags}")
     try:
         report, state = train.run_finetune(w0, cfg, task, args.steps)
     except (DivergenceError, NonFiniteError) as exc:  # NonFiniteError: inputs that overflowed
         if isinstance(exc, DivergenceError) and exc.step > 0:
             raise
+        if isinstance(exc, DivergenceError):  # the draw's fault if the bare task's loss is finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                bare = sum_of_squares(w0 @ task.inputs - task.targets) / task.targets.size
+            if math.isfinite(bare):
+                raise UsageError(f"init_stddev {cfg.init_stddev} takes the loss before the first "
+                                 f"step out of float64's range; with no adapter the task's loss "
+                                 f"is {bare:.6e}") from None
         what = ("its inputs are" if isinstance(exc, NonFiniteError)
                 else "the loss before the first step is")
-        flags = ", ".join(f"--{k.replace('_', '-')} {v:g}" for k, v in scales.items())
         raise UsageError(f"--task {args.task} is out of float64's range: {what} not finite with "
                          f"{flags} and W0's max |entry| {np.abs(w0).max():.3e}") from None
     os.makedirs(args.out, exist_ok=True)
@@ -244,8 +254,8 @@ def cmd_verify(args):
         identity_resid = subspace.verify_decomposition_identity(w0, q_orth)
         identity_ok = identity_resid < 1e-12
 
-        # containment of the merged weight
-        q_fac = adapters.refresh(state)
+        # containment of the merged weight, on the factor the merge used
+        q_fac = state.p
         report = subspace.check_containment(w0, q_fac, w_total)
 
         # reduced weight stays inside col(w0) when q is built from it; at unit scale,

@@ -94,9 +94,8 @@ class DecompositionResult:
     SVD ran: for tsvd and lrmf unless ``portable=False``.
 
     The record is not frozen. Freezing would guard nothing: the factor
-    arrays are writable and aux and stats are dicts, no code assigns to a
-    field, and the adapter cache is keyed on the latent's bytes, not on
-    the record. A frozen __init__ costs about four times a plain one, and
+    arrays are writable and aux and stats are dicts, and no code assigns
+    to a field. A frozen __init__ costs about four times a plain one, and
     a training run builds one record per step.
     """
 

@@ -139,7 +139,7 @@ def displacement_field(state, lo=-1.0, hi=1.0, n=21):
     if state.cfg.method == "lora":
         delta_nonneg = delta_full
     else:
-        p_nn = np.maximum(adapters.refresh(state), 0.0)
+        p_nn = np.maximum(state.p, 0.0)  # the factor the merge above used
         delta_nonneg = -p_nn @ (p_nn.T @ state.w0)
         if state.r is not None:  # deft
             delta_nonneg = delta_nonneg + p_nn @ state.r

@@ -156,8 +156,8 @@ def grad(state, task):
 def sgd_step(state, grads):
     """One in-place SGD update of each trainable at its rate in state.cfg.
 
-    The next forward pass refactorizes the moved latent on its own: the
-    factor cache is keyed on the latent's bits (see deft.adapters.refresh).
+    Nothing else is updated: the next forward pass factors the moved
+    latent anew (see deft.adapters.refresh).
     """
     cfg = state.cfg
     for (name, _, _), lr in zip(_TRAINABLES[cfg.method], (cfg.lr_p, cfg.lr_r)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from deft.adapters import (
     refresh,
     trainables,
 )
-from deft.decompose import Backend
+from deft.decompose import KINDS, Backend
 from deft.matcore import ShapeError, make_rng, rel_error
 from deft.train import sgd_step
 
@@ -205,8 +207,8 @@ class TestRefresh:
     def check_edit_reaches_every_reader(self, edit):
         """After edit(state), with no other call, forward, merge and P read the new latent.
 
-        The state's cache is built before the edit; the reference is a
-        cache-free state with the same trainables.
+        The state's last pass, before the edit, kept the old factor; the
+        reference is a fresh state with the same trainables.
         """
         for kind in ("qr", "tsvd", "relax"):
             state = init_adapter(random_w0(18), AdapterConfig(
@@ -219,21 +221,44 @@ class TestRefresh:
             fresh.p_latent, fresh.r = state.p_latent.copy(), state.r
             assert np.array_equal(refresh(state), refresh(fresh)), kind
             assert np.array_equal(forward(state, x), forward(fresh, x)), kind
+            assert state.p.tobytes() == refresh(fresh).tobytes(), kind
             assert np.array_equal(merge(state), merge(fresh)), kind
             assert np.abs(forward(state, x) - before).max() > 1e-6, kind
 
-    def test_cache_reused_until_latent_changes(self):
-        state = init_adapter(random_w0(17), AdapterConfig("deft", 3, init_stddev=0.3))
-        assert refresh(state) is state.cache[1].p_factor
-        first = state.cache
-        refresh(state)
-        assert state.cache is first
-        state.r += 1.0  # R is not an input of the factorization
-        refresh(state)
-        assert state.cache is first
-        state.p_latent[0, 0] += 1.0
-        assert refresh(state) is state.cache[1].p_factor
-        assert state.cache is not first
+    @staticmethod
+    def factored_states():
+        """A para and a deft state per backend kind, each with a non-zero r-side if any."""
+        for method in ("para", "deft"):
+            for kind in KINDS:
+                state = init_adapter(random_w0(17), AdapterConfig(
+                    method, 3, backend=Backend(kind), init_stddev=0.3, seed=4))
+                if state.r is not None:
+                    state.r = make_rng(5).normal(size=state.r.shape)
+                yield state
+
+    @pytest.mark.filterwarnings("ignore:nmf input has negative entries")
+    def test_refresh_writes_nothing_to_the_state(self):
+        for state in self.factored_states():
+            for _ in range(2):  # before any pass, then after one
+                before = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+                copies = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
+                refresh(state)
+                for name, value in before.items():
+                    assert getattr(state, name) is value, (state.cfg, name)
+                    if name in copies:
+                        assert value.tobytes() == copies[name].tobytes(), (state.cfg, name)
+                merge(state)
+
+    @pytest.mark.filterwarnings("ignore:nmf input has negative entries")
+    def test_each_pass_keeps_the_factor_refresh_returns(self):
+        x = make_rng(6).normal(size=(7, 4))
+        for state in self.factored_states():
+            assert state.p is None and state.z is None  # before any pass
+            merge(state)
+            assert state.p.tobytes() == refresh(state).tobytes(), state.cfg
+            next(iter(trainables(state).values()))[0, 0] += 0.5  # move the latent in place
+            forward(state, x)
+            assert state.p.tobytes() == refresh(state).tobytes(), state.cfg
 
     def test_in_place_edit_reaches_every_reader(self):
         def edit(state):

@@ -352,6 +352,37 @@ class TestTrain:
         assert "--input-scale" in last and "W0's max |entry| " in last
         assert sorted(p.name for p in in_tmp.iterdir()) == ["run.cfg", "w0.mat"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--input-scale", "0"], ["--input-scale", "1e-320"], ["--input-scale", "1e-170"],
+        ["--task", "teacher-noise", "--input-scale", "0"],
+    ], ids=["zero", "subnormal", "squares-underflow", "noise-zero"])
+    def test_task_that_cannot_train_is_usage_error(self, in_tmp, capsys, flags):
+        # every input's square underflows, so the loss gives no step a gradient: the run
+        # would end untouched and read as trained
+        store.save_matrix(np.eye(8), "w0.mat")
+        write_config("run.cfg", ["method = deft", "rank = 2", "backend = relax-nmf"])
+        assert main(["train", "--w0", "w0.mat", "--config", "run.cfg",
+                     "--steps", "3", "--out", "run", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --task teacher-") and err.count("\n") == 1
+        assert "cannot train: its inputs' sum of squares is 0 with " in err
+        assert "--input-scale " in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["run.cfg", "w0.mat"]
+
+    def test_step_0_divergence_of_the_initial_draw_names_init_stddev(self, in_tmp, capsys):
+        # the task's own loss with no adapter is 64.0: the config, not the task, is at fault
+        store.save_matrix(np.eye(8), "w0.mat")
+        write_config("hot.cfg", ["method = deft", "rank = 2", "backend = relax",
+                                 "init_stddev = 1e150"])
+        assert main(["train", "--w0", "w0.mat", "--config", "hot.cfg",
+                     "--steps", "3", "--out", "run"]) == 2
+        *warned, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: ") for line in warned)
+        assert last == ("usage error: init_stddev 1e+150 takes the loss before the first step "
+                        "out of float64's range; with no adapter the task's loss is "
+                        "6.400000e+01")
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["hot.cfg", "w0.mat"]
+
     def test_bad_config_is_io_error(self, in_tmp, capsys):
         write_mat("w0.mat", seed=16)
         write_config("bad.cfg", ["method = deft", "rank = 2", "dropout = 0.5"])
@@ -479,6 +510,26 @@ class TestVerify:
         for state in states:
             # the same seed's generator gives w0's entries; no latent entry may be one of them
             assert np.intersect1d(state.p_latent / 0.5, state.w0).size == 0
+
+    @pytest.mark.filterwarnings("ignore:nmf input has negative entries")  # the refresh below
+    def test_one_factorization_per_trial(self, in_tmp, capsys, monkeypatch):
+        # the containment check reads the factor the trial's merge kept; the witness factors
+        # its relax latent once per process, so it is counted after its cache is cleared
+        kinds, states, checked = [], [], []
+        decompose, merge = adapters.decompose, adapters.merge
+        check = deft.cli.subspace.check_containment
+        monkeypatch.setattr(adapters, "decompose",
+                            lambda b, backend, *a, **k: kinds.append(backend.kind)
+                            or decompose(b, backend, *a, **k))
+        monkeypatch.setattr(adapters, "merge", lambda s: states.append(s) or merge(s))
+        monkeypatch.setattr(deft.cli.subspace, "check_containment",
+                            lambda w0, q, w: checked.append(q) or check(w0, q, w))
+        deft.cli._extension_witness_ok.cache_clear()
+        assert main(["verify", "--trials", "2", "--backend", "nmf", "--rank", "4"]) == 0
+        assert kinds == ["relax", "nmf", "nmf"]
+        for state, q in zip(states[1:], checked[1:], strict=True):
+            assert q is state.p
+            assert q.tobytes() == adapters.refresh(state).tobytes()
 
     def test_rank_too_large(self, in_tmp, capsys):
         write_mat("w0.mat", seed=20, m=6, n=4)
@@ -655,6 +706,15 @@ class TestDisplacement:
         (state,) = states
         # the same seed's generator gives w0's entries; no latent entry may be one of them
         assert np.intersect1d(state.p_latent / 0.5, state.w0).size == 0
+
+    def test_one_factorization_per_run(self, in_tmp, capsys, monkeypatch):
+        # the nonneg field reads the factor the full field's merge kept
+        calls = []
+        decompose = adapters.decompose
+        monkeypatch.setattr(adapters, "decompose",
+                            lambda *a, **k: calls.append(1) or decompose(*a, **k))
+        assert main(["displacement", "--seed", "3", "--grid-n", "3", "--out", "d.csv"]) == 0
+        assert len(calls) == 1
 
     def test_overflowing_grid_span_is_usage_error(self, in_tmp, capsys):
         assert main(["displacement", "--grid-lo=-1e308", "--grid-hi", "1e308"]) == 2

@@ -12,7 +12,7 @@ import pytest
 
 from deft import _jacobi
 from deft._jacobi import ConvergenceError, _complete_basis, _fix_signs, _schedule, jacobi_svd
-from deft.adapters import AdapterConfig, AdapterState, refresh
+from deft.adapters import AdapterConfig, AdapterState, merge, refresh
 from deft.decompose import Backend, decompose
 from deft.matcore import make_rng
 
@@ -287,8 +287,8 @@ def test_stats_count_the_sweeps_of_the_run(monkeypatch):
 
 
 # An adapter's refresh factors a tsvd/lrmf latent with LAPACK's thin SVD (decompose's
-# portable=False), also after the cache held another latent's factor. The tests below hold that
-# path to this kernel's run on the same latent.
+# portable=False), also after a pass kept another latent's factor on the state. The tests below
+# hold that path to this kernel's run on the same latent.
 
 
 def _sgd_walk(seed, shape, steps, size=1e-3):
@@ -326,8 +326,8 @@ def _degenerate_latents():
 @pytest.mark.parametrize("name", ["zero column", "equal columns", "graded", "wide"])
 @pytest.mark.parametrize("start_from", ["nearby matrix", "random rotation"])
 def test_refresh_of_degenerate_latents(name, start_from):
-    # the refresh of a degenerate latent, after the cache held the factor of a nearby matrix
-    # or of a random rotation of the latent (same singular values, other vectors)
+    # the refresh of a degenerate latent, after a pass kept the factor of a nearby matrix or
+    # of a random rotation of the latent (same singular values, other vectors)
     a = _degenerate_latents()[name]
     k = min(a.shape)
     rng = make_rng(20)
@@ -335,17 +335,17 @@ def test_refresh_of_degenerate_latents(name, start_from):
         before = a + 1e-3 * rng.normal(size=a.shape)
     else:
         before = a @ np.linalg.qr(rng.normal(size=(a.shape[1], a.shape[1])))[0]
-    # refresh reads only the config and the latent
+    # the latent is `a` itself; w0 and r take the factor's shapes, so that merge runs
     cfg = AdapterConfig("deft", k, backend=Backend("tsvd"))
-    state = AdapterState(cfg=cfg, w0=np.zeros(a.shape), p_latent=before)
-    refresh(state)
+    state = AdapterState(cfg=cfg, w0=np.zeros(a.shape), p_latent=before,
+                         r=np.zeros((k, a.shape[1])))
+    merge(state)
     state.p_latent = a.copy()
-    refresh(state)
-    got = state.cache[1]
-    fresh = decompose(a, Backend("tsvd"), k, portable=False)
-    for x, y in ((got.p_factor, fresh.p_factor), (got.aux["s"], fresh.aux["s"]),
-                 (got.aux["v"], fresh.aux["v"])):
-        assert x.tobytes() == y.tobytes()  # nothing of the earlier factor carries over
+    got = decompose(a, Backend("tsvd"), k, portable=False)
+    # nothing of the earlier factor carries over to either reader: refresh, or the next pass
+    assert refresh(state).tobytes() == got.p_factor.tobytes()
+    merge(state)
+    assert state.p.tobytes() == got.p_factor.tobytes()
     u, s, v = got.p_factor, got.aux["s"], got.aux["v"]
     jac = jacobi_svd(a)
     # where singular values (nearly) coincide only the span is defined, so u and v are

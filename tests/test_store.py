@@ -294,14 +294,16 @@ class TestAdapterCheckpoints:
             load_adapter(path, w0)
 
     def test_loaded_state_refactorizes_its_latent(self, tmp_path):
-        # the factorization cache is never persisted, only the latents
+        # a pass's factor and coefficient are never persisted, only the latents
         w0, state = trained_state("para", seed=10)
         p = refresh(state)
         path = tmp_path / "st.adpt"
         save_adapter(state, path)
         back = load_adapter(path, w0)
-        assert back.cache is None
-        assert np.array_equal(refresh(back), p)
+        assert back.p is None and back.z is None  # before any pass
+        assert refresh(back).tobytes() == p.tobytes()
+        forward(back, np.eye(w0.shape[1]))
+        assert back.p.tobytes() == p.tobytes()  # the pass's factor is the reload's refresh
 
 
 def hand_built_adpt1(w0, method_tag, backend_tag, sections, alpha=None, rank=2):

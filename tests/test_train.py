@@ -168,7 +168,7 @@ PARITY_CASES = [("lora", None)] + [
 def matmul_step(state, x, y, targets):
     """The forward output, z and the gradients by the step's formulas written inline with `@`.
 
-    The state's factor is the one its last forward pass cached.
+    The factor is state.p, the one the state's last forward pass kept.
     """
     cfg = state.cfg
     if cfg.method == "lora":
@@ -177,7 +177,7 @@ def matmul_step(state, x, y, targets):
         out += y
         z = None
     else:
-        p = state.cache[1].p_factor
+        p = state.p
         z = p.T @ y
         if state.r is not None:
             z -= state.r @ x
@@ -232,6 +232,7 @@ class TestLowRankStep:
         x, y = _batch(state, task)
         _, got = _pass(state, x, y, task.targets, True)
         _, z, want = matmul_step(state, x, y, task.targets)  # z recomputed from y
+        assert state.p.tobytes() == refresh(state).tobytes()  # the pass kept the latent's factor
         assert state.z.tobytes() == z.tobytes()
         assert list(got) == list(want)
         for key in want:
@@ -613,14 +614,14 @@ class TestAdapterFactor:
     def test_refresh_after_an_sgd_step_takes_lapacks_svd(self, kind):
         w0, cfg, task = self.job(kind)
         state = init_adapter(w0, cfg)
-        refresh(state)
         sgd_step(state, grad(state, task))
         jac = decompose(state.p_latent, cfg.backend, cfg.rank)
-        refresh(state)
-        fast = state.cache[1]
+        fast = decompose(state.p_latent, cfg.backend, cfg.rank, portable=False)
         assert jac.stats["sweeps"] >= 1 and fast.stats == {}  # no Jacobi SVD ran
-        refresh(state)
-        assert state.cache[1] is fast  # a second reader of the same bytes reuses it
+        # every reader of the moved latent gets LAPACK's bits: refresh, and the pass's kept factor
+        assert refresh(state).tobytes() == fast.p_factor.tobytes()
+        merge(state)
+        assert state.p.tobytes() == fast.p_factor.tobytes()
         assert np.abs(fast.p_factor - jac.p_factor).max() <= 1e-12
         for key in jac.aux:
             assert np.abs(fast.aux[key] - jac.aux[key]).max() <= 1e-12, key
@@ -645,23 +646,27 @@ class TestAdapterFactor:
         assert report.losses[-1] < report.losses[0]
         store.save_adapter(state, tmp_path / "a.adpt")
         loaded = store.load_adapter(tmp_path / "a.adpt", w0)
-        assert loaded.cache is None
+        assert loaded.p is None and loaded.z is None  # no checkpoint holds a pass's factor
+        trained_p = state.p.copy()  # the final loss's factor
         assert forward(loaded, task.inputs).tobytes() == forward(state, task.inputs).tobytes()
+        assert loaded.p.tobytes() == state.p.tobytes() == trained_p.tobytes()
+        assert refresh(loaded).tobytes() == trained_p.tobytes()
         assert loss_mse(loaded, task) == loss_mse(state, task) == report.losses[-1]
 
     def test_final_factor_is_the_loops_when_the_last_step_moves_nothing(self, monkeypatch):
         steps = []
 
         def all_but_the_last(state, grads):
-            steps.append(state.cache[1])
+            steps.append(state.p)
             return state if len(steps) == 3 else sgd_step(state, grads)
 
         monkeypatch.setattr(train, "sgd_step", all_but_the_last)
         w0, cfg, task = self.job("tsvd")
-        _, state = run_finetune(w0, cfg, task, steps=3)  # step 3 is void
-        assert state.cache[1] is steps[-1]  # the final loss reused step 3's factor
+        report, state = run_finetune(w0, cfg, task, steps=3)  # step 3 is void
+        assert report.losses[-1] == report.losses[-2]  # so the final pass is step 3's again
+        assert state.p.tobytes() == steps[-1].tobytes()  # the final loss's factor is step 3's
         lapack = decompose(state.p_latent, cfg.backend, cfg.rank, portable=False)
-        assert refresh(state).tobytes() == lapack.p_factor.tobytes()
+        assert refresh(state).tobytes() == lapack.p_factor.tobytes() == state.p.tobytes()
 
     @pytest.mark.parametrize("kind", ["tsvd", "lrmf"])
     def test_final_loss_is_the_trained_models_at_a_repeated_singular_value(
